@@ -24,9 +24,18 @@
 // execution; RunSequential drives them region-at-a-time for determinism,
 // and RunPipelined overlaps them with goroutines connected by channels
 // (the paper's OS pipes), producing identical results.
+//
+// Time travel is by checkpoint: one tracker program, owned by the Scout,
+// walks each region's checkpoint targets in ascending order and captures
+// a workload.Position at every Explorer segment start and at the warm
+// point. Every pass seeks to its position (vm.Engine.SeekTo, charged to
+// the VFF ledger exactly like a fast-forward), so the host replays each
+// gap once instead of once per pass.
 package core
 
 import (
+	"cmp"
+	"slices"
 	"strconv"
 
 	"repro/internal/cache"
@@ -53,6 +62,12 @@ type RegionData struct {
 	Vicinity *stats.RDHist
 	Assoc    *statstack.AssocModel
 	Engaged  int
+	// WarmPos is the checkpoint at the warm point (Start − DetailWarm),
+	// where the Scout and the Analyst begin; ExplorerPos[k] is Explorer k's
+	// segment start (Start − WindowInstr(k)). The Scout's tracker captures
+	// both before any pass of the region runs.
+	WarmPos     workload.Position
+	ExplorerPos []workload.Position
 }
 
 // AllRecords returns the resolved records plus not-found placeholders for
@@ -72,6 +87,9 @@ type DeLorean struct {
 	Prof *workload.Profile
 	Cfg  warm.Config
 
+	// tracker replays the execution once, capturing every region's
+	// checkpoints; only ScoutRegion touches it.
+	tracker   *workload.Program
 	scout     *vm.Engine
 	explorers []*vm.Engine
 	analyst   *vm.Engine
@@ -107,6 +125,7 @@ func (r *Result) SimSecondsPipelined(cm vm.CostModel) float64 {
 // New builds a DeLorean evaluation for one benchmark.
 func New(prof *workload.Profile, cfg warm.Config) *DeLorean {
 	d := &DeLorean{Prof: prof, Cfg: cfg}
+	d.tracker = prof.NewProgram(cfg.Scale)
 	d.scout = vm.NewEngine(prof.NewProgram(cfg.Scale))
 	for range cfg.ExplorerWindows {
 		d.explorers = append(d.explorers, vm.NewEngine(prof.NewProgram(cfg.Scale)))
@@ -167,17 +186,22 @@ func (d *DeLorean) RunPipelined() *Result {
 	return d.finish()
 }
 
-// scoutRegion fast-forwards to region m, replays the detailed-warming
-// window functionally to build the lukewarm filter, and extracts the key
-// cachelines from the region.
+// ScoutRegion captures region m's checkpoints, seeks to its warm point,
+// replays the detailed-warming window functionally to build the lukewarm
+// filter, and extracts the key cachelines from the region.
 func (d *DeLorean) ScoutRegion(m int) *RegionData {
 	cfg := d.Cfg
 	eng := d.scout
-	start := cfg.RegionStart(m)
-	warmStart := start - cfg.DetailWarm
+	msg := &RegionData{
+		M: m, Start: cfg.RegionStart(m),
+		Vicinity:    &stats.RDHist{},
+		Assoc:       statstack.NewAssocModel(),
+		ExplorerPos: make([]workload.Position, len(d.explorers)),
+	}
+	d.checkpoint(msg)
 
 	eng.Prop = true
-	eng.FastForwardTo(warmStart)
+	seek(eng, msg.WarmPos)
 
 	// Lukewarm filter: a small functional hierarchy warmed for DetailWarm
 	// instructions. Lines whose first in-region access it can serve need no
@@ -192,11 +216,6 @@ func (d *DeLorean) ScoutRegion(m int) *RegionData {
 		}
 	})
 
-	msg := &RegionData{
-		M: m, Start: start,
-		Vicinity: &stats.RDHist{},
-		Assoc:    statstack.NewAssocModel(),
-	}
 	var seen mem.FlatSet[mem.Line]
 	seen.Grow(256)
 	eng.RunFunc(cfg.RegionLen, false, func(ins *workload.Instr, a *mem.Access) {
@@ -224,7 +243,40 @@ func (d *DeLorean) ScoutRegion(m int) *RegionData {
 	return msg
 }
 
-// exploreRegion runs Explorer k (0-based) over its window segment for the
+// checkpoint walks the tracker through the region's checkpoint targets in
+// ascending order — every Explorer segment start and the warm point — and
+// captures a Position at each. warm.Config.Validate's rules put every
+// target of a region at or after the previous region's last one, so the
+// tracker only moves forward and the host replays each gap once.
+func (d *DeLorean) checkpoint(msg *RegionData) {
+	type target struct {
+		at  uint64
+		pos *workload.Position
+	}
+	ts := []target{{msg.Start - d.Cfg.DetailWarm, &msg.WarmPos}}
+	for k := range msg.ExplorerPos {
+		ts = append(ts, target{msg.Start - d.Cfg.WindowInstr(k), &msg.ExplorerPos[k]})
+	}
+	slices.SortFunc(ts, func(a, b target) int { return cmp.Compare(a.at, b.at) })
+	for _, t := range ts {
+		cur := d.tracker.InstrIndex()
+		if t.at < cur {
+			panic("core: checkpoint target behind the tracker (config fails warm.Config.Validate)")
+		}
+		d.tracker.Skip(t.at - cur)
+		*t.pos = d.tracker.Position()
+	}
+}
+
+// seek moves a pass to a tracker checkpoint. The tracker runs the same
+// profile at the same scale as every pass, so a failure is a bug.
+func seek(eng *vm.Engine, pos workload.Position) {
+	if err := eng.SeekTo(pos); err != nil {
+		panic(err)
+	}
+}
+
+// ExploreRegion runs Explorer k (0-based) over its window segment for the
 // message's region, resolving key reuses and sampling the vicinity.
 func (d *DeLorean) ExploreRegion(k int, msg *RegionData) {
 	cfg := d.Cfg
@@ -234,7 +286,7 @@ func (d *DeLorean) ExploreRegion(k int, msg *RegionData) {
 	}
 	msg.Engaged++
 
-	segStart := msg.Start - cfg.WindowInstr(k)
+	segStart := msg.ExplorerPos[k]
 	segEnd := msg.Start
 	if k > 0 {
 		// Predecessors proved there is no access in the nearer windows;
@@ -242,7 +294,7 @@ func (d *DeLorean) ExploreRegion(k int, msg *RegionData) {
 		segEnd = msg.Start - cfg.WindowInstr(k-1)
 	}
 	eng.Prop = true
-	eng.FastForwardTo(segStart)
+	seek(eng, segStart)
 
 	collector := reuse.NewKeyCollector(msg.Keys)
 	var keySet mem.FlatSet[mem.Line]
@@ -253,7 +305,7 @@ func (d *DeLorean) ExploreRegion(k int, msg *RegionData) {
 	vicinityEvery := cfg.VicinityInterval()
 	sampler := reuse.NewForwardSampler(float64(vicinityEvery), false)
 
-	span := segEnd - segStart
+	span := segEnd - segStart.InstrIdx
 	if k == 0 {
 		// Explorer-1: functional directed profiling (gem5 atomic mode).
 		// Vicinity sampling intervals count instructions, like the VDP
@@ -327,20 +379,20 @@ func explorerName(k int) string {
 	return "explorer-" + strconv.Itoa(k+1)
 }
 
-// analyzeRegion runs the Analyst: detailed warming plus the detailed
+// AnalyzeRegion runs the Analyst: detailed warming plus the detailed
 // region under the DSW classifier built from the Explorers' findings.
 func (d *DeLorean) AnalyzeRegion(msg *RegionData) {
 	cfg := d.Cfg
 	eng := d.analyst
-	warmStart := msg.Start - cfg.DetailWarm
-	eng.Prop = true
-	eng.FastForwardTo(warmStart)
-
 	hier := cache.NewHierarchy(cfg.HierConfig(), nil)
 	core := cpu.NewCore(cfg.CPU, hier, nil)
 	// Unresolved keys become not-found records (cold misses).
 	oracle := warm.NewDSWOracle(msg.AllRecords(), msg.Vicinity, msg.Assoc, hier)
-	rr := warm.EvalRegion(cfg, eng, core, oracle)
+	eng.Prop = true
+	rr, err := warm.EvalRegionAt(cfg, eng, msg.WarmPos, core, oracle)
+	if err != nil {
+		panic(err) // see seek
+	}
 	d.res.Regions = append(d.res.Regions, rr)
 	d.engagedRegions = append(d.engagedRegions, msg.Engaged)
 	eng.Counters.Add("fix/keys_unresolved", float64(len(msg.Keys)))

@@ -102,13 +102,6 @@ func RunParallel(prof *workload.Profile, cfg warm.Config, llcPaperSizes []uint64
 			Bench: prof.Name, Method: "DeLorean-DSE", Counters: analysts[i].Counters})
 	}
 
-	// The tracker advances to each region's warm point exactly once and its
-	// captured position seeds every Analyst's seek: the gap's address-
-	// generation work is paid once per region instead of once per LLC size
-	// (warm-state reuse across sizes; bit-identical to the per-Analyst
-	// fast-forward it replaces — Seek's contract — and charged to each
-	// Analyst's VFF ledger identically).
-	tracker := prof.NewProgram(cfg.Scale)
 	var engagedSum int
 	for m := 0; m < cfg.Regions; m++ {
 		if cfg.Cancelled() {
@@ -120,11 +113,10 @@ func RunParallel(prof *workload.Profile, cfg warm.Config, llcPaperSizes []uint64
 		}
 		engagedSum += rd.Engaged
 		records := rd.AllRecords()
+		// Every Analyst seeks to the warm point the Scout's tracker captured:
 		// DetailWarm is size-independent (the sizes vary only the LLC), so
-		// one warm point serves all Analysts.
-		warmStart := rd.Start - cfg.DetailWarm
-		tracker.Skip(warmStart - tracker.InstrIndex())
-		warmPos := tracker.Position()
+		// one checkpoint serves all of them and the gap is replayed once
+		// per region, not once per LLC size.
 		runner.ForEach(len(analysts), workers, func(i int) {
 			sizeCfg := analystCfgs[i]
 			eng := analysts[i]
@@ -132,7 +124,7 @@ func RunParallel(prof *workload.Profile, cfg warm.Config, llcPaperSizes []uint64
 			hier := cache.NewHierarchy(sizeCfg.HierConfig(), nil)
 			cr := cpu.NewCore(sizeCfg.CPU, hier, nil)
 			oracle := warm.NewDSWOracle(records, rd.Vicinity, rd.Assoc, hier)
-			rr, err := warm.EvalRegionAt(sizeCfg, eng, warmPos, cr, oracle)
+			rr, err := warm.EvalRegionAt(sizeCfg, eng, rd.WarmPos, cr, oracle)
 			if err != nil {
 				// Tracker and Analysts run the same program at the same
 				// scale; a seek failure is a programming bug.

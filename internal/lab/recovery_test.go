@@ -60,6 +60,66 @@ func TestSubmitIsJournaledDurably(t *testing.T) {
 	}
 }
 
+// TestInvalidConfigRejectedBeforeJournal: a sampling spec with Scale 0
+// (which would divide by zero in the executor) is refused with a 400 at
+// decode time, so it is never journaled and a restart cannot re-arm it
+// into a crash loop.
+func TestInvalidConfigRejectedBeforeJournal(t *testing.T) {
+	dir := t.TempDir()
+	jpath := filepath.Join(dir, "journal.wal")
+	jl, _, err := lab.OpenJournal(jpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, store, err := lab.NewEngine(1, filepath.Join(dir, "store"), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(lab.NewServerOpts(eng, store, lab.Options{Journal: jl}).Handler())
+	defer ts.Close()
+
+	var wire struct {
+		Kind   string         `json:"kind"`
+		Params map[string]any `json:"params"`
+	}
+	if err := json.Unmarshal(shortSpec(t), &wire); err != nil {
+		t.Fatal(err)
+	}
+	wire.Params["cfg"].(map[string]any)["Scale"] = 0
+	body, err := json.Marshal(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/v1/specs", "application/json", strings.NewReader(string(body)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("POST with Scale 0: status %s (%s), want 400", resp.Status, msg)
+	}
+	if !strings.Contains(string(msg), "Scale") {
+		t.Errorf("400 body %q does not name the bad field", msg)
+	}
+	if n := jl.Stats().Records; n != 0 {
+		t.Errorf("rejected spec left %d journal records", n)
+	}
+	if n := eng.Executions(); n != 0 {
+		t.Errorf("rejected spec executed %d times", n)
+	}
+
+	jl.Close()
+	jl2, pending, err := lab.OpenJournal(jpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jl2.Close()
+	if len(pending) != 0 {
+		t.Fatalf("restart would re-arm %v", pending)
+	}
+}
+
 // TestServerRecoversAcceptedJobs is the restart half of the durability
 // contract: a journal holding an accepted-but-unfinished submission (the
 // state a crash between 202 and completion leaves behind) must come back

@@ -15,7 +15,9 @@
 //     map spanning the engine's lifetime, optionally backed by a
 //     persistent artifact store (internal/artifact), so identical
 //     experiments never re-run — not within a matrix, not across matrices,
-//     and with a store not even across processes;
+//     and with a store not even across processes. With a store, the store
+//     is the cache of record and the map holds only in-flight entries, so
+//     a long-lived service's memory does not grow with every result;
 //   - nested execution (Sub): a composite spec runs its sub-experiments
 //     through the same engine, sharing the cache and the single-flight
 //     path (e.g. a co-run calibration reuses the app's size-independent
@@ -105,7 +107,9 @@ type Engine struct {
 	OnProgress func(Progress)
 	// Store, when set, backs the in-memory cache with persistent
 	// artifacts: misses consult the store before executing, and freshly
-	// executed results are persisted.
+	// executed results are persisted. A completed entry then leaves the
+	// map as soon as its value is saved or served from the store; the map
+	// keeps only in-flight entries, for single-flight.
 	Store Store
 
 	mu         sync.Mutex
@@ -155,8 +159,10 @@ func (e *Engine) StoreHits() uint64 {
 }
 
 // HasCached reports whether key has a live in-memory cache entry —
-// completed successfully, or currently executing (joining it via RunSpec
-// rides the single-flight path instead of duplicating work). The fleet
+// currently executing (joining it via RunSpec rides the single-flight path
+// instead of duplicating work) or, on a store-less engine, completed
+// successfully. A store-backed engine's completed results live in the
+// store, which callers probe separately. The fleet
 // router uses it as a cheap "will RunSpec be free?" probe before deciding
 // to proxy a job to its owner node.
 func (e *Engine) HasCached(key string) bool {
@@ -285,6 +291,7 @@ func (e *Engine) runJob(ctx context.Context, s Spec, total int, done *int) (any,
 			ent.val, ent.fromStore = v, true
 			e.mu.Lock()
 			e.storeHits++
+			e.evictLocked(key, ent)
 			e.mu.Unlock()
 			close(ent.done)
 			e.progress(s, key, total, done, true, true, time.Since(start))
@@ -300,15 +307,15 @@ func (e *Engine) runJob(ctx context.Context, s Spec, total int, done *int) (any,
 	if ent.err == nil && e.Store != nil {
 		e.Store.Save(s.Kind(), key, ent.val)
 	}
-	if ent.err != nil {
+	if ent.err != nil || e.Store != nil {
 		// Never cache a failure: a transient error (or a cancellation)
 		// must not poison the key for the engine's lifetime. Evict before
 		// waking the waiters so no new caller can join the dead entry and
-		// the next lookup re-executes.
+		// the next lookup re-executes. A success with a store leaves too:
+		// the next lookup loads the saved artifact (Save is best-effort, so
+		// a lost save costs one re-execution, never a wrong result).
 		e.mu.Lock()
-		if e.cache[key] == ent {
-			delete(e.cache, key)
-		}
+		e.evictLocked(key, ent)
 		e.mu.Unlock()
 	}
 	close(ent.done)
@@ -317,6 +324,14 @@ func (e *Engine) runJob(ctx context.Context, s Spec, total int, done *int) (any,
 	}
 	e.progress(s, key, total, done, false, false, time.Since(start))
 	return ent.val, ent.err
+}
+
+// evictLocked removes ent from the cache unless a newer entry has replaced
+// it. The caller holds e.mu.
+func (e *Engine) evictLocked(key string, ent *cacheEntry) {
+	if e.cache[key] == ent {
+		delete(e.cache, key)
+	}
 }
 
 func (e *Engine) progress(s Spec, key string, total int, done *int, cached, fromStore bool, d time.Duration) {

@@ -174,6 +174,66 @@ func TestStoreBackedCache(t *testing.T) {
 	}
 }
 
+// memStore is a map-backed runner.Store.
+type memStore struct {
+	mu sync.Mutex
+	m  map[string]any
+}
+
+func (s *memStore) Load(kind, key string) (any, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	v, ok := s.m[key]
+	return v, ok
+}
+
+func (s *memStore) Save(kind, key string, val any) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.m[key] = val
+}
+
+// TestStoreBackedEngineHoldsNoResults: with a store attached the store is
+// the cache of record, so a long-lived engine (the lab daemon) must not
+// pin every result in memory. After N distinct specs the engine holds no
+// completed entry, and re-running a key is a store hit, not an execution.
+func TestStoreBackedEngineHoldsNoResults(t *testing.T) {
+	eng := runner.New(2)
+	eng.Store = &memStore{m: map[string]any{}}
+	const n = 16
+	jobs := make([]runner.Job, n)
+	for i := range jobs {
+		key := fmt.Sprintf("k%d", i)
+		jobs[i] = runner.Job{Spec: fnSpec{key: key, exec: func(runner.Sub) (any, error) {
+			return key, nil
+		}}}
+	}
+	eng.RunMatrix(jobs)
+	for _, j := range jobs {
+		if eng.HasCached(j.Key()) {
+			t.Errorf("completed entry %s still held by the engine", j.Key())
+		}
+	}
+	if got := eng.Executions(); got != n {
+		t.Fatalf("executions = %d, want %d", got, n)
+	}
+
+	hits := eng.StoreHits()
+	v, err := eng.RunSpec(jobs[3].Spec)
+	if err != nil || v != "k3" {
+		t.Fatalf("re-run = %v, %v; want k3", v, err)
+	}
+	if got := eng.Executions(); got != n {
+		t.Errorf("re-run executed: executions = %d, want %d", got, n)
+	}
+	if got := eng.StoreHits(); got != hits+1 {
+		t.Errorf("store hits = %d, want %d", got, hits+1)
+	}
+	if eng.HasCached(jobs[3].Key()) {
+		t.Error("store-served entry still held by the engine")
+	}
+}
+
 func TestRunMatrixOrderAndProgress(t *testing.T) {
 	var jobs []runner.Job
 	for i := 0; i < 17; i++ {

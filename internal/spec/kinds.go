@@ -450,6 +450,9 @@ func init() {
 			default:
 				return fmt.Errorf("unknown method %q", sp.Method)
 			}
+			if err := sp.Cfg.Validate(); err != nil {
+				return fmt.Errorf("cfg: %w", err)
+			}
 			return sp.Bench.validate()
 		},
 		Run: runSampling,
@@ -487,6 +490,9 @@ func init() {
 			sp := p.(DSESweepParams)
 			if len(sp.Sizes) == 0 {
 				return fmt.Errorf("empty LLC size list")
+			}
+			if err := sp.Cfg.Validate(); err != nil {
+				return fmt.Errorf("cfg: %w", err)
 			}
 			return sp.Bench.validate()
 		},

@@ -17,6 +17,8 @@ package warm
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
 
 	"repro/internal/cache"
 	"repro/internal/cpu"
@@ -119,6 +121,32 @@ func DecodeConfig(b []byte) (Config, error) {
 		return Config{}, err
 	}
 	return cfg, nil
+}
+
+// Validate checks the rules every sampled run relies on: a positive
+// Scale, Explorer windows non-empty and strictly ascending within (0, 1],
+// and a detailed-warming window plus detailed region that fit in one gap.
+// Under these rules every region's checkpoint targets lie at or after the
+// previous region's, which is what lets DeLorean's tracker (internal/core)
+// replay the execution once, moving only forward.
+func (c Config) Validate() error {
+	if c.Scale == 0 {
+		return errors.New("Scale must be > 0")
+	}
+	if len(c.ExplorerWindows) == 0 {
+		return errors.New("ExplorerWindows is empty")
+	}
+	prev := 0.0
+	for i, w := range c.ExplorerWindows {
+		if !(w > prev && w <= 1) { // also rejects NaN
+			return fmt.Errorf("ExplorerWindows[%d] = %v: windows must be strictly ascending within (0, 1]", i, w)
+		}
+		prev = w
+	}
+	if gap := c.Gap(); c.DetailWarm > gap || c.RegionLen > gap-c.DetailWarm {
+		return fmt.Errorf("DetailWarm %d + RegionLen %d exceed the scaled gap %d", c.DetailWarm, c.RegionLen, gap)
+	}
+	return nil
 }
 
 // Gap returns the scaled inter-region gap in instructions.
@@ -270,10 +298,9 @@ func EvalRegion(cfg Config, eng *vm.Engine, core *cpu.Core, oracle cache.Oracle)
 // region: it first seeks the engine to the captured warm-start position —
 // charging the skipped span to the VFF ledger exactly as FastForwardTo
 // would, so ledger-derived figures cannot move — then runs the standard
-// evaluation. The position is produced once by a tracker program and
-// shared by all per-size analysts of a DSE fan-out: K sizes pay the gap's
-// address-generation work once instead of K times (the checkpoint/fork
-// discipline applied to the DSE inner loop).
+// evaluation. The position is produced once per region by DeLorean's
+// tracker program (internal/core) and shared by its Analyst and by all
+// per-size Analysts of a DSE fan-out, so none of them replays the gap.
 func EvalRegionAt(cfg Config, eng *vm.Engine, at workload.Position, core *cpu.Core, oracle cache.Oracle) (RegionResult, error) {
 	if err := eng.SeekTo(at); err != nil {
 		return RegionResult{}, err

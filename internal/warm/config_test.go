@@ -1,0 +1,51 @@
+package warm
+
+import (
+	"math"
+	"strings"
+	"testing"
+)
+
+func TestConfigValidate(t *testing.T) {
+	cases := []struct {
+		name string
+		edit func(*Config)
+		want string // substring of the error; "" means valid
+	}{
+		{"default", func(*Config) {}, ""},
+		{"test geometry", func(c *Config) { *c = testCfg() }, ""},
+		{"single full window", func(c *Config) { c.ExplorerWindows = []float64{1} }, ""},
+		{"warm-up and region fill the gap exactly", func(c *Config) {
+			c.PaperGap, c.Scale = 40_000, 1
+		}, ""},
+		{"zero scale", func(c *Config) { c.Scale = 0 }, "Scale"},
+		{"no windows", func(c *Config) { c.ExplorerWindows = nil }, "empty"},
+		{"descending windows", func(c *Config) { c.ExplorerWindows = []float64{0.1, 0.05} }, "ascending"},
+		{"repeated window", func(c *Config) { c.ExplorerWindows = []float64{0.05, 0.05, 1} }, "ascending"},
+		{"zero window", func(c *Config) { c.ExplorerWindows = []float64{0, 1} }, "ascending"},
+		{"window past the gap", func(c *Config) { c.ExplorerWindows = []float64{0.5, 1.5} }, "ascending"},
+		{"NaN window", func(c *Config) { c.ExplorerWindows = []float64{math.NaN()} }, "ascending"},
+		{"warm-up and region overflow the gap", func(c *Config) {
+			c.PaperGap, c.Scale = 39_999, 1
+		}, "gap"},
+		{"warm-up alone overflows the gap", func(c *Config) {
+			c.PaperGap, c.Scale, c.RegionLen = 1_000, 1, 0
+		}, "gap"},
+		{"huge region cannot wrap", func(c *Config) { c.RegionLen = math.MaxUint64 }, "gap"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			tc.edit(&cfg)
+			err := cfg.Validate()
+			switch {
+			case tc.want == "" && err != nil:
+				t.Errorf("Validate() = %v, want nil", err)
+			case tc.want != "" && err == nil:
+				t.Errorf("Validate() = nil, want an error mentioning %q", tc.want)
+			case tc.want != "" && !strings.Contains(err.Error(), tc.want):
+				t.Errorf("Validate() = %v, want an error mentioning %q", err, tc.want)
+			}
+		})
+	}
+}

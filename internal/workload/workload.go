@@ -731,13 +731,93 @@ func (pr *Program) genBranchState(rb uint32) {
 	}
 }
 
+// genMemState applies exactly the state updates of genMem (stream pick,
+// burst and walk position, the Rand streams' extra draw, the memory index)
+// without producing the access.
+func (pr *Program) genMemState(rb uint32) {
+	sel := rb & 0xffff
+	si := int(pr.selLUT[sel>>8])
+	for si < len(pr.cumW)-1 && sel >= pr.cumW[si] {
+		si++
+	}
+	st := &pr.streams[si]
+	pr.memIdx++
+	if st.burstLeft > 0 {
+		st.burstLeft--
+		return
+	}
+	switch st.kind {
+	case Seq:
+		st.pos += st.stride
+		if st.pos >= st.lines {
+			st.pos -= st.lines
+		}
+		st.lastOff = st.pos
+	case Rand:
+		st.lastOff, _ = bits.Mul64(pr.randRng.Uint64(), st.lines)
+	case Chase:
+		st.pos = (st.pos*6364136223846793005 + 1442695040888963407) & (st.lines - 1)
+		st.lastOff = st.pos
+	}
+	st.burstLeft = st.burstLen - 1
+}
+
+// skipBlock bounds one block of Skip's two-phase loop.
+const skipBlock = 256
+
 // Skip advances the program by n instructions without materializing them.
-// The resulting state is identical to calling Next n times; the engine uses
-// it for virtualized fast-forwarding where no one observes the stream.
+// The resulting state is identical to calling Next n times (pinned by
+// TestSkipEquivalence); the engine uses it for virtualized fast-forwarding
+// where no one observes the stream. Like FillBatch it specializes Next's
+// loop, but it builds no record at all: only the state the next
+// instruction depends on advances.
+//
+// The loop runs in blocks that never straddle a phase edge, in two
+// phases. The first draws the block's random words and sorts them,
+// without branching, into memory and branch lists; the second applies the
+// stream and branch-counter updates. The two updates touch disjoint state
+// and each list keeps program order, so the split is exact. It removes
+// the data-dependent kind dispatch — a coin flip no predictor learns —
+// from the per-instruction path. The code walk is a plain counter modulo
+// its period and advances in one step.
 func (pr *Program) Skip(n uint64) {
-	var ins Instr
-	for i := uint64(0); i < n; i++ {
-		pr.Next(&ins)
+	period := pr.codeLines << 3
+	pr.codePos = (pr.codePos + n%period) % period
+	var memRB, brRB [skipBlock]uint32
+	for n > 0 {
+		if pr.instrIdx >= pr.nextPhaseEdge {
+			pr.rebuildWeights()
+		}
+		m := min(n, pr.nextPhaseEdge-pr.instrIdx, skipBlock)
+		n -= m
+		pr.instrIdx += m
+		thMem, thBranch := pr.thMem, pr.thBranch
+		nm, nb := 0, 0
+		for i := uint64(0); i < m; i++ {
+			r := pr.rng.Uint64()
+			sel := uint32(r & 0xffff)
+			// Write both slots unconditionally and advance only the
+			// matching list (nm, nb <= i < skipBlock; the masks drop the
+			// bounds checks). thMem <= thBranch, so a memory instruction
+			// sets both flags and a branch only isBr.
+			memRB[nm&(skipBlock-1)] = uint32(r >> 16)
+			brRB[nb&(skipBlock-1)] = uint32(r >> 16)
+			isMem, isBr := 0, 0
+			if sel < thMem {
+				isMem = 1
+			}
+			if sel < thBranch {
+				isBr = 1
+			}
+			nm += isMem
+			nb += isBr - isMem
+		}
+		for _, rb := range memRB[:nm] {
+			pr.genMemState(rb)
+		}
+		for _, rb := range brRB[:nb] {
+			pr.genBranchState(rb)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/mem"
@@ -46,21 +47,42 @@ func TestDeterministicReplay(t *testing.T) {
 // TestSkipEquivalence: Skip(n) must leave the program in exactly the state
 // of n Next calls (fast-forwarding must not perturb the timeline).
 func TestSkipEquivalence(t *testing.T) {
-	p := Perlbench()
-	a := p.NewProgram(testScale)
-	b := p.NewProgram(testScale)
-	var ia, ib Instr
-	a.Skip(12345)
-	for i := 0; i < 12345; i++ {
-		b.Next(&ib)
-	}
-	for i := 0; i < 1000; i++ {
-		a.Next(&ia)
-		b.Next(&ib)
-		if ia != ib {
-			t.Fatalf("diverged at %d after Skip", i)
+	// Odd offsets, repeated so each program skips several times from
+	// mid-burst and mid-phase states.
+	offsets := []uint64{0, 1, 7, 12345, 100_003}
+	check := func(t *testing.T, p *Profile, scale uint64, offsets []uint64) {
+		t.Helper()
+		a := p.NewProgram(scale)
+		b := p.NewProgram(scale)
+		var ia, ib Instr
+		for _, off := range offsets {
+			a.Skip(off)
+			for i := uint64(0); i < off; i++ {
+				b.Next(&ib)
+			}
+			if !reflect.DeepEqual(a.Position(), b.Position()) {
+				t.Fatalf("%s: Position after Skip(%d) differs from %d Next calls", p.Name, off, off)
+			}
+			for i := 0; i < 1000; i++ {
+				a.Next(&ia)
+				b.Next(&ib)
+				if ia != ib {
+					t.Fatalf("%s: diverged at %d after Skip(%d)", p.Name, i, off)
+				}
+			}
 		}
 	}
+	for _, p := range Benchmarks() {
+		check(t, p, testScale, offsets)
+	}
+	// Across phase edges: calculix's paired bursts at a scale where its
+	// period is ~76k instructions, skipped in odd chunks over three periods.
+	cal := Calculix()
+	chunks := make([]uint64, 0, 64)
+	for i := 0; i < 48; i++ {
+		chunks = append(chunks, 3_001+uint64(i)*97)
+	}
+	check(t, cal, 1<<16, chunks)
 }
 
 // TestInstructionMix checks the realized kind ratios against the profile.
@@ -279,4 +301,12 @@ func BenchmarkProgramNext(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		pr.Next(&ins)
 	}
+}
+
+// BenchmarkProgramSkip reports the fast-forward cost per skipped
+// instruction (ns/op is ns per instruction).
+func BenchmarkProgramSkip(b *testing.B) {
+	pr := Mcf().NewProgram(256)
+	b.ResetTimer()
+	pr.Skip(uint64(b.N))
 }
