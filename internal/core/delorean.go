@@ -307,25 +307,31 @@ func (d *DeLorean) ExploreRegion(k int, msg *RegionData) {
 
 	span := segEnd - segStart.InstrIdx
 	if k == 0 {
-		// Explorer-1: functional directed profiling (gem5 atomic mode).
-		// Vicinity sampling intervals count instructions, like the VDP
-		// sampling stops.
-		instrCount := uint64(0)
-		eng.RunFunc(span, false, func(ins *workload.Instr, a *mem.Access) {
-			instrCount++
-			if a == nil {
-				return
+		// Explorer-1: functional directed profiling (gem5 atomic mode),
+		// observing only the data accesses. Vicinity sampling intervals
+		// count instructions, like the VDP sampling stops: the clock
+		// advances by each access's InstrIdx delta.
+		batch := make(mem.Batch, 0, vm.Chunk)
+		instrCount, next := uint64(0), segStart.InstrIdx
+		for left := span; left > 0; {
+			m := min(left, vm.Chunk)
+			left -= m
+			batch.Reset()
+			eng.RunFuncBatch(m, false, &batch)
+			for i := range batch {
+				a := &batch[i]
+				instrCount += a.InstrIdx + 1 - next
+				next = a.InstrIdx + 1
+				if keySet.Has(a.Line()) {
+					collector.Observe(a)
+				}
+				sampler.Complete(a)
+				if instrCount >= vicinityEvery {
+					instrCount = 0
+					sampler.Start(a)
+				}
 			}
-			l := a.Line()
-			if keySet.Has(l) {
-				collector.Observe(a)
-			}
-			sampler.Complete(a)
-			if instrCount >= vicinityEvery {
-				instrCount = 0
-				sampler.Start(a)
-			}
-		})
+		}
 	} else {
 		// Explorer-2..4: virtualized directed profiling. Watchpoints stay
 		// armed on key lines for the whole segment (only the *last* access

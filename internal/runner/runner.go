@@ -30,6 +30,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"time"
 )
@@ -256,7 +257,8 @@ func (b boundSub) EngineStore() Store { return b.e.Store }
 
 // runJob executes one spec with single-flight caching: the first caller of
 // a key runs it (consulting the persistent store first), concurrent
-// duplicates block until the result lands.
+// duplicates block until the result lands. An executor panic fails the
+// job exactly as an executor error does (see execute).
 func (e *Engine) runJob(ctx context.Context, s Spec, total int, done *int) (any, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -303,7 +305,7 @@ func (e *Engine) runJob(ctx context.Context, s Spec, total int, done *int) (any,
 	e.misses++
 	e.executions++
 	e.mu.Unlock()
-	ent.val, ent.err = s.Run(boundSub{e: e, ctx: ctx})
+	ent.val, ent.err = execute(s, boundSub{e: e, ctx: ctx})
 	if ent.err == nil && e.Store != nil {
 		e.Store.Save(s.Kind(), key, ent.val)
 	}
@@ -324,6 +326,30 @@ func (e *Engine) runJob(ctx context.Context, s Spec, total int, done *int) (any,
 	}
 	e.progress(s, key, total, done, false, false, time.Since(start))
 	return ent.val, ent.err
+}
+
+// PanicError is the error of a job whose executor panicked: the panic
+// value and the stack of the goroutine that ran the job. One bad spec
+// fails its own job, on the error path, instead of the process.
+type PanicError struct {
+	Value any
+	Stack []byte
+}
+
+func (p *PanicError) Error() string {
+	return fmt.Sprintf("runner: executor panic: %v\n%s", p.Value, p.Stack)
+}
+
+// execute runs s on the calling goroutine and turns a panic there into a
+// *PanicError. A panic on a goroutine the spec spawns itself (the
+// pipelined DeLorean passes, the DSE fan-out) is not contained.
+func execute(s Spec, sub Sub) (val any, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			val, err = nil, &PanicError{Value: r, Stack: debug.Stack()}
+		}
+	}()
+	return s.Run(sub)
 }
 
 // evictLocked removes ent from the cache unless a newer entry has replaced

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -352,6 +353,64 @@ func TestErrorSharedBySingleFlightWaiters(t *testing.T) {
 	}}
 	if v, err := eng.RunSpec(okSpec); err != nil || v != 42 {
 		t.Fatalf("retry after shared failure: v=%v err=%v", v, err)
+	}
+}
+
+// TestPanicContained: an executor panic fails its job instead of the
+// process. The caller and a concurrent joiner get the same error, which
+// carries the panic value and the stack, and the single-flight entry is
+// evicted, so a retry executes again.
+func TestPanicContained(t *testing.T) {
+	var execs int32
+	release := make(chan struct{})
+	sp := fnSpec{key: "panics", exec: func(runner.Sub) (any, error) {
+		atomic.AddInt32(&execs, 1)
+		<-release
+		panic("bad spec")
+	}}
+	eng := runner.New(2)
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	for i := range errs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, errs[i] = eng.RunSpec(sp)
+		}(i)
+	}
+	// Let the joiner reach the in-flight entry before the executor panics.
+	for {
+		if hits, _ := eng.CacheStats(); hits == 1 {
+			break
+		}
+	}
+	close(release)
+	wg.Wait()
+	var pe *runner.PanicError
+	if !errors.As(errs[0], &pe) || pe.Value != "bad spec" {
+		t.Fatalf("err = %v, want a PanicError carrying the panic value", errs[0])
+	}
+	if !strings.Contains(string(pe.Stack), "TestPanicContained") {
+		t.Errorf("panic stack does not name the panicking executor:\n%s", pe.Stack)
+	}
+	if errs[1] != errs[0] {
+		t.Errorf("joiner err = %v, want the executor's %v", errs[1], errs[0])
+	}
+	if n := atomic.LoadInt32(&execs); n != 1 {
+		t.Fatalf("panicking job executed %d times, want 1", n)
+	}
+	if eng.HasCached("panics") {
+		t.Fatal("the panicked entry is still in flight")
+	}
+	okSpec := fnSpec{key: "panics", exec: func(runner.Sub) (any, error) {
+		atomic.AddInt32(&execs, 1)
+		return 42, nil
+	}}
+	if v, err := eng.RunSpec(okSpec); err != nil || v != 42 {
+		t.Fatalf("retry after panic: v=%v err=%v", v, err)
+	}
+	if n := atomic.LoadInt32(&execs); n != 2 {
+		t.Fatalf("retry did not re-execute: %d executions, want 2", n)
 	}
 }
 

@@ -159,6 +159,8 @@ func (w *Watchpoints) Clear() {
 }
 
 // AccessHandler observes one memory access during functional execution.
+// a points into a buffer the engine reuses: copy what outlives the call,
+// never keep the pointer.
 type AccessHandler func(a *mem.Access)
 
 // InstrHandler observes one instruction during functional execution; a is
@@ -198,7 +200,12 @@ type Engine struct {
 	Prop bool
 
 	sampleCount uint64
+	chunk       mem.Batch // RunVDP's chunk buffer, allocated on first use
 }
+
+// Chunk is the instruction count of one FillBatch chunk of directed
+// profiling: its access records fit a 10 KiB batch that stays in L1.
+const Chunk = 256
 
 // NewEngine wraps prog with a fresh ledger.
 func NewEngine(prog *workload.Program) *Engine {
@@ -230,7 +237,9 @@ func (e *Engine) FastForwardTo(to uint64) {
 }
 
 // RunFunc executes n instructions under functional simulation, invoking h
-// for each (cacheSim selects the slower functional-warming rate).
+// for each (cacheSim selects the slower functional-warming rate). It
+// serves the passes that need instruction-side events: SMARTS functional
+// warming and the Scout's lukewarm filter.
 func (e *Engine) RunFunc(n uint64, cacheSim bool, h InstrHandler) {
 	var ins workload.Instr
 	var a mem.Access
@@ -258,6 +267,7 @@ func (e *Engine) RunFunc(n uint64, cacheSim bool, h InstrHandler) {
 // instructions execute unobserved. It is the batched twin of RunFunc for
 // callers that only consume the data-access stream — same program state
 // evolution, same ledger charge, no per-instruction handler call.
+// Explorer-1 runs on it in Chunk-instruction batches.
 func (e *Engine) RunFuncBatch(n uint64, cacheSim bool, b *mem.Batch) {
 	e.Prog.FillBatch(n, b)
 	if cacheSim {
@@ -270,47 +280,61 @@ func (e *Engine) RunFuncBatch(n uint64, cacheSim bool, b *mem.Batch) {
 // RunVDP executes n instructions under virtualized directed profiling.
 // Execution proceeds at near-native speed; each access to a watched page
 // and each sampling stop is charged a trigger cost.
+//
+// The program runs in FillBatch chunks of Chunk instructions, so only the
+// memory accesses are materialized. The instruction-count sample clock
+// advances by each access's InstrIdx delta, and the instructions after the
+// last access are credited when the call returns, so the clock carries
+// across calls exactly as a per-instruction count would. Callbacks see the
+// program at its chunk's end: they must take positions from the access
+// record, and copy what they keep of it.
 func (e *Engine) RunVDP(n uint64, cfg *VDPConfig) {
-	var ins workload.Instr
-	var a mem.Access
 	var triggers, falsePos, sampleStops float64
-	for i := uint64(0); i < n; i++ {
-		memIdx := e.Prog.MemIndex()
-		instrIdx := e.Prog.InstrIndex()
-		e.Prog.Next(&ins)
-		if cfg.SampleEvery > 0 {
-			e.sampleCount++
-		}
-		if ins.Kind != workload.KindLoad && ins.Kind != workload.KindStore {
-			continue
-		}
-		isSample := false
-		if cfg.SampleEvery > 0 && e.sampleCount >= cfg.SampleEvery {
-			e.sampleCount = 0
-			isSample = true
-		}
-		watchedPage := cfg.WPs != nil && cfg.WPs.WatchedPage(mem.PageOf(ins.Addr))
-		if !isSample && !watchedPage {
-			continue
-		}
-		a = mem.Access{PC: ins.PC, Addr: ins.Addr,
-			Write: ins.Kind == workload.KindStore, MemIdx: memIdx, InstrIdx: instrIdx}
-		if isSample {
-			sampleStops++
-			if cfg.OnSample != nil {
-				cfg.OnSample(&a)
-			}
-		}
-		if watchedPage {
-			triggers++
-			if cfg.WPs.WatchedLine(a.Line()) {
-				if cfg.OnTrigger != nil {
-					cfg.OnTrigger(&a)
+	every := cfg.SampleEvery
+	next := e.Prog.InstrIndex() // first instruction the clock has not counted
+	end := next + n
+	if e.chunk == nil {
+		// Once per engine: most engines never profile.
+		e.chunk = make(mem.Batch, 0, Chunk)
+	}
+	for left := n; left > 0; {
+		m := min(left, Chunk)
+		left -= m
+		e.chunk.Reset()
+		e.Prog.FillBatch(m, &e.chunk)
+		b := e.chunk
+		for i := range b {
+			a := &b[i]
+			isSample := false
+			if every > 0 {
+				e.sampleCount += a.InstrIdx + 1 - next
+				next = a.InstrIdx + 1
+				if e.sampleCount >= every {
+					e.sampleCount = 0
+					isSample = true
 				}
-			} else {
-				falsePos++
+			}
+			watchedPage := cfg.WPs != nil && cfg.WPs.WatchedPage(mem.PageOf(a.Addr))
+			if isSample {
+				sampleStops++
+				if cfg.OnSample != nil {
+					cfg.OnSample(a)
+				}
+			}
+			if watchedPage {
+				triggers++
+				if cfg.WPs.WatchedLine(a.Line()) {
+					if cfg.OnTrigger != nil {
+						cfg.OnTrigger(a)
+					}
+				} else {
+					falsePos++
+				}
 			}
 		}
+	}
+	if every > 0 {
+		e.sampleCount += end - next
 	}
 	e.charge(KindVDP, float64(n))
 	if cfg.TriggersFixed {

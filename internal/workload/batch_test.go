@@ -19,15 +19,28 @@ func batchProfiles() []*Profile {
 }
 
 // TestFillBatchMatchesNext pins the batched generator to the
-// access-at-a-time one: identical access records and identical subsequent
-// state, across chunk boundaries and phase edges.
+// access-at-a-time one over every benchmark: identical access records and
+// identical subsequent state, across chunk boundaries, two-phase block
+// boundaries and phase edges. The last case runs calculix at a scale
+// where its phase period is ~76k instructions, so the span crosses
+// several phase edges.
 func TestFillBatchMatchesNext(t *testing.T) {
 	const span = 300_000
-	for _, prof := range batchProfiles() {
-		prof := prof
-		t.Run(prof.Name, func(t *testing.T) {
-			ref := prof.NewProgram(64)
-			bat := prof.NewProgram(64)
+	type tc struct {
+		name  string
+		prof  *Profile
+		scale uint64
+	}
+	var cases []tc
+	for _, prof := range Benchmarks() {
+		cases = append(cases, tc{prof.Name, prof, 64})
+	}
+	cases = append(cases, tc{"calculix-phase-edges", Calculix(), 1 << 16})
+	for _, c := range cases {
+		prof, scale := c.prof, c.scale
+		t.Run(c.name, func(t *testing.T) {
+			ref := prof.NewProgram(scale)
+			bat := prof.NewProgram(scale)
 
 			var want mem.Batch
 			var ins Instr
@@ -42,10 +55,15 @@ func TestFillBatchMatchesNext(t *testing.T) {
 			}
 
 			var got mem.Batch
-			// Uneven chunk sizes so boundaries land everywhere, including
+			// Chunks on either side of one and two blocks first, then
+			// uneven sizes so boundaries land everywhere, including
 			// mid-burst and on phase edges.
+			fixed := []uint64{1, skipBlock - 1, skipBlock, skipBlock + 1, 2*skipBlock - 1, 2*skipBlock + 3}
 			for done, chunk := uint64(0), uint64(1); done < span; chunk = chunk*7%8191 + 1 {
 				n := chunk
+				if len(fixed) > 0 {
+					n, fixed = fixed[0], fixed[1:]
+				}
 				if done+n > span {
 					n = span - done
 				}

@@ -610,32 +610,29 @@ func (pr *Program) genBranch(ins *Instr, rb uint32) {
 // a handler-driven pass replay the same execution (pinned by
 // TestFillBatchMatchesNext).
 //
-// It specializes Next's loop rather than calling it: non-memory
-// instructions advance their state (RNG, code walk, branch counters,
-// phase edges) without materializing an Instr, which is where a third of
-// the per-instruction cost of the handler-driven path went.
+// It runs the two-phase block loop it shares with Skip (see drawBlock):
+// non-memory instructions advance their state without materializing an
+// Instr, and no per-instruction branch depends on the instruction kind.
+// The second phase generates the block's accesses in program order, each
+// stamped with its offset inside the block, then applies the
+// branch-counter updates.
 func (pr *Program) FillBatch(n uint64, b *mem.Batch) {
+	pr.advanceCode(n)
+	var blk block
 	var ins Instr
 	s := *b // keep the slice header in registers across the loop
-	for i := uint64(0); i < n; i++ {
-		if pr.instrIdx >= pr.nextPhaseEdge {
-			pr.rebuildWeights()
-		}
-		r := pr.rng.Uint64()
-		pr.instrIdx++
-		pr.codePos++
-		if pr.codePos>>3 >= pr.codeLines {
-			pr.codePos = 0
-		}
-		sel := uint32(r & 0xffff)
-		switch {
-		case sel < pr.thMem:
+	for n > 0 {
+		m, nm, nb := pr.drawBlock(n, &blk)
+		n -= m
+		base := pr.instrIdx - m
+		for j, rb := range blk.memRB[:nm] {
 			memIdx := pr.memIdx
-			pr.genMem(&ins, uint32(r>>16))
-			s = append(s, mem.Access{PC: ins.PC, Addr: ins.Addr,
-				Write: ins.Kind == KindStore, MemIdx: memIdx, InstrIdx: pr.instrIdx - 1})
-		case sel < pr.thBranch:
-			pr.genBranchState(uint32(r >> 16))
+			pr.genMem(&ins, rb)
+			s = append(s, mem.Access{PC: ins.PC, Addr: ins.Addr, Write: ins.Kind == KindStore,
+				MemIdx: memIdx, InstrIdx: base + uint64(blk.memOff[j])})
+		}
+		for _, rb := range blk.brRB[:nb] {
+			pr.genBranchState(rb)
 		}
 	}
 	*b = s
@@ -762,60 +759,83 @@ func (pr *Program) genMemState(rb uint32) {
 	st.burstLeft = st.burstLen - 1
 }
 
-// skipBlock bounds one block of Skip's two-phase loop.
+// skipBlock bounds one block of the two-phase loop Skip and FillBatch
+// share (drawBlock).
 const skipBlock = 256
+
+// block is the scratch of one two-phase block: the random words of its
+// memory and branch instructions, each list in program order, and every
+// memory instruction's offset inside the block.
+type block struct {
+	memRB  [skipBlock]uint32
+	memOff [skipBlock]uint32
+	brRB   [skipBlock]uint32
+}
+
+// drawBlock is the first phase of the block loop. It takes the next block
+// of at most n instructions, cut so that it never straddles a phase edge
+// (the stream weights are rebuilt at the edge first), draws the block's
+// random words and sorts them, without branching, into blk's memory and
+// branch lists. It advances the instruction index past the block and
+// returns the block length and the two list lengths; the caller's second
+// phase applies the stream and branch-counter updates. The two updates
+// touch disjoint state and each list keeps program order, so the split is
+// exact. It removes the data-dependent kind dispatch — a coin flip no
+// predictor learns — from the per-instruction path.
+func (pr *Program) drawBlock(n uint64, blk *block) (m uint64, nm, nb int) {
+	if pr.instrIdx >= pr.nextPhaseEdge {
+		pr.rebuildWeights()
+	}
+	m = min(n, pr.nextPhaseEdge-pr.instrIdx, skipBlock)
+	pr.instrIdx += m
+	thMem, thBranch := pr.thMem, pr.thBranch
+	for i := uint64(0); i < m; i++ {
+		r := pr.rng.Uint64()
+		sel := uint32(r & 0xffff)
+		// Write every slot unconditionally and advance only the matching
+		// list (nm, nb <= i < skipBlock; the masks drop the bounds
+		// checks). thMem <= thBranch, so a memory instruction sets both
+		// flags and a branch only isBr.
+		blk.memRB[nm&(skipBlock-1)] = uint32(r >> 16)
+		blk.memOff[nm&(skipBlock-1)] = uint32(i)
+		blk.brRB[nb&(skipBlock-1)] = uint32(r >> 16)
+		isMem, isBr := 0, 0
+		if sel < thMem {
+			isMem = 1
+		}
+		if sel < thBranch {
+			isBr = 1
+		}
+		nm += isMem
+		nb += isBr - isMem
+	}
+	return m, nm, nb
+}
+
+// advanceCode moves the code walk n instructions ahead in one step: it is
+// a plain counter modulo its period, and the block loops observe no fetch
+// line.
+func (pr *Program) advanceCode(n uint64) {
+	period := pr.codeLines << 3
+	pr.codePos = (pr.codePos + n%period) % period
+}
 
 // Skip advances the program by n instructions without materializing them.
 // The resulting state is identical to calling Next n times (pinned by
 // TestSkipEquivalence); the engine uses it for virtualized fast-forwarding
-// where no one observes the stream. Like FillBatch it specializes Next's
-// loop, but it builds no record at all: only the state the next
+// where no one observes the stream. It runs the two-phase block loop of
+// drawBlock and builds no record at all: only the state the next
 // instruction depends on advances.
-//
-// The loop runs in blocks that never straddle a phase edge, in two
-// phases. The first draws the block's random words and sorts them,
-// without branching, into memory and branch lists; the second applies the
-// stream and branch-counter updates. The two updates touch disjoint state
-// and each list keeps program order, so the split is exact. It removes
-// the data-dependent kind dispatch — a coin flip no predictor learns —
-// from the per-instruction path. The code walk is a plain counter modulo
-// its period and advances in one step.
 func (pr *Program) Skip(n uint64) {
-	period := pr.codeLines << 3
-	pr.codePos = (pr.codePos + n%period) % period
-	var memRB, brRB [skipBlock]uint32
+	pr.advanceCode(n)
+	var blk block
 	for n > 0 {
-		if pr.instrIdx >= pr.nextPhaseEdge {
-			pr.rebuildWeights()
-		}
-		m := min(n, pr.nextPhaseEdge-pr.instrIdx, skipBlock)
+		m, nm, nb := pr.drawBlock(n, &blk)
 		n -= m
-		pr.instrIdx += m
-		thMem, thBranch := pr.thMem, pr.thBranch
-		nm, nb := 0, 0
-		for i := uint64(0); i < m; i++ {
-			r := pr.rng.Uint64()
-			sel := uint32(r & 0xffff)
-			// Write both slots unconditionally and advance only the
-			// matching list (nm, nb <= i < skipBlock; the masks drop the
-			// bounds checks). thMem <= thBranch, so a memory instruction
-			// sets both flags and a branch only isBr.
-			memRB[nm&(skipBlock-1)] = uint32(r >> 16)
-			brRB[nb&(skipBlock-1)] = uint32(r >> 16)
-			isMem, isBr := 0, 0
-			if sel < thMem {
-				isMem = 1
-			}
-			if sel < thBranch {
-				isBr = 1
-			}
-			nm += isMem
-			nb += isBr - isMem
-		}
-		for _, rb := range memRB[:nm] {
+		for _, rb := range blk.memRB[:nm] {
 			pr.genMemState(rb)
 		}
-		for _, rb := range brRB[:nb] {
+		for _, rb := range blk.brRB[:nb] {
 			pr.genBranchState(rb)
 		}
 	}
