@@ -267,18 +267,6 @@ func (c *Cache) Touch(w int) {
 	c.NHits++
 }
 
-// PrefetchSet is the timing core's software-prefetch hint: it reads the
-// first tag and age word of the set that line l maps to, pulling the set's
-// metadata toward the host cache before the Lookup that will scan it. It
-// mutates nothing (no tick, no counters, no recency) so issuing or
-// skipping it cannot move a simulated bit. The return value is the tag
-// word read; callers accumulate it into a sink so the compiler cannot
-// discard the load.
-func (c *Cache) PrefetchSet(l mem.Line) uint64 {
-	base := c.setOf(l) * uint64(c.assoc)
-	return c.tags[base] + c.ages[base]
-}
-
 // Probe reports whether the line is present without touching replacement
 // state or statistics.
 func (c *Cache) Probe(l mem.Line) bool {

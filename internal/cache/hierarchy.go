@@ -109,16 +109,6 @@ type Hierarchy struct {
 	PrefUseful   uint64
 }
 
-// KeepLoads is the opaque sink for software-prefetch reads: accumulating
-// PrefetchSet results into a local and passing it here (once per batch,
-// not per access) keeps the compiler from dead-code-eliminating the loads
-// without storing non-state in any model struct — the deep-equal oracle
-// gates compare whole cores and hierarchies, so a sink field would be
-// engine-visible noise.
-//
-//go:noinline
-func KeepLoads(uint64) {}
-
 // NewHierarchy builds the hierarchy; oracle may be nil (true warming).
 func NewHierarchy(cfg HierarchyConfig, oracle Oracle) *Hierarchy {
 	h := &Hierarchy{
@@ -224,20 +214,6 @@ func (h *Hierarchy) AccessDataMiss(a *mem.Access, line mem.Line) DataResult {
 	return DataResult{Latency: h.Cfg.L1D.HitLat + h.Cfg.LLC.HitLat + h.Cfg.MemLat, Served: LevelMem, L1: Miss}
 }
 
-// PrefetchDist is how many accesses ahead the batched paths prime the
-// next set's way metadata (Cache.PrefetchSet) while the current access is
-// being served; 0 compiles the hook out entirely (the guard is a constant
-// condition). It is 0 because the hint lost its A/B: over distances
-// {4, 8, 16}, priming the L1D set cost 6-11% on corun-cell and was a wash
-// on solo-pipeline, and priming the (much larger) shared-LLC set instead
-// cost ~13% — the way metadata the scans touch is small enough to stay
-// host-resident, so the extra loads and branch are pure overhead and the
-// LLC variant actively pollutes the host cache with sets that mostly go
-// unused behind a ~94% L1 hit rate. Measured numbers in DESIGN.md §12;
-// the hint is state-free either way, so the setting cannot move a
-// simulated bit.
-const PrefetchDist = 0
-
 // AccessBatch drives every access of b through AccessData in order,
 // appending the per-access results to out (reused across windows; pass
 // out[:0]). Results, counters and cache state are bit-identical to the
@@ -245,34 +221,11 @@ const PrefetchDist = 0
 // the oracle indirection costs no per-access heap allocation. Works
 // unchanged on a shared-LLC hierarchy (NewSharedHierarchy): callers
 // interleave per-core batches exactly as they would interleave accesses.
-//
-// Because the whole window is decoded before it is served, the batch knows
-// every future line: when PrefetchDist > 0 each iteration primes the L1D
-// set that many accesses ahead so the set scan's dependent loads start
-// from a warm host cache (the KeepLoads sink keeps the compiler from
-// discarding the state-free reads). The hook is compiled out at the
-// current PrefetchDist = 0 — see the constant's comment for why it lost
-// its A/B.
 func (h *Hierarchy) AccessBatch(b mem.Batch, out []DataResult) []DataResult {
-	n := len(b)
-	var sink uint64
 	for i := range b {
-		if PrefetchDist > 0 {
-			if j := i + PrefetchDist; j < n {
-				sink += h.L1D.PrefetchSet(b[j].Line())
-			}
-		}
 		out = append(out, h.AccessData(&b[i]))
 	}
-	KeepLoads(sink)
 	return out
-}
-
-// WarmDataBatch functionally warms the data side with every access of b.
-func (h *Hierarchy) WarmDataBatch(b mem.Batch) {
-	for i := range b {
-		h.WarmData(b[i].Line())
-	}
 }
 
 // prefetchObserve feeds the stride prefetcher with LLC-side traffic. The

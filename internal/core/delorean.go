@@ -311,10 +311,10 @@ func (d *DeLorean) ExploreRegion(k int, msg *RegionData) {
 		// observing only the data accesses. Vicinity sampling intervals
 		// count instructions, like the VDP sampling stops: the clock
 		// advances by each access's InstrIdx delta.
-		batch := make(mem.Batch, 0, vm.Chunk)
+		batch := make(mem.Batch, 0, workload.Chunk)
 		instrCount, next := uint64(0), segStart.InstrIdx
 		for left := span; left > 0; {
-			m := min(left, vm.Chunk)
+			m := min(left, workload.Chunk)
 			left -= m
 			batch.Reset()
 			eng.RunFuncBatch(m, false, &batch)

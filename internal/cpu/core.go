@@ -1,6 +1,8 @@
 package cpu
 
 import (
+	"fmt"
+
 	"repro/internal/cache"
 	"repro/internal/mem"
 	"repro/internal/workload"
@@ -22,6 +24,43 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{Width: 8, ROB: 192, IQ: 64, LQ: 64, SQ: 64,
 		MispredictPenalty: 14, BP: DefaultBPConfig()}
+}
+
+// Upper bounds Validate enforces on the sized structures: the ROB
+// completion ring and each predictor table are allocated at their
+// configured size, so an unbounded entry count would let one config ask
+// for gigabytes. Both sit far above any real machine (Table 1: 192 and
+// 8 k).
+const (
+	maxROB       = 1 << 16
+	maxBPEntries = 1 << 20
+)
+
+// Validate checks the bounds the timing core relies on: a fetch width of
+// at least 1, a ROB of 1..maxROB entries (Run indexes the completion ring
+// by ROB slot) and predictor tables of 1..maxBPEntries entries (the
+// predictor indexes every table modulo its size).
+func (c Config) Validate() error {
+	if c.Width < 1 {
+		return fmt.Errorf("CPU.Width %d must be >= 1", c.Width)
+	}
+	if c.ROB < 1 || c.ROB > maxROB {
+		return fmt.Errorf("CPU.ROB %d outside [1, %d]", c.ROB, maxROB)
+	}
+	for _, t := range []struct {
+		name string
+		n    int
+	}{
+		{"LocalEntries", c.BP.LocalEntries},
+		{"GlobalEntries", c.BP.GlobalEntries},
+		{"ChoiceEntries", c.BP.ChoiceEntries},
+		{"BTBEntries", c.BP.BTBEntries},
+	} {
+		if t.n < 1 || t.n > maxBPEntries {
+			return fmt.Errorf("CPU.BP.%s %d outside [1, %d]", t.name, t.n, maxBPEntries)
+		}
+	}
+	return nil
 }
 
 // Stats aggregates one simulated interval.
@@ -148,11 +187,11 @@ func (r *mshrRing) push(x uint64) {
 // warming must predict: latency differences between cache levels,
 // MSHR-limited overlap, and branch-misprediction serialization.
 // Field order is a deliberate host-cache layout, not cosmetics. The
-// per-instruction hot cluster — the fields RunBatch reads or writes on
+// per-instruction hot cluster — the fields Run reads or writes on
 // every memory instruction after hoisting the scheduling state into
 // locals — sits contiguously at offset 0, spanning exactly three 64-byte
 // host lines instead of the four-plus it straddled in declaration order.
-// Batch-boundary fields (read/written once per quantum) follow, and the
+// Per-call fields (read/written once per Run call) follow, and the
 // per-run configuration is last. The trailing pad rounds the struct to
 // 384 bytes, a multiple of the host line size that is also its own malloc
 // size class, so two cores allocated back-to-back and driven from
@@ -165,17 +204,17 @@ type Core struct {
 	outMin      uint64                        // lower bound on the outstanding table's minimum completion time
 	mshrs       int                           // L1D MSHR count, resolved once from the hierarchy config
 	pruneLen    int                           // outstanding-table occupancy that triggers a prune
-	// acc is the scratch record handed to Hierarchy.AccessData. It lives in
-	// the (heap-resident) core rather than on the Run/RunBatch stack because
-	// the oracle interface call inside AccessData makes a stack-local record
-	// escape — one heap allocation per quantum on the co-run hot path.
+	// acc is the scratch record handed to the hierarchy's miss path. It
+	// lives in the (heap-resident) core rather than on the Run stack
+	// because the oracle interface call inside AccessDataMiss makes a
+	// stack-local record escape — one heap allocation per Run call.
 	acc mem.Access
 
-	// --- warm: read/written once per batch (locals inside RunBatch) ---
+	// --- warm: read/written once per Run call (locals inside it) ---
 	cycle        uint64 // dispatch front cycle (fixed point: subcycles via width counting)
 	widthCount   int
-	fetchStall   uint64   // cycle until which the front-end is squashed
-	robSlot      int      // completion-ring slot of the next instruction (wraps at ROB)
+	fetchStall   uint64 // cycle until which the front-end is squashed
+	robSlot      int    // completion-ring slot of the next instruction (wraps at ROB)
 	maxComplete  uint64
 	completion   []uint64 // ring buffer of the last ROB completion times
 	pruneScratch []mem.Line
@@ -215,8 +254,218 @@ func NewCore(cfg Config, hier *cache.Hierarchy, bp *BranchPred) *Core {
 
 // Run executes n instructions of prog through the timing model and returns
 // the interval's statistics. Microarchitectural state (caches, predictor,
-// in-flight misses) persists across calls.
+// in-flight misses) persists across calls. One call is one interval: it
+// ends by advancing the dispatch clock to the interval's critical path, so
+// splitting n over several calls is not equivalent to one call.
+//
+// The program is decoded in chunks of workload.Chunk instructions into an
+// on-stack array (FillInstrs) and each chunk is timed in a second pass.
+// The split is legal because instruction generation is open loop: the
+// program stream never depends on timing state, so decoding a chunk ahead
+// of timing it observes nothing different. The hot scheduling state
+// (cycle, width, fetch stall, ROB head, max completion) lives in locals
+// for the whole call and is written back once at its end.
+//
+// The per-instruction I-fetch is hoisted behind a fetch-line memo. The
+// memo is exact, not approximate: consecutive instructions on one fetch
+// line cannot miss — the first fetch left the line resident (hit or
+// install) and most recently used, and nothing else touches the private
+// L1I during the call — so the memo replays the hit's state updates (tick,
+// recency, hit count) on the remembered way via cache.Touch instead of
+// re-running the lookup. The memo spans the call's chunks and starts
+// invalid on every call, so state mutated between calls (functional
+// I-side warming, a checkpoint restore) cannot invalidate it.
 func (c *Core) Run(prog *workload.Program, n uint64) Stats {
+	var st Stats
+	st.Instructions = n
+	memIdx := prog.MemIndex()
+
+	mshrs := c.mshrs
+	hier := c.Hier
+	l1i := hier.L1I
+	l1d := hier.L1D
+	l1iHitLat := hier.Cfg.L1I.HitLat
+	l1dHitLat := uint64(hier.Cfg.L1D.HitLat)
+	rob := c.Cfg.ROB
+	width := c.Cfg.Width
+	completion := c.completion
+	cycle := c.cycle
+	widthCount := c.widthCount
+	fetchStall := c.fetchStall
+	slot := c.robSlot
+	maxComplete := c.maxComplete
+	startCycle := cycle
+
+	lastLine := mem.Line(0)
+	lastWay := -1
+
+	var buf [workload.Chunk]workload.Instr
+	for left := n; left > 0; {
+		chunk := buf[:min(left, workload.Chunk)]
+		left -= uint64(len(chunk))
+		instrBase := prog.InstrIndex()
+		prog.FillInstrs(chunk)
+		for k := range chunk {
+			ins := &chunk[k]
+
+			// Front end: width, redirect and ROB constraints.
+			widthCount++
+			if widthCount >= width {
+				widthCount = 0
+				cycle++
+			}
+			if fetchStall > cycle {
+				cycle = fetchStall
+				widthCount = 0
+			}
+			// Instruction fetch, memoized per fetch line (guaranteed L1I hits
+			// replay through Touch; see the function comment).
+			if ins.FetchLine == lastLine && lastWay >= 0 {
+				l1i.Touch(lastWay)
+			} else {
+				if fl := hier.AccessInstr(ins.FetchLine); fl > l1iHitLat {
+					cycle += uint64(fl - l1iHitLat)
+				}
+				lastLine = ins.FetchLine
+				lastWay = l1i.WayIndexOf(ins.FetchLine)
+			}
+			// ROB: cannot dispatch past the completion of the instruction that
+			// frees our slot.
+			if completion[slot] > cycle {
+				cycle = completion[slot]
+				widthCount = 0
+			}
+			dispatch := cycle
+
+			// Register dependence.
+			ready := dispatch
+			dep := int(ins.DepDist)
+			if dep >= 1 && dep <= rob {
+				prodSlot := slot - dep
+				if prodSlot < 0 {
+					prodSlot += rob
+				}
+				if t := completion[prodSlot]; t > ready {
+					ready = t
+				}
+			}
+
+			var complete uint64
+			switch ins.Kind {
+			case workload.KindLoad, workload.KindStore:
+				st.MemAccesses++
+				line := mem.LineOf(ins.Addr)
+				// Drain MSHRs whose miss has returned.
+				for c.mshrFree.n > 0 && c.mshrFree.min() <= ready {
+					c.mshrFree.popMin()
+				}
+				if t, inFlight := c.outstanding.Get(line); inFlight && t > ready {
+					// Delayed hit: coalesce onto the existing MSHR.
+					st.MSHRHits++
+					complete = t
+				} else {
+					if inFlight {
+						c.outstanding.Delete(line)
+					}
+					// Inlined L1D-hit fast path: replays exactly AccessData's
+					// hit half (access count, L1D lookup) without building the
+					// access record — the record only feeds the miss tail
+					// (oracle, prefetcher), which AccessDataMiss runs.
+					hier.DataAccesses++
+					if out, _, _ := l1d.Lookup(line); out == cache.Hit {
+						st.L1DHits++
+						complete = ready + l1dHitLat
+					} else {
+						c.acc = mem.Access{PC: ins.PC, Addr: ins.Addr,
+							Write: ins.Kind == workload.KindStore, MemIdx: memIdx, InstrIdx: instrBase + uint64(k)}
+						r := hier.AccessDataMiss(&c.acc, line)
+						if r.WarmingHit {
+							st.WarmingHits++
+						}
+						switch r.Served {
+						case cache.LevelL1:
+							st.L1DHits++
+						case cache.LevelLLC:
+							st.LLCHits++
+						default:
+							st.MemServed++
+						}
+						issue := ready
+						if r.Served != cache.LevelL1 {
+							// Allocate an MSHR; stall issue if none free.
+							if c.mshrFree.n >= mshrs {
+								if t := c.mshrFree.min(); t > issue {
+									issue = t
+								}
+								c.mshrFree.popMin()
+							}
+							complete = issue + uint64(r.Latency)
+							c.mshrFree.push(complete)
+							c.outstanding.Put(line, complete)
+							if complete < c.outMin {
+								c.outMin = complete
+							}
+							if c.outstanding.Len() > c.pruneLen && c.outMin <= ready {
+								c.pruneOutstanding(ready)
+							}
+						} else {
+							complete = issue + uint64(r.Latency)
+						}
+					}
+				}
+				memIdx++
+				if ins.Kind == workload.KindStore {
+					// Stores retire through the store buffer; they occupy the
+					// MSHR (modeled above) but do not stall dependents.
+					complete = ready + 1
+				}
+			case workload.KindBranch:
+				complete = ready + uint64(ins.Lat)
+				st.BrLookups++
+				if !c.BP.PredictAndUpdate(ins.PC, ins.Taken) {
+					st.BrMispred++
+					// Front end squashed until the branch resolves.
+					if r := complete + c.Cfg.MispredictPenalty; r > fetchStall {
+						fetchStall = r
+					}
+				}
+			default:
+				complete = ready + uint64(ins.Lat)
+			}
+
+			completion[slot] = complete
+			if slot++; slot == rob {
+				slot = 0
+			}
+			if complete > maxComplete {
+				maxComplete = complete
+			}
+		}
+	}
+	end := cycle
+	if maxComplete > end {
+		end = maxComplete
+	}
+	st.Cycles = end - startCycle
+	// Advance the dispatch clock so the next interval starts after this
+	// interval's critical path.
+	c.cycle = end
+	c.widthCount = widthCount
+	c.fetchStall = fetchStall
+	c.robSlot = slot
+	c.maxComplete = maxComplete
+	return st
+}
+
+// RunReference is the per-instruction oracle of Run: it times the same n
+// instructions one Program.Next at a time, through the unspecialized
+// hierarchy calls (AccessInstr on every fetch, AccessData on every data
+// access), keeping the scheduling state in the core's fields. Statistics
+// and every bit of core, hierarchy and predictor state are identical to
+// Run's (TestRunBatchMatchesRun); it has no production caller and exists
+// so the tests here and the co-run oracle in internal/multiprog can replay
+// the timing model without the chunked engine's specializations.
+func (c *Core) RunReference(prog *workload.Program, n uint64) Stats {
 	var st Stats
 	st.Instructions = n
 	mshrs := c.mshrs
@@ -355,227 +604,6 @@ func (c *Core) Run(prog *workload.Program, n uint64) Stats {
 	return st
 }
 
-// RunBatch executes n instructions of prog through the timing model by
-// decoding the whole quantum into b (caller-owned scratch, reset here) with
-// one FillInstrBatch call and timing it in a second pass. It is the batched
-// sibling of Run, exactly as AccessBatch is to Access: statistics, cache
-// and predictor state, and the in-flight-miss bookkeeping are bit-identical
-// to Run(prog, n) — pinned by TestRunBatchMatchesRun — and Run survives as
-// the per-instruction test oracle. The split is legal because instruction
-// generation is open loop: the program stream never depends on timing
-// state, so decoding a quantum ahead of timing it observes nothing
-// different.
-//
-// Two things make the batched pass faster beyond the decode specialization:
-// the hot scheduling state (cycle, width, ROB head) lives in locals across
-// the quantum instead of core fields, and the per-instruction I-fetch is
-// hoisted behind a fetch-line memo. The memo is exact, not approximate:
-// consecutive instructions on one fetch line cannot miss — the first fetch
-// left the line resident (hit or install) and most recently used, and
-// nothing else touches the private L1I inside the batch — so the memo
-// replays the hit's state updates (tick, recency, hit count) on the
-// remembered way via cache.Touch instead of re-running the lookup. The memo
-// is local to one call: it resets every batch, so state mutated between
-// batches (a Run interleaved on the same core, functional I-side warming)
-// cannot invalidate it.
-func (c *Core) RunBatch(prog *workload.Program, n uint64, b *workload.InstrBatch) Stats {
-	var st Stats
-	st.Instructions = n
-	instrBase := prog.InstrIndex()
-	memIdx := prog.MemIndex()
-	b.Reset()
-	prog.FillInstrBatch(n, b)
-
-	mshrs := c.mshrs
-	hier := c.Hier
-	l1i := hier.L1I
-	l1d := hier.L1D
-	l1iHitLat := hier.Cfg.L1I.HitLat
-	l1dHitLat := uint64(hier.Cfg.L1D.HitLat)
-	rob := c.Cfg.ROB
-	width := c.Cfg.Width
-	completion := c.completion
-	cycle := c.cycle
-	widthCount := c.widthCount
-	fetchStall := c.fetchStall
-	slot := c.robSlot
-	maxComplete := c.maxComplete
-	startCycle := cycle
-
-	lastLine := mem.Line(0)
-	lastWay := -1
-
-	batch := *b
-	nBatch := len(batch)
-	var pfSink uint64
-	for k := range batch {
-		ins := &batch[k]
-
-		// Software prefetch: the whole quantum is decoded up front, so the
-		// L1D set of the memory access PrefetchDist instructions ahead is
-		// known now — prime its metadata while this instruction is timed.
-		// State-free (PrefetchSet mutates nothing), so timing bits cannot
-		// move; pfSink defeats dead-code elimination via cache.KeepLoads.
-		// Compiled out at PrefetchDist = 0: the hint lost its A/B at every
-		// distance and placement tried (see the constant in internal/cache).
-		if cache.PrefetchDist > 0 {
-			if j := k + cache.PrefetchDist; j < nBatch {
-				// Branchless mem-op test: Load and Store are adjacent kinds.
-				if nxt := &batch[j]; nxt.Kind-workload.KindLoad <= 1 {
-					pfSink += l1d.PrefetchSet(mem.LineOf(nxt.Addr))
-				}
-			}
-		}
-
-		// Front end: width, redirect and ROB constraints.
-		widthCount++
-		if widthCount >= width {
-			widthCount = 0
-			cycle++
-		}
-		if fetchStall > cycle {
-			cycle = fetchStall
-			widthCount = 0
-		}
-		// Instruction fetch, memoized per fetch line (guaranteed L1I hits
-		// replay through Touch; see the function comment).
-		if ins.FetchLine == lastLine && lastWay >= 0 {
-			l1i.Touch(lastWay)
-		} else {
-			if fl := hier.AccessInstr(ins.FetchLine); fl > l1iHitLat {
-				cycle += uint64(fl - l1iHitLat)
-			}
-			lastLine = ins.FetchLine
-			lastWay = l1i.WayIndexOf(ins.FetchLine)
-		}
-		// ROB: cannot dispatch past the completion of the instruction that
-		// frees our slot.
-		if completion[slot] > cycle {
-			cycle = completion[slot]
-			widthCount = 0
-		}
-		dispatch := cycle
-
-		// Register dependence.
-		ready := dispatch
-		dep := int(ins.DepDist)
-		if dep >= 1 && dep <= rob {
-			prodSlot := slot - dep
-			if prodSlot < 0 {
-				prodSlot += rob
-			}
-			if t := completion[prodSlot]; t > ready {
-				ready = t
-			}
-		}
-
-		var complete uint64
-		switch ins.Kind {
-		case workload.KindLoad, workload.KindStore:
-			st.MemAccesses++
-			line := mem.LineOf(ins.Addr)
-			// Drain MSHRs whose miss has returned.
-			for c.mshrFree.n > 0 && c.mshrFree.min() <= ready {
-				c.mshrFree.popMin()
-			}
-			if t, inFlight := c.outstanding.Get(line); inFlight && t > ready {
-				// Delayed hit: coalesce onto the existing MSHR.
-				st.MSHRHits++
-				complete = t
-			} else {
-				if inFlight {
-					c.outstanding.Delete(line)
-				}
-				// Inlined L1D-hit fast path: replays exactly AccessData's
-				// hit half (access count, L1D lookup) without building the
-				// access record — the record only feeds the miss tail
-				// (oracle, prefetcher), which AccessDataMiss runs.
-				hier.DataAccesses++
-				if out, _, _ := l1d.Lookup(line); out == cache.Hit {
-					st.L1DHits++
-					complete = ready + l1dHitLat
-				} else {
-					c.acc = mem.Access{PC: ins.PC, Addr: ins.Addr,
-						Write: ins.Kind == workload.KindStore, MemIdx: memIdx, InstrIdx: instrBase + uint64(k)}
-					r := hier.AccessDataMiss(&c.acc, line)
-					if r.WarmingHit {
-						st.WarmingHits++
-					}
-					switch r.Served {
-					case cache.LevelL1:
-						st.L1DHits++
-					case cache.LevelLLC:
-						st.LLCHits++
-					default:
-						st.MemServed++
-					}
-					issue := ready
-					if r.Served != cache.LevelL1 {
-						// Allocate an MSHR; stall issue if none free.
-						if c.mshrFree.n >= mshrs {
-							if t := c.mshrFree.min(); t > issue {
-								issue = t
-							}
-							c.mshrFree.popMin()
-						}
-						complete = issue + uint64(r.Latency)
-						c.mshrFree.push(complete)
-						c.outstanding.Put(line, complete)
-						if complete < c.outMin {
-							c.outMin = complete
-						}
-						if c.outstanding.Len() > c.pruneLen && c.outMin <= ready {
-							c.pruneOutstanding(ready)
-						}
-					} else {
-						complete = issue + uint64(r.Latency)
-					}
-				}
-			}
-			memIdx++
-			if ins.Kind == workload.KindStore {
-				// Stores retire through the store buffer; they occupy the
-				// MSHR (modeled above) but do not stall dependents.
-				complete = ready + 1
-			}
-		case workload.KindBranch:
-			complete = ready + uint64(ins.Lat)
-			st.BrLookups++
-			if !c.BP.PredictAndUpdate(ins.PC, ins.Taken) {
-				st.BrMispred++
-				// Front end squashed until the branch resolves.
-				if r := complete + c.Cfg.MispredictPenalty; r > fetchStall {
-					fetchStall = r
-				}
-			}
-		default:
-			complete = ready + uint64(ins.Lat)
-		}
-
-		completion[slot] = complete
-		if slot++; slot == rob {
-			slot = 0
-		}
-		if complete > maxComplete {
-			maxComplete = complete
-		}
-	}
-	cache.KeepLoads(pfSink)
-	end := cycle
-	if maxComplete > end {
-		end = maxComplete
-	}
-	st.Cycles = end - startCycle
-	// Advance the dispatch clock so the next interval starts after this
-	// interval's critical path.
-	c.cycle = end
-	c.widthCount = widthCount
-	c.fetchStall = fetchStall
-	c.robSlot = slot
-	c.maxComplete = maxComplete
-	return st
-}
-
 // pruneOutstanding drops completed in-flight entries (bounded table size).
 // The trigger threshold and the t <= ready predicate are part of observable
 // behavior, not just capacity management: an entry with completion time in
@@ -583,7 +611,7 @@ func (c *Core) RunBatch(prog *workload.Program, n uint64, b *workload.InstrBatch
 // for a delayed hit at a later access whose ready cycle dips below t, so
 // changing when or what this prunes shifts golden figures (measured: lbm's
 // Fig 14 CPI moves in the fourth digit under a dispatch-cycle predicate).
-// Both engines (Run and RunBatch) therefore share this exact policy.
+// Run and its oracle RunReference therefore share this exact policy.
 //
 // What IS free is skipping a prune that would remove nothing — the table is
 // unchanged either way. The callers' outMin guard exploits that: outMin is

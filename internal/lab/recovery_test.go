@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/lab"
 	"repro/internal/spec"
+	"repro/internal/warm"
 )
 
 // TestSubmitIsJournaledDurably: with a journal attached, a submission's
@@ -61,10 +62,37 @@ func TestSubmitIsJournaledDurably(t *testing.T) {
 }
 
 // TestInvalidConfigRejectedBeforeJournal: a sampling spec with Scale 0
-// (which would divide by zero in the executor) is refused with a 400 at
-// decode time, so it is never journaled and a restart cannot re-arm it
-// into a crash loop.
+// (which would divide by zero in the executor) must be refused at the
+// boundary with a 400 — before the journal records it — so it can never
+// become a pending job that crashes every restart.
 func TestInvalidConfigRejectedBeforeJournal(t *testing.T) {
+	assertRejectedBeforeJournal(t, shortSpec(t), func(cfg map[string]any) { cfg["Scale"] = 0 }, "Scale")
+}
+
+// TestInvalidCPURejectedBeforeJournal: a dse-sweep spec with a zero-entry
+// ROB passes JSON decoding but would index an empty completion ring on a
+// DSE fan-out goroutine, outside the job's panic containment. It too must
+// be a 400 that leaves nothing in the journal.
+func TestInvalidCPURejectedBeforeJournal(t *testing.T) {
+	cfg := warm.DefaultConfig()
+	cfg.Regions = 1
+	cfg.PaperGap = 400_000
+	cfg.Scale = 1
+	cfg.VicinityEvery = 5_000
+	body, err := json.Marshal(spec.MustNew(spec.DSESweepParams{
+		Bench: spec.BenchRef{Name: "mcf"}, Sizes: []uint64{1 << 20, 4 << 20}, Cfg: cfg}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertRejectedBeforeJournal(t, body, func(cfg map[string]any) { cfg["CPU"].(map[string]any)["ROB"] = 0 }, "ROB")
+}
+
+// assertRejectedBeforeJournal POSTs the spec body with edit applied to its
+// cfg to a journaled server and checks the rejection contract: a 400 that
+// names field, no journal record, no execution, nothing re-armed on
+// restart.
+func assertRejectedBeforeJournal(t *testing.T, specJSON []byte, edit func(cfg map[string]any), field string) {
+	t.Helper()
 	dir := t.TempDir()
 	jpath := filepath.Join(dir, "journal.wal")
 	jl, _, err := lab.OpenJournal(jpath)
@@ -82,10 +110,10 @@ func TestInvalidConfigRejectedBeforeJournal(t *testing.T) {
 		Kind   string         `json:"kind"`
 		Params map[string]any `json:"params"`
 	}
-	if err := json.Unmarshal(shortSpec(t), &wire); err != nil {
+	if err := json.Unmarshal(specJSON, &wire); err != nil {
 		t.Fatal(err)
 	}
-	wire.Params["cfg"].(map[string]any)["Scale"] = 0
+	edit(wire.Params["cfg"].(map[string]any))
 	body, err := json.Marshal(wire)
 	if err != nil {
 		t.Fatal(err)
@@ -97,9 +125,9 @@ func TestInvalidConfigRejectedBeforeJournal(t *testing.T) {
 	msg, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("POST with Scale 0: status %s (%s), want 400", resp.Status, msg)
+		t.Fatalf("POST with invalid %s: status %s (%s), want 400", field, resp.Status, msg)
 	}
-	if !strings.Contains(string(msg), "Scale") {
+	if !strings.Contains(string(msg), field) {
 		t.Errorf("400 body %q does not name the bad field", msg)
 	}
 	if n := jl.Stats().Records; n != 0 {

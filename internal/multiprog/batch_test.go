@@ -11,9 +11,10 @@ import (
 // referenceCoRun replays CoSim.Run's exact schedule — instruction-quota
 // warm-up, alignment to the slowest clock, common-horizon measurement,
 // min-cycle selection with ties by index — through the per-instruction
-// cpu.Core.Run oracle over a manually built shared hierarchy. It is the
-// engine CoSim had before quanta were fed to RunBatch, kept here as the
-// test oracle for the whole batched co-run path (engine + scheduler).
+// cpu.Core.RunReference oracle over a manually built shared hierarchy. It
+// is the engine CoSim had before quanta were fed to the chunked
+// cpu.Core.Run, kept here as the test oracle for the whole co-run path
+// (engine + scheduler).
 func referenceCoRun(profs []*workload.Profile, cfg CoSimConfig) []cpu.Stats {
 	hiers := cache.NewSharedHierarchy(cfg.HierConfig(), len(profs))
 	type app struct {
@@ -53,7 +54,7 @@ func referenceCoRun(profs []*workload.Profile, cfg CoSimConfig) []cpu.Stats {
 				n = rem
 			}
 			a := apps[best]
-			a.cycles += a.core.Run(a.prog, n).Cycles
+			a.cycles += a.core.RunReference(a.prog, n).Cycles
 			warmed[best] += n
 		}
 	}
@@ -69,7 +70,7 @@ func referenceCoRun(profs []*workload.Profile, cfg CoSimConfig) []cpu.Stats {
 			break
 		}
 		a := apps[best]
-		a.cycles += a.core.Run(a.prog, q).Cycles
+		a.cycles += a.core.RunReference(a.prog, q).Cycles
 	}
 	horizon := start + cfg.MeasureCycles
 	for {
@@ -78,7 +79,7 @@ func referenceCoRun(profs []*workload.Profile, cfg CoSimConfig) []cpu.Stats {
 			break
 		}
 		a := apps[best]
-		st := a.core.Run(a.prog, q)
+		st := a.core.RunReference(a.prog, q)
 		a.cycles += st.Cycles
 		a.meas.Add(st)
 	}
@@ -91,8 +92,8 @@ func referenceCoRun(profs []*workload.Profile, cfg CoSimConfig) []cpu.Stats {
 
 // TestCoSimBatchedMatchesPerInstrOracle: the batched co-run engine must be
 // bit-identical to the per-instruction reference across every validation
-// mix (the "co-run mixes" half of the RunBatch oracle gate; the per-profile
-// half lives in cpu.TestRunBatchMatchesRun).
+// mix (the "co-run mixes" half of the engine's oracle gate; the
+// per-profile half lives in cpu.TestRunBatchMatchesRun).
 func TestCoSimBatchedMatchesPerInstrOracle(t *testing.T) {
 	for mixName, profs := range validationMixes() {
 		cfg := coTestConfig(64)
@@ -119,8 +120,8 @@ func TestCoSimEmptyMix(t *testing.T) {
 
 // TestCoSimMeasuredWindowAllocs pins the co-sim quantum loop at zero
 // steady-state allocations: once a CoSim is constructed and its scratch
-// (instruction batch, MSHR ring, in-flight table) is sized, extending the
-// measured window allocates nothing.
+// (MSHR ring, in-flight table) is sized, extending the measured window
+// allocates nothing — Run's decode chunk lives on its stack.
 func TestCoSimMeasuredWindowAllocs(t *testing.T) {
 	profs := validationMixes()["triple"]
 	cfg := coTestConfig(64)

@@ -112,7 +112,7 @@ type CoRunResult struct {
 
 // coApp is one core's runtime state. cycles and meas are scheduler-hot:
 // the min-cycle scan reads every app's cycles each quantum and the owner
-// updates cycles/meas after each RunBatch. The trailing pad rounds the
+// updates cycles/meas after each Run. The trailing pad rounds the
 // struct to 128 bytes — a multiple of the host line size that is its own
 // malloc size class — so per-app scratch from two independent CoSims
 // (separate matrix cells on separate host threads) can never share a
@@ -132,10 +132,6 @@ type coApp struct {
 type CoSim struct {
 	Cfg  CoSimConfig
 	apps []*coApp
-	// batch is the shared instruction-decode scratch handed to RunBatch —
-	// sized once for a full quantum, so the steady-state quantum loop never
-	// allocates (the AllocsPerRun gate in cosim_test pins this at 0).
-	batch workload.InstrBatch
 	// warmed is the warm-up phase's per-app instruction-quota scratch.
 	warmed []uint64
 	// alignStart is the common cycle horizon the warm-up/alignment phase
@@ -155,8 +151,7 @@ type CoSim struct {
 func NewCoSim(profs []*workload.Profile, cfg CoSimConfig) *CoSim {
 	hiers := cache.NewSharedHierarchy(cfg.HierConfig(), len(profs))
 	cs := &CoSim{
-		Cfg:   cfg,
-		batch: make(workload.InstrBatch, 0, cfg.quantum()),
+		Cfg: cfg,
 		// The warm-up quota scratch is written every quantum; rounding its
 		// capacity up to 8 words puts the backing array in the 64-byte malloc
 		// class (one full host line) instead of a shared tiny-object slot, so
@@ -205,7 +200,7 @@ func (cs *CoSim) warmup(perApp, q uint64) {
 			n = rem
 		}
 		a := cs.apps[best]
-		st := a.core.RunBatch(a.prog, n, &cs.batch)
+		st := a.core.Run(a.prog, n)
 		a.cycles += st.Cycles
 		warmed[best] += n
 	}
@@ -235,7 +230,7 @@ func (cs *CoSim) runWindow(horizon, q uint64, measure bool) {
 		if a.cycles >= horizon {
 			return
 		}
-		st := a.core.RunBatch(a.prog, q, &cs.batch)
+		st := a.core.Run(a.prog, q)
 		a.cycles += st.Cycles
 		if measure {
 			a.meas.Add(st)
@@ -250,10 +245,10 @@ func (cs *CoSim) runWindow(horizon, q uint64, measure bool) {
 }
 
 // Run executes the warm-up then the measured co-run window and returns the
-// per-app results. Every phase feeds whole quanta to cpu.Core.RunBatch;
-// the interleaving (and every statistic) is bit-identical to the
-// per-instruction engine, which the cosim tests replay via cpu.Core.Run as
-// the oracle.
+// per-app results. Every phase feeds whole quanta to cpu.Core.Run; the
+// interleaving (and every statistic) is bit-identical to the
+// per-instruction engine, which the cosim tests replay via
+// cpu.Core.RunReference as the oracle.
 func (cs *CoSim) Run() *CoRunResult {
 	cs.WarmAlign()
 	return cs.RunMeasured()

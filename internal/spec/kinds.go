@@ -436,6 +436,24 @@ func resolveAll(refs []BenchRef) ([]*workload.Profile, error) {
 	return out, nil
 }
 
+// validateCoRun is the co-run kinds' shared check: a non-empty app mix, a
+// CPU the timing core can build (cpu.Config.Validate) and resolvable
+// benchmarks.
+func validateCoRun(cfg warm.Config, apps []BenchRef) error {
+	if len(apps) == 0 {
+		return fmt.Errorf("empty app mix")
+	}
+	if err := cfg.CPU.Validate(); err != nil {
+		return fmt.Errorf("cfg: %w", err)
+	}
+	for _, a := range apps {
+		if err := a.validate(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // ------------------------------------------------------------ registration
 
 func init() {
@@ -504,7 +522,8 @@ func init() {
 		About: "size-independent solo profile of one app (reuse histogram, base CPI, penalty fit)",
 		New:   func() any { return new(CoRunProfileParams) },
 		Validate: func(p Params) error {
-			return p.(CoRunProfileParams).Bench.validate()
+			sp := p.(CoRunProfileParams)
+			return validateCoRun(sp.Cfg, sp.benchRefs())
 		},
 		Run:   runCoRunProfile,
 		Codec: jsonCodec[multiprog.SoloProfile](1),
@@ -514,7 +533,8 @@ func init() {
 		About: "per-(app, LLC size) calibration; nests the app's corun-profile",
 		New:   func() any { return new(CoRunCalParams) },
 		Validate: func(p Params) error {
-			return p.(CoRunCalParams).Bench.validate()
+			sp := p.(CoRunCalParams)
+			return validateCoRun(sp.Cfg, sp.benchRefs())
 		},
 		Run:   runCoRunCalibrate,
 		Codec: jsonCodec[multiprog.SoloCalibration](1),
@@ -525,15 +545,7 @@ func init() {
 		New:   func() any { return new(CoRunWarmParams) },
 		Validate: func(p Params) error {
 			sp := p.(CoRunWarmParams)
-			if len(sp.Apps) == 0 {
-				return fmt.Errorf("empty app mix")
-			}
-			for _, a := range sp.Apps {
-				if err := a.validate(); err != nil {
-					return err
-				}
-			}
-			return nil
+			return validateCoRun(sp.Cfg, sp.Apps)
 		},
 		Run:   runCoRunWarm,
 		Codec: jsonCodec[*multiprog.CoSimCheckpoint](1),
@@ -544,15 +556,7 @@ func init() {
 		New:   func() any { return new(CoRunSimParams) },
 		Validate: func(p Params) error {
 			sp := p.(CoRunSimParams)
-			if len(sp.Apps) == 0 {
-				return fmt.Errorf("empty app mix")
-			}
-			for _, a := range sp.Apps {
-				if err := a.validate(); err != nil {
-					return err
-				}
-			}
-			return nil
+			return validateCoRun(sp.Cfg, sp.Apps)
 		},
 		Run:   runCoRunSim,
 		Codec: jsonCodec[*multiprog.CoRunResult](1),

@@ -160,6 +160,46 @@ func TestDecodeStrict(t *testing.T) {
 	}
 }
 
+// TestEveryKindValidatesCPU: a CPU the timing core cannot build (a
+// zero-entry ROB, an empty predictor table) is refused by every kind that
+// carries a config — the sampling and DSE kinds through warm.Config's
+// Validate, the four co-run kinds through cpu.Config's — so no client spec
+// can panic a worker goroutine.
+func TestEveryKindValidatesCPU(t *testing.T) {
+	cfg := warm.DefaultConfig()
+	apps := []spec.BenchRef{{Name: "omnetpp"}, {Name: "astar"}}
+	kinds := func(cfg warm.Config) []spec.Params {
+		return []spec.Params{
+			spec.SamplingParams{Bench: spec.BenchRef{Name: "mcf"}, Method: spec.MethodDeLorean, Cfg: cfg},
+			spec.DSESweepParams{Bench: spec.BenchRef{Name: "lbm"}, Sizes: []uint64{1 << 20}, Cfg: cfg},
+			spec.CoRunProfileParams{Bench: spec.BenchRef{Name: "omnetpp"}, Cfg: cfg},
+			spec.CoRunCalParams{Bench: spec.BenchRef{Name: "omnetpp"}, Cfg: cfg},
+			spec.CoRunWarmParams{Mix: "m", Apps: apps, Cfg: cfg},
+			spec.CoRunSimParams{Mix: "m", Apps: apps, Cfg: cfg},
+		}
+	}
+	for _, p := range kinds(cfg) {
+		if _, err := spec.New(p); err != nil {
+			t.Fatalf("%s: default config rejected: %v", p.Kind(), err)
+		}
+	}
+	for _, bad := range []struct {
+		field string
+		edit  func(*warm.Config)
+	}{
+		{"ROB", func(c *warm.Config) { c.CPU.ROB = 0 }},
+		{"BTBEntries", func(c *warm.Config) { c.CPU.BP.BTBEntries = 0 }},
+	} {
+		broken := cfg
+		bad.edit(&broken)
+		for _, p := range kinds(broken) {
+			if _, err := spec.New(p); err == nil || !strings.Contains(err.Error(), bad.field) {
+				t.Errorf("%s with invalid %s: New() = %v, want an error naming it", p.Kind(), bad.field, err)
+			}
+		}
+	}
+}
+
 // TestSeedConfig pins the per-experiment seed derivation: the formula is
 // byte-compatible with the legacy runner's SeededCfg, which the checked-in
 // golden figures depend on.

@@ -110,9 +110,9 @@ func (r *vdpRecorder) config(every uint64, fixed bool) *VDPConfig {
 // between calls (0 included), as CoolSim's schedule segments do.
 func TestRunVDPMatchesReference(t *testing.T) {
 	calls := []struct{ span, every uint64 }{
-		{0, 100}, {1, 7}, {Chunk - 1, 0}, {Chunk, 100}, {Chunk + 1, 33},
+		{0, 100}, {1, 7}, {workload.Chunk - 1, 0}, {workload.Chunk, 100}, {workload.Chunk + 1, 33},
 		{12_345, 1000}, {777, 0}, {3001, 1}, {40_000, 2500}, {5, 3},
-		{Chunk*3 + 17, 0}, {20_011, 400},
+		{workload.Chunk*3 + 17, 0}, {20_011, 400},
 	}
 	for _, prof := range workload.Benchmarks() {
 		prof := prof

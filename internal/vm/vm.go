@@ -203,10 +203,6 @@ type Engine struct {
 	chunk       mem.Batch // RunVDP's chunk buffer, allocated on first use
 }
 
-// Chunk is the instruction count of one FillBatch chunk of directed
-// profiling: its access records fit a 10 KiB batch that stays in L1.
-const Chunk = 256
-
 // NewEngine wraps prog with a fresh ledger.
 func NewEngine(prog *workload.Program) *Engine {
 	return &Engine{Prog: prog, Counters: stats.NewCounters(), Prop: true}
@@ -267,7 +263,7 @@ func (e *Engine) RunFunc(n uint64, cacheSim bool, h InstrHandler) {
 // instructions execute unobserved. It is the batched twin of RunFunc for
 // callers that only consume the data-access stream — same program state
 // evolution, same ledger charge, no per-instruction handler call.
-// Explorer-1 runs on it in Chunk-instruction batches.
+// Explorer-1 runs on it in workload.Chunk-instruction batches.
 func (e *Engine) RunFuncBatch(n uint64, cacheSim bool, b *mem.Batch) {
 	e.Prog.FillBatch(n, b)
 	if cacheSim {
@@ -281,13 +277,13 @@ func (e *Engine) RunFuncBatch(n uint64, cacheSim bool, b *mem.Batch) {
 // Execution proceeds at near-native speed; each access to a watched page
 // and each sampling stop is charged a trigger cost.
 //
-// The program runs in FillBatch chunks of Chunk instructions, so only the
-// memory accesses are materialized. The instruction-count sample clock
-// advances by each access's InstrIdx delta, and the instructions after the
-// last access are credited when the call returns, so the clock carries
-// across calls exactly as a per-instruction count would. Callbacks see the
-// program at its chunk's end: they must take positions from the access
-// record, and copy what they keep of it.
+// The program runs in FillBatch chunks of workload.Chunk instructions, so
+// only the memory accesses are materialized. The instruction-count sample
+// clock advances by each access's InstrIdx delta, and the instructions
+// after the last access are credited when the call returns, so the clock
+// carries across calls exactly as a per-instruction count would. Callbacks
+// see the program at its chunk's end: they must take positions from the
+// access record, and copy what they keep of it.
 func (e *Engine) RunVDP(n uint64, cfg *VDPConfig) {
 	var triggers, falsePos, sampleStops float64
 	every := cfg.SampleEvery
@@ -295,10 +291,10 @@ func (e *Engine) RunVDP(n uint64, cfg *VDPConfig) {
 	end := next + n
 	if e.chunk == nil {
 		// Once per engine: most engines never profile.
-		e.chunk = make(mem.Batch, 0, Chunk)
+		e.chunk = make(mem.Batch, 0, workload.Chunk)
 	}
 	for left := n; left > 0; {
-		m := min(left, Chunk)
+		m := min(left, workload.Chunk)
 		left -= m
 		e.chunk.Reset()
 		e.Prog.FillBatch(m, &e.chunk)

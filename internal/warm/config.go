@@ -125,10 +125,11 @@ func DecodeConfig(b []byte) (Config, error) {
 
 // Validate checks the rules every sampled run relies on: a positive
 // Scale, Explorer windows non-empty and strictly ascending within (0, 1],
-// and a detailed-warming window plus detailed region that fit in one gap.
-// Under these rules every region's checkpoint targets lie at or after the
-// previous region's, which is what lets DeLorean's tracker (internal/core)
-// replay the execution once, moving only forward.
+// a detailed-warming window plus detailed region that fit in one gap, and
+// a CPU the timing core can build (cpu.Config.Validate). Under these
+// rules every region's checkpoint targets lie at or after the previous
+// region's, which is what lets DeLorean's tracker (internal/core) replay
+// the execution once, moving only forward.
 func (c Config) Validate() error {
 	if c.Scale == 0 {
 		return errors.New("Scale must be > 0")
@@ -146,7 +147,7 @@ func (c Config) Validate() error {
 	if gap := c.Gap(); c.DetailWarm > gap || c.RegionLen > gap-c.DetailWarm {
 		return fmt.Errorf("DetailWarm %d + RegionLen %d exceed the scaled gap %d", c.DetailWarm, c.RegionLen, gap)
 	}
-	return nil
+	return c.CPU.Validate()
 }
 
 // Gap returns the scaled inter-region gap in instructions.

@@ -4,6 +4,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/cpu"
 )
 
 func TestConfigValidate(t *testing.T) {
@@ -32,6 +34,19 @@ func TestConfigValidate(t *testing.T) {
 			c.PaperGap, c.Scale, c.RegionLen = 1_000, 1, 0
 		}, "gap"},
 		{"huge region cannot wrap", func(c *Config) { c.RegionLen = math.MaxUint64 }, "gap"},
+		{"largest ROB", func(c *Config) { c.CPU.ROB = 1 << 16 }, ""},
+		{"one-entry predictor tables", func(c *Config) {
+			c.CPU.BP = cpu.BPConfig{LocalEntries: 1, GlobalEntries: 1, ChoiceEntries: 1, BTBEntries: 1}
+		}, ""},
+		{"zero ROB", func(c *Config) { c.CPU.ROB = 0 }, "ROB"},
+		{"negative ROB", func(c *Config) { c.CPU.ROB = -1 }, "ROB"},
+		{"huge ROB", func(c *Config) { c.CPU.ROB = 1<<16 + 1 }, "ROB"},
+		{"zero width", func(c *Config) { c.CPU.Width = 0 }, "Width"},
+		{"zero local table", func(c *Config) { c.CPU.BP.LocalEntries = 0 }, "LocalEntries"},
+		{"zero global table", func(c *Config) { c.CPU.BP.GlobalEntries = 0 }, "GlobalEntries"},
+		{"zero choice table", func(c *Config) { c.CPU.BP.ChoiceEntries = 0 }, "ChoiceEntries"},
+		{"zero BTB", func(c *Config) { c.CPU.BP.BTBEntries = 0 }, "BTBEntries"},
+		{"huge BTB", func(c *Config) { c.CPU.BP.BTBEntries = 1 << 40 }, "BTBEntries"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

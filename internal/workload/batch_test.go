@@ -96,9 +96,9 @@ func TestFillBatchMatchesNext(t *testing.T) {
 	}
 }
 
-// TestFillInstrBatchMatchesNext pins the instruction-batch decoder to the
-// access-at-a-time generator: identical instruction records and identical
-// subsequent state, across chunk boundaries and phase edges.
+// TestFillInstrBatchMatchesNext pins the instruction decoder (FillInstrs)
+// to the access-at-a-time generator: identical instruction records and
+// identical subsequent state, across chunk boundaries and phase edges.
 func TestFillInstrBatchMatchesNext(t *testing.T) {
 	const span = 300_000
 	for _, prof := range batchProfiles() {
@@ -112,21 +112,15 @@ func TestFillInstrBatchMatchesNext(t *testing.T) {
 				ref.Next(&want[i])
 			}
 
-			var got InstrBatch
+			got := make([]Instr, span)
 			// Uneven chunk sizes so boundaries land everywhere, including
 			// mid-burst and on phase edges.
 			for done, chunk := uint64(0), uint64(1); done < span; chunk = chunk*7%8191 + 1 {
-				n := chunk
-				if done+n > span {
-					n = span - done
-				}
-				bat.FillInstrBatch(n, &got)
+				n := min(chunk, span-done)
+				bat.FillInstrs(got[done : done+n])
 				done += n
 			}
 
-			if len(got) != len(want) {
-				t.Fatalf("batched path yielded %d instructions, want %d", len(got), len(want))
-			}
 			for i := range want {
 				if got[i] != want[i] {
 					t.Fatalf("instruction %d differs: batched %+v, want %+v", i, got[i], want[i])
@@ -149,18 +143,18 @@ func TestFillInstrBatchMatchesNext(t *testing.T) {
 	}
 }
 
-// TestFillInstrBatchSteadyStateAllocs: a sized instruction batch refilled
-// by a phase-free program allocates nothing.
+// TestFillInstrBatchSteadyStateAllocs: decoding into a fixed Chunk-sized
+// array, the way the timing core does, allocates nothing.
 func TestFillInstrBatchSteadyStateAllocs(t *testing.T) {
 	prog := GemsFDTD().NewProgram(64)
-	var batch InstrBatch
-	prog.FillInstrBatch(4096, &batch) // size the batch
+	var buf [Chunk]Instr
 	allocs := testing.AllocsPerRun(20, func() {
-		batch.Reset()
-		prog.FillInstrBatch(4096, &batch)
+		for i := 0; i < 16; i++ {
+			prog.FillInstrs(buf[:])
+		}
 	})
 	if allocs != 0 {
-		t.Fatalf("steady-state FillInstrBatch allocated %.2f times per window", allocs)
+		t.Fatalf("FillInstrs allocated %.2f times per window", allocs)
 	}
 }
 

@@ -638,44 +638,24 @@ func (pr *Program) FillBatch(n uint64, b *mem.Batch) {
 	*b = s
 }
 
-// InstrBatch is a reusable, caller-owned buffer of decoded instructions —
-// the instruction-side sibling of mem.Batch, and the unit of work of the
-// batched timing core (cpu.Core.RunBatch). The same ownership rules apply:
-// the caller owns the backing array, producers append, consumers read
-// by-value records and must copy anything they keep, and Reset truncates
-// without freeing so a batch sized once for its quantum never allocates
-// again in steady state.
-type InstrBatch []Instr
+// Chunk is the instruction count of one decode chunk, shared by the
+// batched consumers of the program stream: directed profiling (vm.RunVDP,
+// Explorer-1) decodes FillBatch chunks of it, and the timing core
+// (cpu.Core.Run) decodes FillInstrs chunks of it into an on-stack array.
+// A chunk's access records (10 KiB) or instructions (8 KiB) stay in L1.
+const Chunk = 256
 
-// Reset truncates the batch, retaining the backing array.
-func (b *InstrBatch) Reset() { *b = (*b)[:0] }
-
-// FillInstrBatch executes n instructions, appending every one of them to b
-// as a by-value record. It is the decode loop of the batched timing core:
-// where FillBatch materializes only the memory accesses (the cache and
-// reuse layers observe nothing else), FillInstrBatch materializes the full
+// FillInstrs executes len(dst) instructions, writing every one of them to
+// dst in order as a by-value record. It is the decode loop of the timing
+// core: where FillBatch materializes only the memory accesses (the cache
+// and reuse layers observe nothing else), FillInstrs materializes the full
 // dynamic instruction stream — the timing model needs the fetch lines,
 // dependence distances, kinds and latencies of non-memory instructions
-// too. Program state evolution is bit-identical to n calls of Next (pinned
-// by TestFillInstrBatchMatchesNext); only the per-call overhead of the
-// handler-driven path is gone.
-func (pr *Program) FillInstrBatch(n uint64, b *InstrBatch) {
-	// Extend once up front and write each record in place: a per-record
-	// append costs a capacity check plus a 32-byte copy out of a scratch
-	// Instr, which the profile showed was a tenth of the whole co-run cell.
-	// Every path below assigns every field, so stale records in the reused
-	// backing array never leak through.
-	base := len(*b)
-	need := base + int(n)
-	if cap(*b) < need {
-		nb := make(InstrBatch, need)
-		copy(nb, *b)
-		*b = nb
-	}
-	s := (*b)[:need]
-	*b = s
-	chunk := s[base:]
-	for i := range chunk {
+// too. Program state evolution is bit-identical to len(dst) calls of Next
+// (pinned by TestFillInstrBatchMatchesNext). Every path below assigns every
+// field, so stale records in a reused array never leak through.
+func (pr *Program) FillInstrs(dst []Instr) {
+	for i := range dst {
 		if pr.instrIdx >= pr.nextPhaseEdge {
 			pr.rebuildWeights()
 		}
@@ -685,7 +665,7 @@ func (pr *Program) FillInstrBatch(n uint64, b *InstrBatch) {
 		if pr.codePos>>3 >= pr.codeLines {
 			pr.codePos = 0
 		}
-		ins := &chunk[i]
+		ins := &dst[i]
 		ins.FetchLine = mem.Line(codeBaseLine + pr.codePos>>3)
 		depBits := uint32(r >> 48)
 		if depBits&0xf < pr.noDepTh {
