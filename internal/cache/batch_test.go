@@ -42,7 +42,7 @@ func TestAccessBatchMatchesAccessData(t *testing.T) {
 
 			prog := workload.Povray().NewProgram(64)
 			var batch mem.Batch
-			prog.FillBatch(200_000, &batch)
+			prog.FillBatch(200_000, &batch, nil)
 
 			var want []DataResult
 			for i := range batch {
@@ -90,7 +90,7 @@ func TestAccessBatchSteadyStateAllocs(t *testing.T) {
 	h := NewHierarchy(DefaultHierarchy(8<<20, 64), nil)
 	prog := workload.GemsFDTD().NewProgram(64)
 	batch := make(mem.Batch, 0, 4096)
-	prog.FillBatch(4096, &batch)
+	prog.FillBatch(4096, &batch, nil)
 	results := h.AccessBatch(batch, nil) // size the result slice
 	allocs := testing.AllocsPerRun(20, func() {
 		results = h.AccessBatch(batch, results[:0])

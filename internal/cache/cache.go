@@ -267,6 +267,17 @@ func (c *Cache) Touch(w int) {
 	c.NHits++
 }
 
+// TouchN replays k hitting Lookups of the way at index w in one step:
+// the tick advances by k, the way's age becomes the last of those ticks
+// and k hits are counted — bit-identical to k consecutive Touch calls. The
+// functional-warming pass collapses each fetch-line run onto it (see
+// vm.Engine.RunFuncWarm).
+func (c *Cache) TouchN(w int, k uint64) {
+	c.tick += k
+	c.ages[w] = c.tick
+	c.NHits += k
+}
+
 // Probe reports whether the line is present without touching replacement
 // state or statistics.
 func (c *Cache) Probe(l mem.Line) bool {

@@ -37,11 +37,13 @@ import (
 	"cmp"
 	"slices"
 	"strconv"
+	"sync"
 
 	"repro/internal/cache"
 	"repro/internal/cpu"
 	"repro/internal/mem"
 	"repro/internal/reuse"
+	"repro/internal/runner"
 	"repro/internal/stats"
 	"repro/internal/statstack"
 	"repro/internal/vm"
@@ -157,33 +159,89 @@ func (d *DeLorean) RunSequential() *Result {
 
 // RunPipelined evaluates the regions with one goroutine per pass,
 // connected by channels — the paper's pipelined TT arrangement. The
-// results are identical to RunSequential.
+// results are identical to RunSequential. A panic in any pass is
+// re-raised on the caller (see pipeline).
 func (d *DeLorean) RunPipelined() *Result {
-	nStages := 1 + len(d.explorers)
-	chans := make([]chan *RegionData, nStages)
+	stages := make([]func(*RegionData), len(d.explorers))
+	for k := range stages {
+		stages[k] = func(msg *RegionData) { d.ExploreRegion(k, msg) }
+	}
+	pipeline(d.Cfg.Regions, d.ScoutRegion, stages, d.AnalyzeRegion)
+	return d.finish()
+}
+
+// pipeline runs produce(0..n-1) on a goroutine of its own, each stage on
+// one more, and sink on the calling goroutine, every region passing
+// through them in order over channels of capacity one.
+//
+// A panic anywhere stops the pipeline: upstream goroutines give up their
+// next send, downstream ones drain their closed input, and once all of
+// them have exited the first panic is re-raised on the caller as a
+// *runner.PanicError carrying the stack where it began. Nothing leaks and
+// nothing deadlocks, so the runner fails the one job instead of the
+// process.
+func pipeline(n int, produce func(m int) *RegionData, stages []func(*RegionData), sink func(*RegionData)) {
+	chans := make([]chan *RegionData, 1+len(stages))
 	for i := range chans {
 		chans[i] = make(chan *RegionData, 1)
 	}
-	go func() {
-		for m := 0; m < d.Cfg.Regions; m++ {
-			chans[0] <- d.ScoutRegion(m)
+	done := make(chan struct{})
+	var (
+		once    sync.Once
+		failure *runner.PanicError
+		wg      sync.WaitGroup
+	)
+	contain := func() {
+		if r := recover(); r != nil {
+			pe := runner.Recovered(r)
+			once.Do(func() { failure = pe; close(done) })
 		}
-		close(chans[0])
-	}()
-	for k := range d.explorers {
-		k := k
+	}
+	send := func(ch chan<- *RegionData, msg *RegionData) bool {
+		select {
+		case ch <- msg:
+			return true
+		case <-done:
+			return false
+		}
+	}
+	spawn := func(out chan *RegionData, body func()) {
+		wg.Add(1)
 		go func() {
-			for msg := range chans[k] {
-				d.ExploreRegion(k, msg)
-				chans[k+1] <- msg
-			}
-			close(chans[k+1])
+			defer wg.Done()
+			defer close(out)
+			defer contain()
+			body()
 		}()
 	}
-	for msg := range chans[nStages-1] {
-		d.AnalyzeRegion(msg)
+	spawn(chans[0], func() {
+		for m := 0; m < n; m++ {
+			if !send(chans[0], produce(m)) {
+				return
+			}
+		}
+	})
+	for k, stage := range stages {
+		in, out := chans[k], chans[k+1]
+		spawn(out, func() {
+			for msg := range in {
+				stage(msg)
+				if !send(out, msg) {
+					return
+				}
+			}
+		})
 	}
-	return d.finish()
+	func() {
+		defer contain()
+		for msg := range chans[len(stages)] {
+			sink(msg)
+		}
+	}()
+	wg.Wait()
+	if failure != nil {
+		panic(failure)
+	}
 }
 
 // ScoutRegion captures region m's checkpoints, seeks to its warm point,
@@ -209,20 +267,11 @@ func (d *DeLorean) ScoutRegion(m int) *RegionData {
 	// filters nearly everything and no Explorer engages (Fig. 8, <1 avg).
 	luke := cache.NewHierarchy(cfg.HierConfig(), nil)
 	eng.Prop = false
-	eng.RunFunc(cfg.DetailWarm, false, func(ins *workload.Instr, a *mem.Access) {
-		luke.WarmInstr(ins.FetchLine)
-		if a != nil {
-			luke.WarmData(a.Line())
-		}
-	})
+	eng.RunFuncWarm(cfg.DetailWarm, false, &vm.Warming{Hier: luke})
 
 	var seen mem.FlatSet[mem.Line]
 	seen.Grow(256)
-	eng.RunFunc(cfg.RegionLen, false, func(ins *workload.Instr, a *mem.Access) {
-		luke.WarmInstr(ins.FetchLine)
-		if a == nil {
-			return
-		}
+	eng.RunFuncWarm(cfg.RegionLen, false, &vm.Warming{Hier: luke, OnData: func(a *mem.Access) {
 		l := a.Line()
 		if !seen.Add(l) {
 			luke.WarmData(l)
@@ -237,7 +286,7 @@ func (d *DeLorean) ScoutRegion(m int) *RegionData {
 			return
 		}
 		msg.Keys = append(msg.Keys, reuse.KeySpec{Line: l, FirstMem: a.MemIdx})
-	})
+	}})
 	eng.Counters.Add("fix/keys_total", float64(len(msg.Keys)))
 	eng.Counters.Add("fix/region_unique_lines", float64(seen.Len()))
 	return msg

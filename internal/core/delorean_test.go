@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/mem"
 	"repro/internal/reuse"
-	"repro/internal/vm"
 	"repro/internal/warm"
 	"repro/internal/workload"
 )
@@ -38,49 +37,61 @@ func testProfile() *workload.Profile {
 	}
 }
 
+// stepFunc executes n instructions of prog one Next at a time, handing h
+// each instruction with its access record (nil for non-memory
+// instructions). It is the per-instruction loop the batched passes are
+// pinned against.
+func stepFunc(prog *workload.Program, n uint64, h func(ins *workload.Instr, a *mem.Access)) {
+	var ins workload.Instr
+	for i := uint64(0); i < n; i++ {
+		a := mem.Access{MemIdx: prog.MemIndex(), InstrIdx: prog.InstrIndex()}
+		prog.Next(&ins)
+		if ins.Kind != workload.KindLoad && ins.Kind != workload.KindStore {
+			h(&ins, nil)
+			continue
+		}
+		a.PC, a.Addr, a.Write = ins.PC, ins.Addr, ins.Kind == workload.KindStore
+		h(&ins, &a)
+	}
+}
+
 // groundTruth computes, for every region, the exact backward reuse
 // distance of each line's first in-region access, by replaying the whole
 // span with an exact monitor. It also returns the memory-access index at
 // each region start, which bounds the largest Explorer window.
 func groundTruth(prof *workload.Profile, cfg warm.Config) ([]map[mem.Line]uint64, []uint64) {
 	prog := prof.NewProgram(cfg.Scale)
-	eng := vm.NewEngine(prog)
 	mon := reuse.NewExactMonitor()
 	out := make([]map[mem.Line]uint64, cfg.Regions)
 	memAtStart := make([]uint64, cfg.Regions)
 	const never = ^uint64(0)
 	for m := 0; m < cfg.Regions; m++ {
 		start := cfg.RegionStart(m)
-		n := start - prog.InstrIndex()
-		eng.RunFunc(n, false, func(ins *workload.Instr, a *mem.Access) {
+		stepFunc(prog, start-prog.InstrIndex(), func(ins *workload.Instr, a *mem.Access) {
 			if a != nil {
-				mon.Observe(a)
+				mon.ObserveLine(a.Line(), a.MemIdx)
 			}
 		})
 		memAtStart[m] = prog.MemIndex()
 		dists := make(map[mem.Line]uint64)
-		eng.RunFunc(cfg.RegionLen, false, func(ins *workload.Instr, a *mem.Access) {
+		stepFunc(prog, cfg.RegionLen, func(ins *workload.Instr, a *mem.Access) {
 			if a == nil {
 				return
 			}
-			if _, dup := dists[a.Line()]; !dup {
-				d, seen := mon.Observe(a)
-				if !seen {
-					d = never
-				}
-				dists[a.Line()] = d
-			} else {
-				mon.Observe(a)
+			d, seen := mon.ObserveLine(a.Line(), a.MemIdx)
+			if _, dup := dists[a.Line()]; dup {
+				return
 			}
+			if !seen {
+				d = never
+			}
+			dists[a.Line()] = d
 		})
 		out[m] = dists
 	}
 	return out, memAtStart
 }
 
-// TestKeyReusesExact is the central correctness property of time
-// traveling: every key reuse distance the Explorers collect must equal the
-// exact backward reuse distance of that key's first in-region access.
 func TestKeyReusesExact(t *testing.T) {
 	prof := testProfile()
 	cfg := testConfig()

@@ -11,7 +11,7 @@ import (
 	"repro/internal/workload"
 )
 
-// explorer1Reference is Explorer-1's per-instruction loop over RunFunc,
+// explorer1Reference is Explorer-1's per-instruction loop over stepFunc,
 // which counts every instruction toward the vicinity interval. It is the
 // oracle for the batched pass and returns what that pass hands on: the
 // found records, the keys left for Explorer-2 and the vicinity histogram.
@@ -27,7 +27,7 @@ func explorer1Reference(d *DeLorean, msg *RegionData) ([]reuse.KeyRecord, []reus
 	every := cfg.VicinityInterval()
 	sampler := reuse.NewForwardSampler(float64(every), false)
 	count := uint64(0)
-	eng.RunFunc(msg.Start-msg.ExplorerPos[0].InstrIdx, false, func(_ *workload.Instr, a *mem.Access) {
+	stepFunc(eng.Prog, msg.Start-msg.ExplorerPos[0].InstrIdx, func(_ *workload.Instr, a *mem.Access) {
 		count++
 		if a == nil {
 			return

@@ -150,8 +150,10 @@ func Fig8(cmp *sampling.Comparison) string {
 }
 
 // FigCPI renders Figures 9 and 10: per-benchmark CPI under the three
-// methodologies for one LLC size.
-func FigCPI(cmp *sampling.Comparison, figure string, llcPaperMB int, paperErr string) string {
+// methodologies for one LLC size. paperCoolSim and paperDeLorean are the
+// paper's average CPI errors, printed next to the measured ones in the
+// same order.
+func FigCPI(cmp *sampling.Comparison, figure string, llcPaperMB int, paperCoolSim, paperDeLorean string) string {
 	var b strings.Builder
 	tbl := textplot.NewTable(
 		fmt.Sprintf("%s: CPI with a %d MiB(-equivalent) LLC", figure, llcPaperMB),
@@ -176,8 +178,8 @@ func FigCPI(cmp *sampling.Comparison, figure string, llcPaperMB int, paperErr st
 			"%.1f%%", ec*100, "%.1f%%", ed*100)
 	}
 	b.WriteString(tbl.String())
-	fmt.Fprintf(&b, "average CPI error: CoolSim %.1f%%, DeLorean %.1f%% (paper: %s)\n",
-		stats.Mean(errC)*100, stats.Mean(errD)*100, paperErr)
+	fmt.Fprintf(&b, "average CPI error: CoolSim %.1f%%, DeLorean %.1f%% (paper: CoolSim %s, DeLorean %s)\n",
+		stats.Mean(errC)*100, stats.Mean(errD)*100, paperCoolSim, paperDeLorean)
 	return b.String()
 }
 

@@ -1,6 +1,7 @@
 package figures
 
 import (
+	"regexp"
 	"strings"
 	"testing"
 
@@ -57,7 +58,7 @@ func TestComparisonFigures(t *testing.T) {
 		"fig6":     Fig6(cmp),
 		"fig7":     Fig7(cmp),
 		"fig8":     Fig8(cmp),
-		"fig9":     FigCPI(cmp, "Figure 9", 8, "3.5% / 9.1%"),
+		"fig9":     FigCPI(cmp, "Figure 9", 8, "9.1%", "3.5%"),
 		"headline": Headline(cmp),
 	} {
 		if !strings.Contains(body, "tiny-a") && name != "headline" {
@@ -69,6 +70,11 @@ func TestComparisonFigures(t *testing.T) {
 	}
 	if !strings.Contains(Headline(cmp), "speedup vs SMARTS") {
 		t.Error("headline missing speedup line")
+	}
+	// Measured and paper errors read in one order: CoolSim, then DeLorean.
+	if body := FigCPI(cmp, "Figure 9", 8, "9.1%", "3.5%"); !regexp.MustCompile(
+		`average CPI error: CoolSim [0-9.]+%, DeLorean [0-9.]+% \(paper: CoolSim 9\.1%, DeLorean 3\.5%\)`).MatchString(body) {
+		t.Errorf("Figure 9 error line does not pair measured and paper values in one order:\n%s", body)
 	}
 }
 

@@ -74,13 +74,13 @@ func WriteReport(w io.Writer, opt Options, only map[string]bool, logw io.Writer)
 		section("Figure 8 — average Explorers engaged", Fig8(cmp8))
 	}
 	if sel("fig9") {
-		section("Figure 9 — CPI, 8 MiB LLC", FigCPI(cmp8, "Figure 9", 8, "3.5% / 9.1%"))
+		section("Figure 9 — CPI, 8 MiB LLC", FigCPI(cmp8, "Figure 9", 8, "9.1%", "3.5%"))
 	}
 	if sel("fig10") {
 		cfg512 := opt.Cfg
 		cfg512.LLCPaperBytes = 512 << 20
 		cmp512 := sampling.RunAll(opt.Benchmarks, cfg512, sampling.Options{Eng: opt.Eng})
-		section("Figure 10 — CPI, 512 MiB LLC", FigCPI(cmp512, "Figure 10", 512, "2.9% / 9.3%"))
+		section("Figure 10 — CPI, 512 MiB LLC", FigCPI(cmp512, "Figure 10", 512, "9.3%", "2.9%"))
 	}
 	if sel("fig11") {
 		section("Figure 11 — vicinity density sensitivity", Fig11(opt, cmp8))

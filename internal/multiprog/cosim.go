@@ -390,7 +390,7 @@ func ProfileSolo(prof *workload.Profile, cfg CoSimConfig) SoloProfile {
 			n = chunk
 		}
 		batch.Reset()
-		prog.FillBatch(n, &batch)
+		prog.FillBatch(n, &batch, nil)
 		mon.ObserveHist(batch, hist, cfg.WarmupInstr)
 		done += n
 	}

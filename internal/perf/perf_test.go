@@ -56,7 +56,7 @@ func TestPipelineSteadyStateZeroAllocs(t *testing.T) {
 	results := make([]cache.DataResult, 0, chunk)
 	window := func() {
 		batch.Reset()
-		prog.FillBatch(chunk, &batch)
+		prog.FillBatch(chunk, &batch, nil)
 		results = hier.AccessBatch(batch, results[:0])
 		mon.ObserveHist(batch, hist, 0)
 	}

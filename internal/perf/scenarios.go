@@ -75,7 +75,7 @@ func SoloPipeline() Scenario {
 				start := prog.MemIndex()
 				for done := uint64(0); done < window; done += chunk {
 					batch.Reset()
-					prog.FillBatch(chunk, &batch)
+					prog.FillBatch(chunk, &batch, nil)
 					results = hier.AccessBatch(batch, results[:0])
 					mon.ObserveHist(batch, hist, 0)
 				}
@@ -542,6 +542,7 @@ func KeyReuse() Scenario {
 			wps := vm.NewWatchpoints()
 			window := cfg.Gap() / 8
 			vicinityEvery := cfg.VicinityInterval()
+			var region mem.Batch
 			m := 0
 			return func() uint64 {
 				start := scout.Prog.MemIndex() + exp.Prog.MemIndex()
@@ -554,14 +555,13 @@ func KeyReuse() Scenario {
 				var keys []reuse.KeySpec
 				var seen mem.FlatSet[mem.Line]
 				seen.Grow(256)
-				scout.RunFunc(cfg.RegionLen, false, func(ins *workload.Instr, a *mem.Access) {
-					if a == nil {
-						return
+				region.Reset()
+				scout.RunFuncBatch(cfg.RegionLen, false, &region)
+				for i := range region {
+					if l := region[i].Line(); seen.Add(l) {
+						keys = append(keys, reuse.KeySpec{Line: l, FirstMem: region[i].MemIdx})
 					}
-					if l := a.Line(); seen.Add(l) {
-						keys = append(keys, reuse.KeySpec{Line: l, FirstMem: a.MemIdx})
-					}
-				})
+				}
 
 				// Explorer: VDP over the window before the region with all
 				// key watchpoints armed for the whole span.

@@ -28,12 +28,12 @@ func (m *mapMonitor) observe(l mem.Line, memIdx uint64) (uint64, bool) {
 func TestExactMonitorMatchesMapReference(t *testing.T) {
 	prog := workload.Mcf().NewProgram(64)
 	var batch mem.Batch
-	prog.FillBatch(300_000, &batch)
+	prog.FillBatch(300_000, &batch, nil)
 
 	mon := NewExactMonitor()
 	ref := &mapMonitor{last: make(map[mem.Line]uint64)}
 	for i := range batch {
-		gd, gs := mon.Observe(&batch[i])
+		gd, gs := mon.ObserveLine(batch[i].Line(), batch[i].MemIdx)
 		wd, ws := ref.observe(batch[i].Line(), batch[i].MemIdx)
 		if gd != wd || gs != ws {
 			t.Fatalf("access %d: flat (%d,%v), map reference (%d,%v)", i, gd, gs, wd, ws)
@@ -49,21 +49,20 @@ func TestExactMonitorMatchesMapReference(t *testing.T) {
 	}
 }
 
-// TestObserveBatchMatchesObserve pins the batched observation APIs to the
-// per-access one: ObserveBatch samples and ObserveHist histograms must be
-// bit-identical to an Observe loop.
-func TestObserveBatchMatchesObserve(t *testing.T) {
+// TestObserveHistMatchesObserveLine pins the fused monitor→histogram
+// stage to a per-access ObserveLine loop: fed in uneven chunks, with the
+// warm-up gate in the middle of the trace, it must accumulate a
+// bit-identical histogram.
+func TestObserveHistMatchesObserveLine(t *testing.T) {
 	prog := workload.GemsFDTD().NewProgram(64)
 	var batch mem.Batch
-	prog.FillBatch(200_000, &batch)
+	prog.FillBatch(200_000, &batch, nil)
 	minInstr := batch[len(batch)/3].InstrIdx // exercise the warm-up gate
 
 	ref := NewExactMonitor()
 	wantHist := &stats.RDHist{}
-	var want []Sample
 	for i := range batch {
-		d, s := ref.Observe(&batch[i])
-		want = append(want, Sample{Dist: d, Seen: s})
+		d, s := ref.ObserveLine(batch[i].Line(), batch[i].MemIdx)
 		if batch[i].InstrIdx < minInstr {
 			continue
 		}
@@ -71,17 +70,6 @@ func TestObserveBatchMatchesObserve(t *testing.T) {
 			wantHist.Add(d)
 		} else {
 			wantHist.AddCold(1)
-		}
-	}
-
-	mb := NewExactMonitor()
-	got := mb.ObserveBatch(batch, nil)
-	if len(got) != len(want) {
-		t.Fatalf("%d batched samples, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("sample %d differs: %+v vs %+v", i, got[i], want[i])
 		}
 	}
 
@@ -97,40 +85,6 @@ func TestObserveBatchMatchesObserve(t *testing.T) {
 	}
 	if *gotHist != *wantHist {
 		t.Fatalf("ObserveHist diverged: %v vs %v", gotHist, wantHist)
-	}
-}
-
-// TestKeyCollectorObserveBatch pins the batched trigger path to the
-// per-access one.
-func TestKeyCollectorObserveBatch(t *testing.T) {
-	prog := workload.Perlbench().NewProgram(64)
-	var batch mem.Batch
-	prog.FillBatch(50_000, &batch)
-	var keys []KeySpec
-	seen := map[mem.Line]bool{}
-	for i := range batch {
-		if l := batch[i].Line(); !seen[l] && len(keys) < 64 {
-			seen[l] = true
-			keys = append(keys, KeySpec{Line: l, FirstMem: 1 << 40})
-		}
-	}
-
-	ka := NewKeyCollector(keys)
-	for i := range batch {
-		ka.Observe(&batch[i])
-	}
-	kb := NewKeyCollector(keys)
-	kb.ObserveBatch(batch)
-
-	fa, ma := ka.Finalize(2)
-	fb, mb := kb.Finalize(2)
-	if len(fa) != len(fb) || len(ma) != len(mb) {
-		t.Fatalf("finalize shapes differ: (%d,%d) vs (%d,%d)", len(fb), len(mb), len(fa), len(ma))
-	}
-	for i := range fa {
-		if fa[i] != fb[i] {
-			t.Fatalf("record %d differs: %+v vs %+v", i, fb[i], fa[i])
-		}
 	}
 }
 
@@ -154,12 +108,12 @@ func TestMonitorSteadyStateAllocs(t *testing.T) {
 	// Warm-up pass sizes the table over the full footprint.
 	for i := 0; i < 200; i++ {
 		batch.Reset()
-		prog.FillBatch(4096, &batch)
+		prog.FillBatch(4096, &batch, nil)
 		mon.ObserveHist(batch, hist, 0)
 	}
 	allocs := testing.AllocsPerRun(20, func() {
 		batch.Reset()
-		prog.FillBatch(4096, &batch)
+		prog.FillBatch(4096, &batch, nil)
 		mon.ObserveHist(batch, hist, 0)
 	})
 	if allocs != 0 {

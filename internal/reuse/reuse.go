@@ -10,7 +10,7 @@
 //
 // All three collectors sit on the simulation hot path, so their line
 // indexes are open-addressing flat tables (mem.FlatMap) rather than Go
-// maps, and each exposes a batched Observe for the mem.Batch pipeline; the
+// maps; the exact monitor also takes a whole mem.Batch (ObserveHist). The
 // map-backed equivalents survive only as reference oracles in the tests.
 package reuse
 
@@ -32,13 +32,9 @@ func NewExactMonitor() *ExactMonitor {
 	return &ExactMonitor{}
 }
 
-// Observe records access a and returns its backward reuse distance (in
-// memory accesses) and whether the line had been seen before.
-func (m *ExactMonitor) Observe(a *mem.Access) (dist uint64, seen bool) {
-	return m.ObserveLine(a.Line(), a.MemIdx)
-}
-
-// ObserveLine is Observe for callers that already split the access.
+// ObserveLine records an access to line l at memory-access index memIdx
+// and returns its backward reuse distance (in memory accesses) and whether
+// the line had been seen before.
 func (m *ExactMonitor) ObserveLine(l mem.Line, memIdx uint64) (dist uint64, seen bool) {
 	p, inserted := m.last.Upsert(l)
 	prev := *p
@@ -47,23 +43,6 @@ func (m *ExactMonitor) ObserveLine(l mem.Line, memIdx uint64) (dist uint64, seen
 		return 0, false
 	}
 	return memIdx - prev, true
-}
-
-// Sample is one batched monitor observation.
-type Sample struct {
-	Dist uint64
-	Seen bool
-}
-
-// ObserveBatch observes every access of b in order, appending one Sample
-// per access to out (reused across windows; pass out[:0]). Results are
-// bit-identical to calling Observe per record.
-func (m *ExactMonitor) ObserveBatch(b mem.Batch, out []Sample) []Sample {
-	for i := range b {
-		d, s := m.ObserveLine(b[i].Line(), b[i].MemIdx)
-		out = append(out, Sample{Dist: d, Seen: s})
-	}
-	return out
 }
 
 // ObserveHist observes every access of b in order, accumulating each
@@ -136,13 +115,6 @@ func NewKeyCollector(keys []KeySpec) *KeyCollector {
 // Observe records a true-positive watchpoint trigger on a key line.
 func (k *KeyCollector) Observe(a *mem.Access) {
 	k.last.Put(a.Line(), a.MemIdx)
-}
-
-// ObserveBatch records a batch of true-positive triggers in order.
-func (k *KeyCollector) ObserveBatch(b mem.Batch) {
-	for i := range b {
-		k.last.Put(b[i].Line(), b[i].MemIdx)
-	}
 }
 
 // Finalize converts observations into key records. Lines never observed

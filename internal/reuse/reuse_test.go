@@ -14,11 +14,11 @@ func acc(line mem.Line, memIdx uint64, pc uint64) *mem.Access {
 
 func TestExactMonitor(t *testing.T) {
 	m := NewExactMonitor()
-	if _, seen := m.Observe(acc(1, 0, 0)); seen {
+	if _, seen := m.ObserveLine(1, 0); seen {
 		t.Fatal("first access reported as reuse")
 	}
-	m.Observe(acc(2, 1, 0))
-	d, seen := m.Observe(acc(1, 5, 0))
+	m.ObserveLine(2, 1)
+	d, seen := m.ObserveLine(1, 5)
 	if !seen || d != 5 {
 		t.Fatalf("reuse = (%d,%v), want (5,true)", d, seen)
 	}
@@ -38,7 +38,7 @@ func TestExactMonitorCyclic(t *testing.T) {
 		idx := uint64(0)
 		for sweep := 0; sweep < 3; sweep++ {
 			for l := uint64(0); l < N; l++ {
-				d, seen := m.Observe(acc(mem.Line(l), idx, 0))
+				d, seen := m.ObserveLine(mem.Line(l), idx)
 				if sweep > 0 && (!seen || d != N) {
 					return false
 				}
@@ -153,7 +153,7 @@ func TestForwardMatchesExact(t *testing.T) {
 				}
 			}
 		}
-		exact.Observe(a)
+		exact.ObserveLine(l, i)
 		if i%10 == 0 {
 			if f.Start(a) {
 				armed = append(armed, started{l, i})

@@ -32,6 +32,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -340,13 +341,26 @@ func (p *PanicError) Error() string {
 	return fmt.Sprintf("runner: executor panic: %v\n%s", p.Value, p.Stack)
 }
 
+// Recovered turns a value recovered from a panic into a *PanicError that
+// carries the current goroutine's stack. A value that already is one
+// passes through unchanged, so a panic re-raised on the caller of a
+// fan-out (ForEach, the pipelined DeLorean passes) keeps the stack of the
+// goroutine where it began.
+func Recovered(r any) *PanicError {
+	if pe, ok := r.(*PanicError); ok {
+		return pe
+	}
+	return &PanicError{Value: r, Stack: debug.Stack()}
+}
+
 // execute runs s on the calling goroutine and turns a panic there into a
-// *PanicError. A panic on a goroutine the spec spawns itself (the
-// pipelined DeLorean passes, the DSE fan-out) is not contained.
+// *PanicError. The goroutines a spec spawns (the pipelined DeLorean
+// passes, the DSE fan-out) contain their panics and re-raise them on the
+// spawning goroutine, so they end up here too.
 func execute(s Spec, sub Sub) (val any, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			val, err = nil, &PanicError{Value: r, Stack: debug.Stack()}
+			val, err = nil, Recovered(r)
 		}
 	}()
 	return s.Run(sub)
@@ -382,6 +396,11 @@ func (e *Engine) progress(s Spec, key string, total int, done *int, cached, from
 // primitive for fan-outs whose units are not cacheable jobs — e.g. the
 // DSE driver's per-region Analyst fan-out, where every Analyst owns slot i
 // of the result.
+//
+// A panic in fn stops the pool: calls already running finish, no further
+// index starts, and once every worker has exited the first panic is
+// re-raised on the caller as a *PanicError carrying the panicking worker's
+// stack.
 func ForEach(n, workers int, fn func(i int)) {
 	workers = PoolSize(workers)
 	if workers > n {
@@ -393,6 +412,21 @@ func ForEach(n, workers int, fn func(i int)) {
 		}
 		return
 	}
+	var (
+		stopped atomic.Bool
+		once    sync.Once
+		first   *PanicError
+	)
+	call := func(i int) {
+		defer func() {
+			if r := recover(); r != nil {
+				pe := Recovered(r)
+				once.Do(func() { first = pe })
+				stopped.Store(true)
+			}
+		}()
+		fn(i)
+	}
 	idx := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -400,13 +434,18 @@ func ForEach(n, workers int, fn func(i int)) {
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				fn(i)
+				if !stopped.Load() {
+					call(i)
+				}
 			}
 		}()
 	}
-	for i := 0; i < n; i++ {
+	for i := 0; i < n && !stopped.Load(); i++ {
 		idx <- i
 	}
 	close(idx)
 	wg.Wait()
+	if first != nil {
+		panic(first)
+	}
 }

@@ -123,7 +123,7 @@ func TestRunVDPMatchesReference(t *testing.T) {
 			// Key lines armed for the whole run, taken from the stream
 			// ahead, so triggers and false positives both occur.
 			var ahead mem.Batch
-			prof.NewProgram(64).FillBatch(50_000, &ahead)
+			prof.NewProgram(64).FillBatch(50_000, &ahead, nil)
 			for i := 0; i < len(ahead); i += len(ahead)/16 + 1 {
 				rr.wps.Watch(ahead[i].Line())
 				br.wps.Watch(ahead[i].Line())

@@ -6,7 +6,12 @@
 //   - virtualized fast-forwarding (VFF): nothing observes the stream;
 //     near-native speed (KVM in the paper),
 //   - functional simulation: every instruction is observed (gem5's atomic
-//     CPU), optionally with cache warming (slower),
+//     CPU), optionally with cache warming (slower). RunFuncBatch hands the
+//     data-access stream to the caller; RunFuncWarm keeps a cache
+//     hierarchy, and optionally a branch predictor, warm. Both decode the
+//     program in workload.Chunk-instruction FillBatch chunks, and
+//     RunFuncWarm replays the I-side from the program's fetch walk, so no
+//     pass materializes a per-instruction record (DESIGN.md §9),
 //   - virtualized directed profiling (VDP): near-native execution with
 //     page-protection watchpoints; every access to a watched page — true
 //     positive or not — pays a fixed trigger cost (KVM exit + signal
@@ -21,6 +26,8 @@
 package vm
 
 import (
+	"repro/internal/cache"
+	"repro/internal/cpu"
 	"repro/internal/mem"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -163,10 +170,6 @@ func (w *Watchpoints) Clear() {
 // never keep the pointer.
 type AccessHandler func(a *mem.Access)
 
-// InstrHandler observes one instruction during functional execution; a is
-// nil for non-memory instructions.
-type InstrHandler func(ins *workload.Instr, a *mem.Access)
-
 // VDPConfig configures one directed-profiling run.
 type VDPConfig struct {
 	WPs *Watchpoints
@@ -200,7 +203,8 @@ type Engine struct {
 	Prop bool
 
 	sampleCount uint64
-	chunk       mem.Batch // RunVDP's chunk buffer, allocated on first use
+	chunk       mem.Batch         // chunk buffer of RunVDP and RunFuncWarm, allocated on first use
+	branches    []workload.Branch // RunFuncWarm's branch outcomes per chunk, likewise
 }
 
 // NewEngine wraps prog with a fresh ledger.
@@ -232,25 +236,19 @@ func (e *Engine) FastForwardTo(to uint64) {
 	e.charge(KindVFF, float64(n))
 }
 
-// RunFunc executes n instructions under functional simulation, invoking h
-// for each (cacheSim selects the slower functional-warming rate). It
-// serves the passes that need instruction-side events: SMARTS functional
-// warming and the Scout's lukewarm filter.
-func (e *Engine) RunFunc(n uint64, cacheSim bool, h InstrHandler) {
-	var ins workload.Instr
-	var a mem.Access
-	for i := uint64(0); i < n; i++ {
-		memIdx := e.Prog.MemIndex()
-		instrIdx := e.Prog.InstrIndex()
-		e.Prog.Next(&ins)
-		if ins.Kind == workload.KindLoad || ins.Kind == workload.KindStore {
-			a = mem.Access{PC: ins.PC, Addr: ins.Addr,
-				Write: ins.Kind == workload.KindStore, MemIdx: memIdx, InstrIdx: instrIdx}
-			h(&ins, &a)
-		} else {
-			h(&ins, nil)
-		}
-	}
+// RunFuncBatch executes n instructions under functional simulation,
+// appending every memory access to b as a by-value record; non-memory
+// instructions execute unobserved. It serves the callers that only
+// consume the data-access stream: Explorer-1 runs on it in
+// workload.Chunk-instruction batches.
+func (e *Engine) RunFuncBatch(n uint64, cacheSim bool, b *mem.Batch) {
+	e.Prog.FillBatch(n, b, nil)
+	e.chargeFunc(n, cacheSim)
+}
+
+// chargeFunc charges n functionally simulated instructions at the rate
+// cacheSim selects.
+func (e *Engine) chargeFunc(n uint64, cacheSim bool) {
 	if cacheSim {
 		e.charge(KindFuncCache, float64(n))
 	} else {
@@ -258,19 +256,92 @@ func (e *Engine) RunFunc(n uint64, cacheSim bool, h InstrHandler) {
 	}
 }
 
-// RunFuncBatch executes n instructions under functional simulation,
-// appending every memory access to b as a by-value record; non-memory
-// instructions execute unobserved. It is the batched twin of RunFunc for
-// callers that only consume the data-access stream — same program state
-// evolution, same ledger charge, no per-instruction handler call.
-// Explorer-1 runs on it in workload.Chunk-instruction batches.
-func (e *Engine) RunFuncBatch(n uint64, cacheSim bool, b *mem.Batch) {
-	e.Prog.FillBatch(n, b)
-	if cacheSim {
-		e.charge(KindFuncCache, float64(n))
-	} else {
-		e.charge(KindFunc, float64(n))
+// Warming is what one functional-warming pass keeps warm.
+type Warming struct {
+	Hier *cache.Hierarchy
+	// BP, when non-nil, is trained on every branch outcome.
+	BP *cpu.BranchPred
+	// OnData, when non-nil, takes every data access in place of the plain
+	// Hier.WarmData, and must warm the line itself. It runs after the
+	// fetches of every instruction up to and including the access's own,
+	// as a per-instruction loop would order them.
+	OnData AccessHandler
+}
+
+// RunFuncWarm executes n instructions under functional simulation, keeping
+// w warm: every instruction fetch warms Hier's I-side, every data access
+// its D-side, and every branch outcome trains BP. The hierarchy, predictor
+// and ledger end bit-identical to a per-instruction loop of Next,
+// WarmInstr, WarmData and PredictAndUpdate (pinned by
+// TestFunctionalWarmMatchesPerInstruction). It serves SMARTS functional
+// warming (cacheSim) and the Scout's lukewarm filter.
+//
+// The program runs in FillBatch chunks of workload.Chunk instructions, and
+// three observations replace the per-instruction loop:
+//
+//   - The I-side is replayed from the program's fetch walk: one WarmInstr
+//     per fetch-line run, and the run's remaining fetches, certain L1I
+//     hits because nothing else touches the private L1I in between,
+//     collapse into one exact cache.Cache.TouchN.
+//   - Before each data access, the walk is advanced through the access's
+//     instruction, so the I- and D-side misses reach the shared LLC in
+//     program order.
+//   - The branch outcomes train BP in a loop of their own per chunk: the
+//     predictor shares no state with the caches.
+func (e *Engine) RunFuncWarm(n uint64, cacheSim bool, w *Warming) {
+	h := w.Hier
+	walk := e.Prog.FetchWalk()
+	next := e.Prog.InstrIndex() // first instruction not yet fetched
+	end := next + n
+	if e.chunk == nil {
+		e.chunk = make(mem.Batch, 0, workload.Chunk)
 	}
+	var brs *[]workload.Branch
+	if w.BP != nil {
+		if e.branches == nil {
+			e.branches = make([]workload.Branch, 0, workload.Chunk)
+		}
+		brs = &e.branches
+	}
+	for left := n; left > 0; {
+		m := min(left, workload.Chunk)
+		left -= m
+		e.chunk.Reset()
+		e.branches = e.branches[:0]
+		e.Prog.FillBatch(m, &e.chunk, brs)
+		for i := range e.chunk {
+			a := &e.chunk[i]
+			for next <= a.InstrIdx {
+				next = fetchRun(h, &walk, next, end)
+			}
+			if w.OnData != nil {
+				w.OnData(a)
+			} else {
+				h.WarmData(a.Line())
+			}
+		}
+		for _, b := range e.branches {
+			w.BP.PredictAndUpdate(b.PC, b.Taken)
+		}
+	}
+	for next < end {
+		next = fetchRun(h, &walk, next, end)
+	}
+	e.chargeFunc(n, cacheSim)
+}
+
+// fetchRun warms the fetches of the walk's next run, cut at end, starting
+// at instruction next, and returns the instruction after the run. The
+// run's first fetch is a full WarmInstr; the rest hit the line it left
+// resident, so one TouchN replays them.
+func fetchRun(h *cache.Hierarchy, walk *workload.FetchWalk, next, end uint64) uint64 {
+	line, k := walk.Next()
+	k = min(k, end-next)
+	h.WarmInstr(line)
+	if k > 1 {
+		h.L1I.TouchN(h.L1I.WayIndexOf(line), k-1)
+	}
+	return next + k
 }
 
 // RunVDP executes n instructions under virtualized directed profiling.
@@ -297,7 +368,7 @@ func (e *Engine) RunVDP(n uint64, cfg *VDPConfig) {
 		m := min(left, workload.Chunk)
 		left -= m
 		e.chunk.Reset()
-		e.Prog.FillBatch(m, &e.chunk)
+		e.Prog.FillBatch(m, &e.chunk, nil)
 		b := e.chunk
 		for i := range b {
 			a := &b[i]

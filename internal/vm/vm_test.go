@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/mem"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -19,6 +20,10 @@ func testProg() *workload.Program {
 		},
 	}
 	return p.NewProgram(1)
+}
+
+func testHier() *cache.Hierarchy {
+	return cache.NewHierarchy(cache.DefaultHierarchy(8<<20, 64), nil)
 }
 
 func TestWatchpoints(t *testing.T) {
@@ -55,7 +60,7 @@ func TestFastForwardMatchesFunctional(t *testing.T) {
 	// VFF must leave the program in exactly the same state as observing it.
 	a, b := NewEngine(testProg()), NewEngine(testProg())
 	a.FastForwardTo(5000)
-	b.RunFunc(5000, false, func(ins *workload.Instr, acc *mem.Access) {})
+	b.RunFuncWarm(5000, false, &Warming{Hier: testHier()})
 	if a.Prog.InstrIndex() != b.Prog.InstrIndex() || a.Prog.MemIndex() != b.Prog.MemIndex() {
 		t.Fatal("VFF and functional execution diverged")
 	}
@@ -81,8 +86,9 @@ func TestFastForwardPanicsOnPast(t *testing.T) {
 func TestLedgerCharging(t *testing.T) {
 	e := NewEngine(testProg())
 	e.FastForwardTo(1000)
-	e.RunFunc(500, false, func(ins *workload.Instr, a *mem.Access) {})
-	e.RunFunc(500, true, func(ins *workload.Instr, a *mem.Access) {})
+	var b mem.Batch
+	e.RunFuncBatch(500, false, &b)
+	e.RunFuncWarm(500, true, &Warming{Hier: testHier()})
 	e.Prop = false
 	e.ChargeDetail(100)
 	c := e.Counters
@@ -102,16 +108,12 @@ func TestVDPTriggersAndFalsePositives(t *testing.T) {
 	e := NewEngine(testProg())
 	// Find an address the program will touch: observe a prefix functionally
 	// on a second instance.
-	probe := NewEngine(testProg())
-	var target mem.Line
-	probe.RunFunc(2000, false, func(ins *workload.Instr, a *mem.Access) {
-		if a != nil && target == 0 {
-			target = a.Line()
-		}
-	})
-	if target == 0 {
+	var prefix mem.Batch
+	testProg().FillBatch(2000, &prefix, nil)
+	if len(prefix) == 0 {
 		t.Fatal("no access found in prefix")
 	}
+	target := prefix[0].Line()
 	wps := NewWatchpoints()
 	wps.Watch(target)
 	var hits int
@@ -166,11 +168,11 @@ func TestVDPDoesNotPerturbTimeline(t *testing.T) {
 	// execution (watchpoints observe, never alter).
 	var funcTrace []mem.Addr
 	pf := NewEngine(testProg())
-	pf.RunFunc(10000, false, func(ins *workload.Instr, a *mem.Access) {
-		if a != nil {
-			funcTrace = append(funcTrace, a.Addr)
-		}
-	})
+	h := testHier()
+	pf.refRunFuncWarm(10000, false, &Warming{Hier: h, OnData: func(a *mem.Access) {
+		funcTrace = append(funcTrace, a.Addr)
+		h.WarmData(a.Line())
+	}})
 	pv := NewEngine(testProg())
 	wps := NewWatchpoints()
 	for _, ad := range funcTrace[:50] {

@@ -3,7 +3,6 @@ package warm
 import (
 	"repro/internal/cache"
 	"repro/internal/cpu"
-	"repro/internal/mem"
 	"repro/internal/vm"
 	"repro/internal/workload"
 )
@@ -23,6 +22,7 @@ func RunSMARTS(prof *workload.Profile, cfg Config) *Result {
 	core := cpu.NewCore(cfg.CPU, hier, bp)
 
 	res := &Result{Bench: prof.Name, Method: "SMARTS", Counters: eng.Counters}
+	warming := &vm.Warming{Hier: hier, BP: bp}
 	for m := 0; m < cfg.Regions; m++ {
 		if cfg.Cancelled() {
 			return res // partial; the caller discards it via its context error
@@ -32,14 +32,7 @@ func RunSMARTS(prof *workload.Profile, cfg Config) *Result {
 		// state and predictor all stay warm. Cost scales with the gap.
 		eng.Prop = true
 		n := warmStart - prog.InstrIndex()
-		eng.RunFunc(n, true, func(ins *workload.Instr, a *mem.Access) {
-			hier.WarmInstr(ins.FetchLine)
-			if a != nil {
-				hier.WarmData(a.Line())
-			} else if ins.Kind == workload.KindBranch {
-				bp.PredictAndUpdate(ins.PC, ins.Taken)
-			}
-		})
+		eng.RunFuncWarm(n, true, warming)
 		res.Regions = append(res.Regions, EvalRegion(cfg, eng, core, nil))
 	}
 	return res

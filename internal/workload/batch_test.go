@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math/bits"
+	"slices"
 	"testing"
 
 	"repro/internal/mem"
@@ -19,11 +20,12 @@ func batchProfiles() []*Profile {
 }
 
 // TestFillBatchMatchesNext pins the batched generator to the
-// access-at-a-time one over every benchmark: identical access records and
-// identical subsequent state, across chunk boundaries, two-phase block
-// boundaries and phase edges. The last case runs calculix at a scale
-// where its phase period is ~76k instructions, so the span crosses
-// several phase edges.
+// access-at-a-time one over every benchmark: identical access records,
+// identical branch outcomes on the chunks that ask for them (every other
+// one; the rest discard them) and identical subsequent state, across
+// chunk boundaries, two-phase block boundaries and phase edges. The last
+// case runs calculix at a scale where its phase period is ~76k
+// instructions, so the span crosses several phase edges.
 func TestFillBatchMatchesNext(t *testing.T) {
 	const span = 300_000
 	type tc struct {
@@ -43,6 +45,8 @@ func TestFillBatchMatchesNext(t *testing.T) {
 			bat := prof.NewProgram(scale)
 
 			var want mem.Batch
+			var refBr []Branch
+			var refBrAt []uint64
 			var ins Instr
 			for i := 0; i < span; i++ {
 				memIdx := ref.MemIndex()
@@ -52,9 +56,15 @@ func TestFillBatchMatchesNext(t *testing.T) {
 					want.Add(mem.Access{PC: ins.PC, Addr: ins.Addr,
 						Write: ins.Kind == KindStore, MemIdx: memIdx, InstrIdx: instrIdx})
 				}
+				if ins.Kind == KindBranch {
+					refBr = append(refBr, Branch{PC: ins.PC, Taken: ins.Taken})
+					refBrAt = append(refBrAt, instrIdx)
+				}
 			}
 
 			var got mem.Batch
+			var gotBr, wantBr []Branch
+			odd, nextBr := false, 0
 			// Chunks on either side of one and two blocks first, then
 			// uneven sizes so boundaries land everywhere, including
 			// mid-burst and on phase edges.
@@ -67,10 +77,22 @@ func TestFillBatchMatchesNext(t *testing.T) {
 				if done+n > span {
 					n = span - done
 				}
-				bat.FillBatch(n, &got)
+				if odd = !odd; odd {
+					bat.FillBatch(n, &got, nil)
+				} else {
+					bat.FillBatch(n, &got, &gotBr)
+				}
+				for ; nextBr < len(refBrAt) && refBrAt[nextBr] < done+n; nextBr++ {
+					if !odd {
+						wantBr = append(wantBr, refBr[nextBr])
+					}
+				}
 				done += n
 			}
 
+			if !slices.Equal(gotBr, wantBr) || len(wantBr) == 0 {
+				t.Fatalf("batched path yielded %d branch outcomes, want %d equal ones", len(gotBr), len(wantBr))
+			}
 			if len(got) != len(want) {
 				t.Fatalf("batched path yielded %d accesses, want %d", len(got), len(want))
 			}
@@ -203,12 +225,39 @@ func TestFastmodMatchesModulo(t *testing.T) {
 func TestFillBatchSteadyStateAllocs(t *testing.T) {
 	prog := GemsFDTD().NewProgram(64)
 	batch := make(mem.Batch, 0, 4096)
-	prog.FillBatch(4096, &batch) // size the batch
+	prog.FillBatch(4096, &batch, nil) // size the batch
 	allocs := testing.AllocsPerRun(20, func() {
 		batch.Reset()
-		prog.FillBatch(4096, &batch)
+		prog.FillBatch(4096, &batch, nil)
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state FillBatch allocated %.2f times per window", allocs)
+	}
+}
+
+// TestFetchWalkMatchesNext pins the fetch walk to the fetch lines Next
+// produces, from positions on every slot of a fetch line and across code
+// walk wraps (scale 256 makes every walk a few hundred instructions).
+func TestFetchWalkMatchesNext(t *testing.T) {
+	for _, prof := range batchProfiles() {
+		prog := prof.NewProgram(256)
+		for start := 0; start < 16; start++ {
+			prog.Skip(uint64(start)*7 + 1)
+			walk := prog.FetchWalk()
+			var line mem.Line
+			var left uint64
+			for i := 0; i < 5_000; i++ {
+				if left == 0 {
+					line, left = walk.Next()
+				}
+				left--
+				var ins Instr
+				prog.Next(&ins)
+				if ins.FetchLine != line {
+					t.Fatalf("%s start %d instruction %d: walk says line %#x, Next fetched %#x",
+						prof.Name, start, i, line, ins.FetchLine)
+				}
+			}
+		}
 	}
 }

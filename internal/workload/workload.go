@@ -604,10 +604,18 @@ func (pr *Program) genBranch(ins *Instr, rb uint32) {
 	}
 }
 
+// Branch is one dynamic branch outcome, in the form the branch predictor
+// consumes it.
+type Branch struct {
+	PC    uint64
+	Taken bool
+}
+
 // FillBatch executes n instructions, appending every memory access to b as
-// a by-value record. Program state evolution is bit-identical to n calls
-// of Next — only the observation mechanism differs — so a batched pass and
-// a handler-driven pass replay the same execution (pinned by
+// a by-value record and, when br is non-nil, every branch outcome to *br,
+// each list in program order. Program state evolution is bit-identical to
+// n calls of Next — only the observation mechanism differs — so a batched
+// pass and a handler-driven pass replay the same execution (pinned by
 // TestFillBatchMatchesNext).
 //
 // It runs the two-phase block loop it shares with Skip (see drawBlock):
@@ -615,8 +623,8 @@ func (pr *Program) genBranch(ins *Instr, rb uint32) {
 // Instr, and no per-instruction branch depends on the instruction kind.
 // The second phase generates the block's accesses in program order, each
 // stamped with its offset inside the block, then applies the
-// branch-counter updates.
-func (pr *Program) FillBatch(n uint64, b *mem.Batch) {
+// branch-counter updates; a nil br costs one check per block.
+func (pr *Program) FillBatch(n uint64, b *mem.Batch, br *[]Branch) {
 	pr.advanceCode(n)
 	var blk block
 	var ins Instr
@@ -631,9 +639,18 @@ func (pr *Program) FillBatch(n uint64, b *mem.Batch) {
 			s = append(s, mem.Access{PC: ins.PC, Addr: ins.Addr, Write: ins.Kind == KindStore,
 				MemIdx: memIdx, InstrIdx: base + uint64(blk.memOff[j])})
 		}
-		for _, rb := range blk.brRB[:nb] {
-			pr.genBranchState(rb)
+		if br == nil {
+			for _, rb := range blk.brRB[:nb] {
+				pr.genBranchState(rb)
+			}
+			continue
 		}
+		bs := *br
+		for _, rb := range blk.brRB[:nb] {
+			pr.genBranch(&ins, rb)
+			bs = append(bs, Branch{PC: ins.PC, Taken: ins.Taken})
+		}
+		*br = bs
 	}
 	*b = s
 }
@@ -798,6 +815,35 @@ func (pr *Program) drawBlock(n uint64, blk *block) (m uint64, nm, nb int) {
 func (pr *Program) advanceCode(n uint64) {
 	period := pr.codeLines << 3
 	pr.codePos = (pr.codePos + n%period) % period
+}
+
+// FetchWalk replays the instruction-fetch lines of the instructions after
+// a program's position, one run of consecutive same-line instructions at
+// a time. The code walk is a pure counter (Next's codePos, modulo
+// codeLines<<3, one line per 8 positions), so the walk needs no
+// instruction record: functional warming, whose block decode observes no
+// fetch line, replays the I-side from it exactly.
+type FetchWalk struct {
+	pos, period uint64 // codePos of the last walked instruction; codeLines<<3
+}
+
+// FetchWalk returns the fetch walk of the instructions after the current
+// position. It shares no state with the program.
+func (pr *Program) FetchWalk() FetchWalk {
+	return FetchWalk{pos: pr.codePos, period: pr.codeLines << 3}
+}
+
+// Next returns the fetch line of the next run and the run's length: the
+// run ends at the line's last slot, so it holds 1 to 8 instructions, the
+// first run after a mid-line position being the short one.
+func (w *FetchWalk) Next() (line mem.Line, k uint64) {
+	p := w.pos + 1
+	if p == w.period {
+		p = 0
+	}
+	k = 8 - p&7
+	w.pos = p + k - 1
+	return mem.Line(codeBaseLine + p>>3), k
 }
 
 // Skip advances the program by n instructions without materializing them.

@@ -322,6 +322,6 @@ func BenchmarkProgramFillBatch(b *testing.B) {
 		n := min(left, 256)
 		left -= n
 		batch.Reset()
-		pr.FillBatch(n, &batch)
+		pr.FillBatch(n, &batch, nil)
 	}
 }
