@@ -84,15 +84,9 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 
-	var rep *perf.Report
-	if *cpuprofileEach != "" {
-		var err error
-		rep, err = perf.RunAllProfiled(scens, *quick, target, *cpuprofileEach)
-		if err != nil {
-			fatal(err)
-		}
-	} else {
-		rep = perf.RunAll(scens, *quick, target)
+	rep, err := perf.RunAll(scens, *quick, target, *cpuprofileEach)
+	if err != nil {
+		fatal(err)
 	}
 
 	fmt.Printf("%-14s %12s %12s %14s %14s %10s\n",

@@ -32,7 +32,6 @@ func main() {
 		storeDir = flag.String("store", "", "artifact store directory (persists results across runs)")
 		storeMax = flag.Int64("store-max-mb", 0, "artifact store size budget in MiB (0 = unbounded)")
 		prog     = flag.Bool("progress", false, "stream per-job completion to stderr")
-		straight = flag.Bool("straight", false, "run each cell straight through instead of forking its mix's warmed checkpoint (bit-identical; the oracle path)")
 	)
 	flag.Parse()
 
@@ -99,6 +98,6 @@ func main() {
 		eng.OnProgress = lab.ProgressPrinter(os.Stderr)
 	}
 
-	cells := figures.CoRunMatrixMode(eng, scenarios, sizes, cfg, *straight)
+	cells := figures.CoRunMatrix(eng, scenarios, sizes, cfg)
 	fmt.Print(figures.RenderCoRun(cells))
 }

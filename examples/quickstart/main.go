@@ -22,8 +22,8 @@ func main() {
 
 	prof := workload.ByName("zeusmp")
 
-	// DeLorean: Scout -> Explorer-1..4 -> Analyst, pipelined per region.
-	dlr := core.New(prof, cfg).RunPipelined()
+	// DeLorean: Scout -> Explorer-1..4 -> Analyst, per region.
+	dlr := core.Run(prof, cfg)
 
 	// SMARTS reference: functional warming between regions.
 	ref := warm.RunSMARTS(prof, cfg)

@@ -246,7 +246,7 @@ func (s *Store) blobTouch(key string) {
 func (s *Store) Load(kind, key string) (any, bool) {
 	codec, hasCodec := s.codecs[kind] // codecs map is immutable after Open
 	if !hasCodec || !validKey(key) {
-		s.miss(false)
+		s.miss()
 		return nil, false
 	}
 	raw, release, err := s.blobGet(key)
@@ -257,7 +257,7 @@ func (s *Store) Load(kind, key string) (any, bool) {
 		s.mu.Lock()
 		s.dropLocked(key)
 		s.mu.Unlock()
-		return s.loadFromPeers(kind, key, codec, false)
+		return s.loadFromPeers(kind, key, codec)
 	}
 	val, err := decodeEnvelope(raw, kind, key, codec)
 	size := int64(len(raw))
@@ -273,7 +273,7 @@ func (s *Store) Load(kind, key string) (any, bool) {
 		s.mu.Unlock()
 		// The local copy was corrupt and has been dropped; a peer may
 		// still hold a good one.
-		return s.loadFromPeers(kind, key, codec, true)
+		return s.loadFromPeers(kind, key, codec)
 	}
 	s.loads++
 	s.touchLocked(key, size, kind)
@@ -285,10 +285,9 @@ func (s *Store) Load(kind, key string) (any, bool) {
 // loadFromPeers finishes a Load whose local blob missed: fetch an
 // integrity-verified envelope from the fleet, persist it locally
 // (read-through), decode and serve it. Exactly one load (and at most one
-// miss) is counted per Load call, whichever branch finishes it.
-// corrupted reports whether the local miss was an integrity failure
-// (already counted).
-func (s *Store) loadFromPeers(kind, key string, codec Codec, corrupted bool) (any, bool) {
+// miss) is counted per Load call, whichever branch finishes it; a local
+// integrity failure was already counted as corrupt when it was dropped.
+func (s *Store) loadFromPeers(kind, key string, codec Codec) (any, bool) {
 	if s.peers != nil {
 		if raw, ok := s.peers.Get(key); ok {
 			// PeerBlob verified schema/key/payload-hash; the kind and
@@ -309,11 +308,7 @@ func (s *Store) loadFromPeers(kind, key string, codec Codec, corrupted bool) (an
 			}
 		}
 	}
-	s.mu.Lock()
-	s.loads++
-	s.loadMisses++
-	_ = corrupted // corrupt counter was bumped when the local copy was dropped
-	s.mu.Unlock()
+	s.miss()
 	return nil, false
 }
 
@@ -345,14 +340,11 @@ func readPooled(path string) (raw []byte, release func(), err error) {
 	return b, func() { *bp = b; readPool.Put(bp) }, nil
 }
 
-// miss records a load that never reached a blob.
-func (s *Store) miss(corrupt bool) {
+// miss records a load that served nothing.
+func (s *Store) miss() {
 	s.mu.Lock()
 	s.loads++
 	s.loadMisses++
-	if corrupt {
-		s.corrupt++
-	}
 	s.mu.Unlock()
 }
 
@@ -375,17 +367,17 @@ func (s *Store) Raw(key string) (payload []byte, kind string, ok bool) {
 	if !found {
 		return nil, "", false
 	}
-	var env envelope
-	badEnv := json.Unmarshal(raw, &env) != nil ||
-		env.Schema != Schema || env.Key != key || !payloadHashMatches(env.Payload, env.SHA256)
-	codec, hasCodec := s.codecs[env.Kind]
-	if !badEnv && !hasCodec {
-		return nil, "", false
+	env, err := openEnvelope(key, raw)
+	if err == nil {
+		codec, hasCodec := s.codecs[env.Kind]
+		if !hasCodec {
+			return nil, "", false
+		}
+		err = checkVersion(env, codec)
 	}
-	badEnv = badEnv || env.CodecVersion != codec.Version
 
 	s.mu.Lock()
-	if badEnv {
+	if err != nil {
 		s.corrupt++
 		s.dropLocked(key)
 		s.mu.Unlock()
@@ -435,16 +427,17 @@ func (s *Store) PutEnvelope(key string, raw []byte) error {
 	if !validKey(key) {
 		return errors.New("invalid key")
 	}
-	kind, version, err := CheckEnvelope(key, raw)
+	env, err := openEnvelope(key, raw)
 	if err != nil {
 		return err
 	}
+	kind := env.Kind
 	codec, ok := s.codecs[kind]
 	if !ok {
 		return fmt.Errorf("unknown kind %q", kind)
 	}
-	if codec.Version != version {
-		return fmt.Errorf("codec version %d, want %d", version, codec.Version)
+	if err := checkVersion(env, codec); err != nil {
+		return err
 	}
 	if !s.blob.Put(key, raw) {
 		return errors.New("blob write failed")
@@ -496,43 +489,56 @@ func (s *Store) Keys() []KeyInfo {
 	return out
 }
 
-// CheckEnvelope verifies that raw is a well-formed artifact envelope for
-// key — schema, key match, payload SHA-256 — and returns its kind and
-// codec version. It is the integrity gate applied to envelopes received
-// from peers before they are trusted or persisted; the caller owns the
-// kind/version policy.
-func CheckEnvelope(key string, raw []byte) (kind string, codecVersion int, err error) {
+// openEnvelope parses raw and verifies it is a well-formed artifact
+// envelope for key: schema, key match, payload SHA-256. It is the one
+// integrity gate every read path applies; each caller adds its own kind
+// and codec-version policy.
+func openEnvelope(key string, raw []byte) (envelope, error) {
 	var env envelope
 	if err := json.Unmarshal(raw, &env); err != nil {
-		return "", 0, err
+		return envelope{}, err
 	}
 	switch {
 	case env.Schema != Schema:
-		return "", 0, fmt.Errorf("schema %q", env.Schema)
+		return envelope{}, fmt.Errorf("schema %q", env.Schema)
 	case env.Key != key:
-		return "", 0, fmt.Errorf("key mismatch")
+		return envelope{}, fmt.Errorf("key mismatch")
 	case !payloadHashMatches(env.Payload, env.SHA256):
-		return "", 0, fmt.Errorf("payload hash mismatch")
+		return envelope{}, fmt.Errorf("payload hash mismatch")
 	}
-	return env.Kind, env.CodecVersion, nil
+	return env, nil
 }
 
+// checkVersion rejects an envelope written by another version of its
+// kind's codec.
+func checkVersion(env envelope, codec Codec) error {
+	if env.CodecVersion != codec.Version {
+		return fmt.Errorf("codec version %d, want %d", env.CodecVersion, codec.Version)
+	}
+	return nil
+}
+
+// CheckEnvelope verifies that raw is a well-formed artifact envelope for
+// key (openEnvelope) and returns its kind and codec version. It is the
+// integrity gate applied to envelopes received from peers before they are
+// trusted or persisted; the caller owns the kind/version policy.
+func CheckEnvelope(key string, raw []byte) (kind string, codecVersion int, err error) {
+	env, err := openEnvelope(key, raw)
+	return env.Kind, env.CodecVersion, err
+}
+
+// decodeEnvelope verifies raw as an artifact of kind written by codec's
+// version and decodes its payload.
 func decodeEnvelope(raw []byte, kind, key string, codec Codec) (any, error) {
-	var env envelope
-	if err := json.Unmarshal(raw, &env); err != nil {
+	env, err := openEnvelope(key, raw)
+	if err != nil {
 		return nil, err
 	}
-	switch {
-	case env.Schema != Schema:
-		return nil, fmt.Errorf("schema %q", env.Schema)
-	case env.Kind != kind:
+	if env.Kind != kind {
 		return nil, fmt.Errorf("kind %q, want %q", env.Kind, kind)
-	case env.Key != key:
-		return nil, fmt.Errorf("key mismatch")
-	case env.CodecVersion != codec.Version:
-		return nil, fmt.Errorf("codec version %d, want %d", env.CodecVersion, codec.Version)
-	case !payloadHashMatches(env.Payload, env.SHA256):
-		return nil, fmt.Errorf("payload hash mismatch")
+	}
+	if err := checkVersion(env, codec); err != nil {
+		return nil, err
 	}
 	return codec.Decode(env.Payload)
 }

@@ -20,10 +20,11 @@
 //	Analyst    — runs detailed warming plus the detailed region with the
 //	             DSW classifier (warm.DSWOracle) installed.
 //
-// Passes communicate per region and only ever move forward through the
-// execution; RunSequential drives them region-at-a-time for determinism,
-// and RunPipelined overlaps them with goroutines connected by channels
-// (the paper's OS pipes), producing identical results.
+// Passes communicate per region, only through RegionData, and only ever
+// move forward through the execution. RunSequential drives them
+// region-at-a-time on one goroutine; the paper's pipelined overlap (its
+// passes as separate processes joined by OS pipes) is modelled in
+// simulated time from the per-pass ledgers (Result.SimSecondsPipelined).
 //
 // Time travel is by checkpoint: one tracker program, owned by the Scout,
 // walks each region's checkpoint targets in ascending order and captures
@@ -37,13 +38,11 @@ import (
 	"cmp"
 	"slices"
 	"strconv"
-	"sync"
 
 	"repro/internal/cache"
 	"repro/internal/cpu"
 	"repro/internal/mem"
 	"repro/internal/reuse"
-	"repro/internal/runner"
 	"repro/internal/stats"
 	"repro/internal/statstack"
 	"repro/internal/vm"
@@ -83,8 +82,9 @@ func (rd *RegionData) AllRecords() []reuse.KeyRecord {
 }
 
 // DeLorean evaluates benchmarks with directed statistical warming through
-// time traveling. Construct with New, then call RunSequential or
-// RunPipelined.
+// time traveling. Construct with New, then call RunSequential, or drive
+// the passes region by region with ScoutRegion, ExploreRegion and
+// AnalyzeRegion.
 type DeLorean struct {
 	Prof *workload.Profile
 	Cfg  warm.Config
@@ -155,93 +155,6 @@ func (d *DeLorean) RunSequential() *Result {
 		d.AnalyzeRegion(msg)
 	}
 	return d.finish()
-}
-
-// RunPipelined evaluates the regions with one goroutine per pass,
-// connected by channels — the paper's pipelined TT arrangement. The
-// results are identical to RunSequential. A panic in any pass is
-// re-raised on the caller (see pipeline).
-func (d *DeLorean) RunPipelined() *Result {
-	stages := make([]func(*RegionData), len(d.explorers))
-	for k := range stages {
-		stages[k] = func(msg *RegionData) { d.ExploreRegion(k, msg) }
-	}
-	pipeline(d.Cfg.Regions, d.ScoutRegion, stages, d.AnalyzeRegion)
-	return d.finish()
-}
-
-// pipeline runs produce(0..n-1) on a goroutine of its own, each stage on
-// one more, and sink on the calling goroutine, every region passing
-// through them in order over channels of capacity one.
-//
-// A panic anywhere stops the pipeline: upstream goroutines give up their
-// next send, downstream ones drain their closed input, and once all of
-// them have exited the first panic is re-raised on the caller as a
-// *runner.PanicError carrying the stack where it began. Nothing leaks and
-// nothing deadlocks, so the runner fails the one job instead of the
-// process.
-func pipeline(n int, produce func(m int) *RegionData, stages []func(*RegionData), sink func(*RegionData)) {
-	chans := make([]chan *RegionData, 1+len(stages))
-	for i := range chans {
-		chans[i] = make(chan *RegionData, 1)
-	}
-	done := make(chan struct{})
-	var (
-		once    sync.Once
-		failure *runner.PanicError
-		wg      sync.WaitGroup
-	)
-	contain := func() {
-		if r := recover(); r != nil {
-			pe := runner.Recovered(r)
-			once.Do(func() { failure = pe; close(done) })
-		}
-	}
-	send := func(ch chan<- *RegionData, msg *RegionData) bool {
-		select {
-		case ch <- msg:
-			return true
-		case <-done:
-			return false
-		}
-	}
-	spawn := func(out chan *RegionData, body func()) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer close(out)
-			defer contain()
-			body()
-		}()
-	}
-	spawn(chans[0], func() {
-		for m := 0; m < n; m++ {
-			if !send(chans[0], produce(m)) {
-				return
-			}
-		}
-	})
-	for k, stage := range stages {
-		in, out := chans[k], chans[k+1]
-		spawn(out, func() {
-			for msg := range in {
-				stage(msg)
-				if !send(out, msg) {
-					return
-				}
-			}
-		})
-	}
-	func() {
-		defer contain()
-		for msg := range chans[len(stages)] {
-			sink(msg)
-		}
-	}()
-	wg.Wait()
-	if failure != nil {
-		panic(failure)
-	}
 }
 
 // ScoutRegion captures region m's checkpoints, seeks to its warm point,

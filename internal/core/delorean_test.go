@@ -222,9 +222,35 @@ func equivalenceConfigs() map[string]warm.Config {
 	return map[string]warm.Config{"scale1": a, "scale4": b}
 }
 
-// TestSequentialPipelinedEquivalence: the goroutine pipeline must produce
-// exactly the sequential results — for every workload profile of the suite
-// under at least two configurations, not just a hand-picked one.
+// runWavefront drives the exported passes in the paper's pipelined order
+// on one goroutine: at step t the Scout handles region t, Explorer k region
+// t-1-k and the Analyst region t-1-K, so the Scout runs K+1 regions ahead
+// of the Analyst. It is the schedule Result.SimSecondsPipelined models.
+func runWavefront(d *DeLorean) *Result {
+	n, depth := d.Cfg.Regions, len(d.explorers)+1
+	msgs := make([]*RegionData, n)
+	for t := 0; t < n+depth; t++ {
+		if t < n {
+			msgs[t] = d.ScoutRegion(t)
+		}
+		for k := range d.explorers {
+			if m := t - 1 - k; m >= 0 && m < n {
+				d.ExploreRegion(k, msgs[m])
+			}
+		}
+		if m := t - depth; m >= 0 && m < n {
+			d.AnalyzeRegion(msgs[m])
+		}
+	}
+	return d.finish()
+}
+
+// TestSequentialPipelinedEquivalence: the passes share nothing but each
+// region's RegionData, so running them in the pipelined order, with the
+// Scout regions ahead of the Analyst, must produce exactly the sequential
+// results — for every workload profile of the suite under at least two
+// configurations. This is what lets SimSecondsPipelined charge the slowest
+// pass instead of the sum.
 func TestSequentialPipelinedEquivalence(t *testing.T) {
 	profs := append([]*workload.Profile{testProfile()}, workload.Benchmarks()...)
 	if testing.Short() {
@@ -237,7 +263,7 @@ func TestSequentialPipelinedEquivalence(t *testing.T) {
 			t.Run(prof.Name+"/"+cfgName, func(t *testing.T) {
 				t.Parallel()
 				seq := New(prof, cfg).RunSequential()
-				pipe := New(prof, cfg).RunPipelined()
+				pipe := runWavefront(New(prof, cfg))
 				requireEquivalent(t, seq, pipe)
 			})
 		}

@@ -64,8 +64,8 @@ func readDigests(t *testing.T) map[string]string {
 }
 
 // TestDeLoreanDigests pins every simulated output of the pipeline, for
-// every workload profile under every equivalence configuration, run both
-// sequentially and pipelined, against checked-in digests. Host-side
+// every workload profile under every equivalence configuration, against
+// checked-in digests. Host-side
 // optimisations of the passes (how they reach their positions, how the
 // workload generator advances) must leave every figure byte-identical.
 func TestDeLoreanDigests(t *testing.T) {
@@ -87,26 +87,18 @@ func TestDeLoreanDigests(t *testing.T) {
 				name := prof.Name + "/" + cfgName
 				t.Run(name, func(t *testing.T) {
 					t.Parallel()
-					for mode, run := range map[string]func(*DeLorean) *Result{
-						"sequential": (*DeLorean).RunSequential,
-						"pipelined":  (*DeLorean).RunPipelined,
-					} {
-						d, err := resultDigest(run(New(prof, cfg)))
-						if err != nil {
-							t.Fatal(err)
-						}
-						if *update {
-							mu.Lock()
-							if prev, ok := got[name]; ok && prev != d {
-								t.Errorf("%s: sequential and pipelined digests differ", name)
-							}
-							got[name] = d
-							mu.Unlock()
-							continue
-						}
-						if w, ok := want[name]; !ok || w != d {
-							t.Errorf("%s %s: digest %s, reference %q", name, mode, d, w)
-						}
+					d, err := resultDigest(New(prof, cfg).RunSequential())
+					if err != nil {
+						t.Fatal(err)
+					}
+					if *update {
+						mu.Lock()
+						got[name] = d
+						mu.Unlock()
+						return
+					}
+					if w, ok := want[name]; !ok || w != d {
+						t.Errorf("%s: digest %s, reference %q", name, d, w)
 					}
 				})
 			}

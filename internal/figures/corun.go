@@ -79,16 +79,6 @@ type CoRunCell struct {
 // fixed point is solved from the calibrations when the matrix lands.
 // Results are deterministic for any engine worker count.
 func CoRunMatrix(eng *runner.Engine, scenarios []CoRunScenario, llcPaperSizes []uint64, base warm.Config) []CoRunCell {
-	return CoRunMatrixMode(eng, scenarios, llcPaperSizes, base, false)
-}
-
-// CoRunMatrixMode is CoRunMatrix with an explicit execution path for the
-// simulation cells: straight runs every cell warm-up-and-all (the
-// bit-exactness oracle, and the right choice when no two cells share a
-// warm point), forked (the default) branches each cell from its mix's
-// checkpoint. Both paths produce identical cells — the straight flag is
-// an execution hint, invisible to spec keys and artifacts.
-func CoRunMatrixMode(eng *runner.Engine, scenarios []CoRunScenario, llcPaperSizes []uint64, base warm.Config, straight bool) []CoRunCell {
 	refsOf := func(sc CoRunScenario) []spec.BenchRef {
 		refs := make([]spec.BenchRef, len(sc.Apps))
 		for i, app := range sc.Apps {
@@ -117,14 +107,12 @@ func CoRunMatrixMode(eng *runner.Engine, scenarios []CoRunScenario, llcPaperSize
 	// every size warms its own state and every cell forks the checkpoint
 	// of its own size. Enqueued as top-level jobs so all warm-ups proceed
 	// in parallel with profiling instead of on demand inside each
-	// simulation cell; the straight path runs no checkpoints at all.
-	if !straight {
-		for _, size := range llcPaperSizes {
-			for _, sc := range scenarios {
-				cfg := base
-				cfg.LLCPaperBytes = size
-				jobs = append(jobs, spec.Job(spec.CoRunWarmParams{Mix: sc.Name, Apps: refsOf(sc), Cfg: cfg}))
-			}
+	// simulation cell.
+	for _, size := range llcPaperSizes {
+		for _, sc := range scenarios {
+			cfg := base
+			cfg.LLCPaperBytes = size
+			jobs = append(jobs, spec.Job(spec.CoRunWarmParams{Mix: sc.Name, Apps: refsOf(sc), Cfg: cfg}))
 		}
 	}
 
@@ -153,7 +141,7 @@ func CoRunMatrixMode(eng *runner.Engine, scenarios []CoRunScenario, llcPaperSize
 		for _, sc := range scenarios {
 			cfg := base
 			cfg.LLCPaperBytes = size
-			jobs = append(jobs, spec.Job(spec.CoRunSimParams{Mix: sc.Name, Apps: refsOf(sc), Cfg: cfg, Straight: straight}))
+			jobs = append(jobs, spec.Job(spec.CoRunSimParams{Mix: sc.Name, Apps: refsOf(sc), Cfg: cfg}))
 		}
 	}
 	results := eng.RunMatrix(jobs)

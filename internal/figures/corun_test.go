@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/multiprog"
 	"repro/internal/runner"
 	"repro/internal/warm"
 	"repro/internal/workload"
@@ -82,17 +83,42 @@ func TestCoRunMatrixDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// coRunOracle computes one matrix cell straight from multiprog, with no
+// spec, runner or checkpoint: each app's solo profile at the paper-default
+// LLC (the size spec.CoRunProfileParamsFor pins), its calibration at the
+// cell's size, the StatCC prediction, and a co-run simulated straight
+// through, warm-up and all.
+func coRunOracle(sc CoRunScenario, size uint64, base warm.Config) CoRunCell {
+	profCfg := CoSimConfig(base, warm.DefaultConfig().LLCPaperBytes)
+	cfg := CoSimConfig(base, size)
+	cals := make([]multiprog.SoloCalibration, len(sc.Apps))
+	for i, app := range sc.Apps {
+		cals[i] = multiprog.ProfileSolo(app, profCfg).Calibrate(cfg)
+	}
+	sim := multiprog.NewCoSim(sc.Apps, cfg).Run()
+	return CoRunCell{
+		Scenario:      sc.Name,
+		LLCPaperBytes: size,
+		Apps:          multiprog.BuildComparison(cals, sim, multiprog.Predict(cals, cfg)),
+	}
+}
+
 // TestCoRunMatrixForkedMatchesStraight: the golden-figure guarantee of the
-// checkpoint tentpole at the matrix level — the forked execution path
-// (each simulation cell branching from its mix's warmed checkpoint) must
-// produce cells deep-equal to the straight-through oracle path, so no
-// rendered figure can move.
+// checkpoint tentpole at the matrix level — the spec path (each simulation
+// cell forking its mix's warmed checkpoint, calibrations sharing nested
+// profile specs) must produce cells deep-equal to the straight-through
+// multiprog oracle, so no rendered figure can move.
 func TestCoRunMatrixForkedMatchesStraight(t *testing.T) {
 	scenarios := tinyCoRunScenarios()
 	sizes := []uint64{128 << 10, 512 << 10}
 	base := tinyCoRunBase()
-	straight := CoRunMatrixMode(runner.New(0), scenarios, sizes, base, true)
-	forked := CoRunMatrixMode(runner.New(0), scenarios, sizes, base, false)
+	var straight []CoRunCell
+	for _, size := range sizes {
+		for _, sc := range scenarios {
+			straight = append(straight, coRunOracle(sc, size, base))
+		}
+	}
+	forked := CoRunMatrix(runner.New(0), scenarios, sizes, base)
 	if !reflect.DeepEqual(forked, straight) {
 		t.Errorf("forked matrix diverged from straight oracle:\nforked:   %+v\nstraight: %+v", forked, straight)
 	}

@@ -68,30 +68,65 @@ type Scenario struct {
 	// steady-state window — construction cost lives in Setup or inside the
 	// step, whichever matches how real callers amortize it — and returns
 	// the number of memory accesses it drove. Setup may also return a
-	// cleanup function (nil if none) that Run invokes after measurement —
+	// cleanup function (nil if none) that RunAll invokes after measurement —
 	// the hook scenarios with on-disk state use to remove it.
 	Setup func(quick bool) (step func() uint64, cleanup func())
 }
 
-// Run measures one scenario: a warm-up repetition (faults in tables and
-// sizes the flat structures so the measured window is steady state), then
-// repetitions until targetDur has elapsed (at least two).
-func Run(s Scenario, quick bool, targetDur time.Duration) Measurement {
+// RunAll measures the given scenarios and assembles a report. A
+// non-empty profileDir adds one CPU profile per scenario, written to
+// profileDir/<scenario>.pprof — the harness hook for perf hunts, where a
+// whole-run profile smears the scenarios' flame graphs into one another.
+func RunAll(scens []Scenario, quick bool, targetDur time.Duration, profileDir string) (*Report, error) {
+	if profileDir != "" {
+		if err := os.MkdirAll(profileDir, 0o755); err != nil {
+			return nil, err
+		}
+	}
+	r := &Report{
+		Schema:    Schema,
+		GoVersion: runtime.Version(),
+		GOOS:      runtime.GOOS,
+		GOARCH:    runtime.GOARCH,
+		Quick:     quick,
+	}
+	for _, s := range scens {
+		m, err := run(s, quick, targetDur, profileDir)
+		if err != nil {
+			return nil, err
+		}
+		r.Scenarios = append(r.Scenarios, m)
+	}
+	return r, nil
+}
+
+// run measures one scenario: Setup and a warm-up repetition (faults in
+// tables and sizes the flat structures so the measured window is steady
+// state), then repetitions until targetDur has elapsed (at least two).
+// Each repetition is also timed individually so the measurement carries a
+// median ns/access alongside the aggregate mean; the per-rep clock reads
+// add two time.Now calls per repetition — noise-floor cost next to a
+// multi-millisecond step. The CPU profile, when profileDir is set, covers
+// exactly the measured repetitions.
+func run(s Scenario, quick bool, targetDur time.Duration, profileDir string) (Measurement, error) {
 	step, cleanup := s.Setup(quick)
 	if cleanup != nil {
 		defer cleanup()
 	}
-	step() // warm-up repetition, unmeasured
+	step() // warm-up repetition, unmeasured and unprofiled
 	runtime.GC()
-	return measureSteps(s.Name, step, targetDur)
-}
+	if profileDir != "" {
+		f, err := os.Create(filepath.Join(profileDir, s.Name+".pprof"))
+		if err != nil {
+			return Measurement{}, err
+		}
+		defer f.Close()
+		if err := pprof.StartCPUProfile(f); err != nil {
+			return Measurement{}, fmt.Errorf("%s: %w", s.Name, err)
+		}
+		defer pprof.StopCPUProfile()
+	}
 
-// measureSteps runs the steady-state repetitions and aggregates them. Each
-// repetition is also timed individually so the measurement carries a
-// median ns/access alongside the aggregate mean; the per-rep clock reads
-// add two time.Now calls per repetition — noise-floor cost next to a
-// multi-millisecond step.
-func measureSteps(name string, step func() uint64, targetDur time.Duration) Measurement {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	t0 := time.Now()
@@ -114,7 +149,7 @@ func measureSteps(name string, step func() uint64, targetDur time.Duration) Meas
 	wall := time.Since(t0)
 	runtime.ReadMemStats(&after)
 	m := Measurement{
-		Scenario: name,
+		Scenario: s.Name,
 		Reps:     reps,
 		Accesses: accesses,
 		WallNs:   wall.Nanoseconds(),
@@ -127,7 +162,7 @@ func measureSteps(name string, step func() uint64, targetDur time.Duration) Meas
 		m.AllocsPerAccess = float64(after.Mallocs-before.Mallocs) / acc
 		m.BytesPerAccess = float64(after.TotalAlloc-before.TotalAlloc) / acc
 	}
-	return m
+	return m, nil
 }
 
 // median returns the median of vs (0 when empty). vs is sorted in place.
@@ -141,69 +176,6 @@ func median(vs []float64) float64 {
 		return vs[n/2]
 	}
 	return (vs[n/2-1] + vs[n/2]) / 2
-}
-
-// RunAll measures the given scenarios and assembles a report.
-func RunAll(scens []Scenario, quick bool, targetDur time.Duration) *Report {
-	r := &Report{
-		Schema:    Schema,
-		GoVersion: runtime.Version(),
-		GOOS:      runtime.GOOS,
-		GOARCH:    runtime.GOARCH,
-		Quick:     quick,
-	}
-	for _, s := range scens {
-		r.Scenarios = append(r.Scenarios, Run(s, quick, targetDur))
-	}
-	return r
-}
-
-// RunAllProfiled is RunAll with one CPU profile per scenario, written to
-// dir/<scenario>.pprof — the harness hook for perf hunts, where a
-// whole-run profile smears five scenarios' flame graphs into one another.
-// Profiling covers exactly the measured window of each scenario (setup and
-// the unmeasured warm-up repetition run before the profile starts).
-func RunAllProfiled(scens []Scenario, quick bool, targetDur time.Duration, dir string) (*Report, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	r := &Report{
-		Schema:    Schema,
-		GoVersion: runtime.Version(),
-		GOOS:      runtime.GOOS,
-		GOARCH:    runtime.GOARCH,
-		Quick:     quick,
-	}
-	for _, s := range scens {
-		m, err := runProfiled(s, quick, targetDur, filepath.Join(dir, s.Name+".pprof"))
-		if err != nil {
-			return nil, err
-		}
-		r.Scenarios = append(r.Scenarios, m)
-	}
-	return r, nil
-}
-
-// runProfiled mirrors Run with the measured repetitions bracketed by a CPU
-// profile. Setup and the warm-up repetition run before profiling starts so
-// the profile holds steady-state samples only.
-func runProfiled(s Scenario, quick bool, targetDur time.Duration, path string) (Measurement, error) {
-	step, cleanup := s.Setup(quick)
-	if cleanup != nil {
-		defer cleanup()
-	}
-	step() // warm-up repetition, unmeasured and unprofiled
-	runtime.GC()
-	f, err := os.Create(path)
-	if err != nil {
-		return Measurement{}, err
-	}
-	defer f.Close()
-	if err := pprof.StartCPUProfile(f); err != nil {
-		return Measurement{}, fmt.Errorf("%s: %w", s.Name, err)
-	}
-	defer pprof.StopCPUProfile()
-	return measureSteps(s.Name, step, targetDur), nil
 }
 
 // WriteJSON persists the report.

@@ -1,6 +1,7 @@
 package perf
 
 import (
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -103,14 +104,23 @@ func TestReportRoundTripAndCompare(t *testing.T) {
 }
 
 // TestRunProducesMeasurement exercises the measurement loop on a trivial
-// scenario.
+// scenario, with and without a per-scenario CPU profile.
 func TestRunProducesMeasurement(t *testing.T) {
 	s := Scenario{
 		Name:  "unit",
 		Setup: func(bool) (func() uint64, func()) { return func() uint64 { return 1000 }, nil },
 	}
-	m := Run(s, true, time.Millisecond)
-	if m.Reps < 2 || m.Accesses < 2000 || m.NsPerAccess <= 0 {
-		t.Fatalf("implausible measurement: %+v", m)
+	dir := filepath.Join(t.TempDir(), "prof")
+	for _, profileDir := range []string{"", dir} {
+		rep, err := RunAll([]Scenario{s}, true, time.Millisecond, profileDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m := rep.Scenarios[0]; m.Reps < 2 || m.Accesses < 2000 || m.NsPerAccess <= 0 {
+			t.Fatalf("implausible measurement: %+v", m)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(dir, "unit.pprof")); err != nil {
+		t.Fatalf("no CPU profile written: %v", err)
 	}
 }

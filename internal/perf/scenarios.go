@@ -200,7 +200,9 @@ func CorunMatrix() Scenario {
 
 // DSEFanout is the §3.3 amortization workload: one Scout + Explorer
 // warm-up feeding three Analysts at different LLC sizes, one region per
-// repetition. The fast-forwarded gap dominates, exactly as in the paper.
+// repetition. Every Analyst seeks to the warm point the Scout's tracker
+// captured, exactly as dse.RunParallel does, so the gap is replayed once
+// per region, not once per size.
 func DSEFanout() Scenario {
 	return Scenario{
 		Name: "dse-fanout",
@@ -238,11 +240,12 @@ func DSEFanout() Scenario {
 				for i, eng := range analysts {
 					sizeCfg := cfgs[i]
 					eng.Prop = true
-					eng.FastForwardTo(rd.Start - sizeCfg.DetailWarm)
 					hier := cache.NewHierarchy(sizeCfg.HierConfig(), nil)
 					cr := cpu.NewCore(sizeCfg.CPU, hier, nil)
 					oracle := warm.NewDSWOracle(records, rd.Vicinity, rd.Assoc, hier)
-					warm.EvalRegion(sizeCfg, eng, cr, oracle)
+					if _, err := warm.EvalRegionAt(sizeCfg, eng, rd.WarmPos, cr, oracle); err != nil {
+						panic(err)
+					}
 				}
 				m++
 				end := d.MemAccesses()
@@ -550,8 +553,7 @@ func KeyReuse() Scenario {
 				m++
 
 				// Scout: first-touch unique lines of the detailed region.
-				scout.Prop = true
-				scout.FastForwardTo(regionStart)
+				scout.Prog.Skip(regionStart - scout.Prog.InstrIndex())
 				var keys []reuse.KeySpec
 				var seen mem.FlatSet[mem.Line]
 				seen.Grow(256)
@@ -565,8 +567,7 @@ func KeyReuse() Scenario {
 
 				// Explorer: VDP over the window before the region with all
 				// key watchpoints armed for the whole span.
-				exp.Prop = true
-				exp.FastForwardTo(regionStart - window)
+				exp.Prog.Skip(regionStart - window - exp.Prog.InstrIndex())
 				for _, ks := range keys {
 					wps.Watch(ks.Line)
 				}

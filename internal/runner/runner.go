@@ -344,8 +344,7 @@ func (p *PanicError) Error() string {
 // Recovered turns a value recovered from a panic into a *PanicError that
 // carries the current goroutine's stack. A value that already is one
 // passes through unchanged, so a panic re-raised on the caller of a
-// fan-out (ForEach, the pipelined DeLorean passes) keeps the stack of the
-// goroutine where it began.
+// ForEach fan-out keeps the stack of the goroutine where it began.
 func Recovered(r any) *PanicError {
 	if pe, ok := r.(*PanicError); ok {
 		return pe
@@ -354,9 +353,9 @@ func Recovered(r any) *PanicError {
 }
 
 // execute runs s on the calling goroutine and turns a panic there into a
-// *PanicError. The goroutines a spec spawns (the pipelined DeLorean
-// passes, the DSE fan-out) contain their panics and re-raise them on the
-// spawning goroutine, so they end up here too.
+// *PanicError. The goroutines a spec spawns (the DSE fan-out on
+// ForEach) contain their panics and re-raise them on the spawning
+// goroutine, so they end up here too.
 func execute(s Spec, sub Sub) (val any, err error) {
 	defer func() {
 		if r := recover(); r != nil {

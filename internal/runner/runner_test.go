@@ -62,8 +62,8 @@ func (s fnSpec) Run(sub runner.Sub) (any, error)    { return s.exec(sub) }
 
 // TestDeterminismAcrossWorkerCounts is the runner's core guarantee: the
 // same matrix run serially and with a full worker pool produces
-// bit-identical results (it mirrors the RunSequential/RunPipelined
-// equivalence guarantee in internal/core).
+// bit-identical results (it mirrors the pass-order equivalence
+// guarantee in internal/core).
 func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 	cfg := testCfg()
 	serial := runner.New(1).RunMatrix(matrix(cfg))

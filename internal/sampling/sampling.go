@@ -95,8 +95,9 @@ func PaperInstr(cfg warm.Config) float64 {
 }
 
 // Speeds summarizes one benchmark's simulated speeds in MIPS at paper
-// scale. DeLorean runs its passes pipelined across regions, so its wall
-// time is the slowest pass (§3.2); SMARTS and CoolSim are single processes.
+// scale. The paper pipelines DeLorean's passes across regions, so its
+// simulated wall time is the slowest pass (§3.2); SMARTS and CoolSim are
+// single processes.
 type Speeds struct {
 	SMARTS, CoolSim, DeLorean float64 // MIPS
 }

@@ -23,8 +23,8 @@ package spec
 //                   re-executing the warm-up;
 //   corun-sim       one simulated shared-LLC co-run matrix cell; nests its
 //                   mix's corun-warm checkpoint and forks the measured
-//                   window from it (bit-identical to the straight path,
-//                   which the Straight hint preserves as the oracle).
+//                   window from it (bit-identical to the straight-
+//                   through multiprog.CoSim.Run, the tests' oracle).
 
 import (
 	"context"
@@ -310,18 +310,13 @@ func runCoRunWarm(p Params, sub runner.Sub) (any, error) {
 
 // CoRunSimParams simulates one shared-LLC co-run matrix cell: the named
 // mix of apps on private-L1 cores sharing an LLC of Cfg.LLCPaperBytes.
-//
-// Straight is an execution-path hint, not identity (like
-// DSESweepParams.Workers): when set, the cell runs straight through
-// instead of forking its mix's corun-warm checkpoint. Both paths are
-// bit-identical (TestForkedRunMatchesStraight), so they rightly share a
-// key and an artifact; the straight path survives as the oracle and as
-// the fallback for store-less ad-hoc runs.
+// The cell forks its measured window from its mix's corun-warm
+// checkpoint; the straight-through run (multiprog.CoSim.Run) is the test
+// oracle it matches bit for bit (TestForkedRunMatchesStraight).
 type CoRunSimParams struct {
-	Mix      string      `json:"mix"` // display name of the scenario
-	Apps     []BenchRef  `json:"apps"`
-	Cfg      warm.Config `json:"cfg"`
-	Straight bool        `json:"-"`
+	Mix  string      `json:"mix"` // display name of the scenario
+	Apps []BenchRef  `json:"apps"`
+	Cfg  warm.Config `json:"cfg"`
 }
 
 func (CoRunSimParams) Kind() string { return KindCoRunSim }
@@ -342,8 +337,8 @@ func runCoRunSim(p Params, sub runner.Sub) (any, error) {
 	// derived from this cell's identity, and a previous execution's
 	// checkpoint — crashed, cancelled, or written by the fleet node this
 	// job was stolen from — seeds the engine here instead of re-running
-	// the paid-for window prefix. Both construction paths below resume
-	// identically because the checkpoint carries the complete engine state.
+	// the paid-for window prefix. A resumed engine matches a forked one
+	// because the checkpoint carries the complete engine state.
 	st := subStore(sub)
 	var pkey string
 	if st != nil && ProgressEveryQuanta > 0 {
@@ -358,7 +353,7 @@ func runCoRunSim(p Params, sub runner.Sub) (any, error) {
 				if resumed, err := multiprog.NewCoSimFromProgress(pc); err == nil {
 					// The checkpoint pins state; the measured horizon and
 					// the Cancel hook belong to this execution (same rule
-					// as the forked path below).
+					// as the fork below).
 					resumed.Cfg.MeasureCycles = cfg.MeasureCycles
 					resumed.Cfg.Cancel = cfg.Cancel
 					cs = resumed
@@ -367,20 +362,8 @@ func runCoRunSim(p Params, sub runner.Sub) (any, error) {
 		}
 	}
 
-	switch {
-	case cs != nil: // resumed from progress: warm-up and window prefix already paid
-	case sp.Straight:
-		profs, err := resolveAll(sp.Apps)
-		if err != nil {
-			return nil, err
-		}
-		cs = multiprog.NewCoSim(profs, cfg)
-		cs.WarmAlign()
-		if err := ctxErr(sub); err != nil {
-			return nil, err // cancelled mid-warm-up: discard the partial state
-		}
-	default:
-		// Forked path: the warm-up runs (or is served from cache/store) as
+	if cs == nil {
+		// Not resumed: the warm-up runs (or is served from cache/store) as
 		// a nested corun-warm spec, then this cell forks its measured
 		// window from the checkpoint. Repeated cells of one mix — different
 		// measured variants, re-runs against a persistent store — pay the

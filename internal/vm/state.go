@@ -56,12 +56,12 @@ func (w *Watchpoints) SetState(s WatchpointsState) {
 	}
 }
 
-// SeekTo restores the program to a captured position, charging the skipped
-// span to the VFF ledger exactly as FastForwardTo would — the position is
-// a fast-forward that skips the host-side replay work, not a change to the
-// simulated execution, so every ledger-derived figure is unchanged. Like
-// FastForwardTo it panics if the position is in the past: passes only ever
-// travel forward.
+// SeekTo is virtualized fast-forwarding (VFF): it restores the program to
+// a captured position and charges the skipped span to the VFF ledger. The
+// position skips the host-side replay work, not simulated execution, so
+// every ledger-derived figure is what replaying the gap would give. It
+// panics if the position is in the past: passes only ever travel forward;
+// going "back in time" means a different pass.
 func (e *Engine) SeekTo(pos workload.Position) error {
 	cur := e.Prog.InstrIndex()
 	if cur > pos.InstrIdx {

@@ -4,7 +4,8 @@
 // ledger at that mode's speed:
 //
 //   - virtualized fast-forwarding (VFF): nothing observes the stream;
-//     near-native speed (KVM in the paper),
+//     near-native speed (KVM in the paper). SeekTo jumps to a position a
+//     tracker program captured and charges the skipped span,
 //   - functional simulation: every instruction is observed (gem5's atomic
 //     CPU), optionally with cache warming (slower). RunFuncBatch hands the
 //     data-access stream to the caller; RunFuncWarm keeps a cache
@@ -221,19 +222,6 @@ func (e *Engine) prefix() string {
 
 func (e *Engine) charge(kind string, n float64) {
 	e.Counters.Add(e.prefix()+kind, n)
-}
-
-// FastForwardTo advances execution to absolute instruction index `to`
-// under VFF. It panics if the program is already past `to` — passes only
-// ever travel forward; going "back in time" means a different pass.
-func (e *Engine) FastForwardTo(to uint64) {
-	cur := e.Prog.InstrIndex()
-	if cur > to {
-		panic("vm: FastForwardTo target is in the past")
-	}
-	n := to - cur
-	e.Prog.Skip(n)
-	e.charge(KindVFF, float64(n))
 }
 
 // RunFuncBatch executes n instructions under functional simulation,

@@ -2,6 +2,7 @@ package vm
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/cache"
@@ -56,38 +57,57 @@ func TestWatchpoints(t *testing.T) {
 	}
 }
 
-func TestFastForwardMatchesFunctional(t *testing.T) {
-	// VFF must leave the program in exactly the same state as observing it.
-	a, b := NewEngine(testProg()), NewEngine(testProg())
-	a.FastForwardTo(5000)
-	b.RunFuncWarm(5000, false, &Warming{Hier: testHier()})
-	if a.Prog.InstrIndex() != b.Prog.InstrIndex() || a.Prog.MemIndex() != b.Prog.MemIndex() {
-		t.Fatal("VFF and functional execution diverged")
-	}
-	var ia, ib workload.Instr
-	a.Prog.Next(&ia)
-	b.Prog.Next(&ib)
-	if ia != ib {
-		t.Fatal("streams diverged after VFF")
+// posAt returns testProg's position after n instructions: the checkpoint
+// a tracker program would capture there.
+func posAt(n uint64) workload.Position {
+	p := testProg()
+	p.Skip(n)
+	return p.Position()
+}
+
+func seekTo(t *testing.T, e *Engine, pos workload.Position) {
+	t.Helper()
+	if err := e.SeekTo(pos); err != nil {
+		t.Fatal(err)
 	}
 }
 
-func TestFastForwardPanicsOnPast(t *testing.T) {
+func TestSeekToMatchesFunctional(t *testing.T) {
+	// VFF must leave the program in exactly the same state as observing it.
+	a, b := NewEngine(testProg()), NewEngine(testProg())
+	seekTo(t, a, posAt(5000))
+	b.RunFuncWarm(5000, false, &Warming{Hier: testHier()})
+	if !reflect.DeepEqual(a.Prog.Position(), b.Prog.Position()) {
+		t.Fatal("VFF and functional execution diverged")
+	}
+	for i := 0; i < 1000; i++ {
+		var ia, ib workload.Instr
+		a.Prog.Next(&ia)
+		b.Prog.Next(&ib)
+		if ia != ib {
+			t.Fatalf("streams diverged %d instructions after VFF", i)
+		}
+	}
+}
+
+func TestSeekToPanicsOnPast(t *testing.T) {
 	e := NewEngine(testProg())
-	e.FastForwardTo(100)
+	seekTo(t, e, posAt(100))
 	defer func() {
 		if recover() == nil {
-			t.Error("expected panic on backwards fast-forward")
+			t.Error("expected panic on backwards seek")
 		}
 	}()
-	e.FastForwardTo(50)
+	_ = e.SeekTo(posAt(50))
 }
 
 func TestLedgerCharging(t *testing.T) {
 	e := NewEngine(testProg())
-	e.FastForwardTo(1000)
+	seekTo(t, e, posAt(600))
 	var b mem.Batch
 	e.RunFuncBatch(500, false, &b)
+	// A seek from mid-stream charges only the span it skips.
+	seekTo(t, e, posAt(1500))
 	e.RunFuncWarm(500, true, &Warming{Hier: testHier()})
 	e.Prop = false
 	e.ChargeDetail(100)

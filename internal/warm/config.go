@@ -297,8 +297,8 @@ func EvalRegion(cfg Config, eng *vm.Engine, core *cpu.Core, oracle cache.Oracle)
 
 // EvalRegionAt is EvalRegion for an engine that has not yet reached the
 // region: it first seeks the engine to the captured warm-start position —
-// charging the skipped span to the VFF ledger exactly as FastForwardTo
-// would, so ledger-derived figures cannot move — then runs the standard
+// charging the skipped span to the VFF ledger (vm.Engine.SeekTo), so
+// ledger-derived figures cannot move — then runs the standard
 // evaluation. The position is produced once per region by DeLorean's
 // tracker program (internal/core) and shared by its Analyst and by all
 // per-size Analysts of a DSE fan-out, so none of them replays the gap.

@@ -126,13 +126,16 @@ func (o *countingOracle) OverrideMiss(a *mem.Access, lv cache.Level) bool {
 func TestEvalRegionOracleSwap(t *testing.T) {
 	cfg := testCfg()
 	prof := testProf()
-	prog := prof.NewProgram(cfg.Scale)
-	eng := vm.NewEngine(prog)
-	eng.FastForwardTo(cfg.RegionStart(0) - cfg.DetailWarm)
+	tracker := prof.NewProgram(cfg.Scale)
+	tracker.Skip(cfg.RegionStart(0) - cfg.DetailWarm)
+	eng := vm.NewEngine(prof.NewProgram(cfg.Scale))
 	hier := cache.NewHierarchy(cfg.HierConfig(), nil)
 	cr := cpu.NewCore(cfg.CPU, hier, nil)
 	o := &countingOracle{}
-	rr := EvalRegion(cfg, eng, cr, o)
+	rr, err := EvalRegionAt(cfg, eng, tracker.Position(), cr, o)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if o.calls == 0 {
 		t.Error("oracle never consulted during the region")
 	}

@@ -668,47 +668,12 @@ const Chunk = 256
 // and reuse layers observe nothing else), FillInstrs materializes the full
 // dynamic instruction stream — the timing model needs the fetch lines,
 // dependence distances, kinds and latencies of non-memory instructions
-// too. Program state evolution is bit-identical to len(dst) calls of Next
-// (pinned by TestFillInstrBatchMatchesNext). Every path below assigns every
-// field, so stale records in a reused array never leak through.
+// too. It is a loop over Next, so it is exactly len(dst) calls of Next
+// (TestFillInstrBatchMatchesNext); Next assigns every field, so stale
+// records in a reused array never leak through.
 func (pr *Program) FillInstrs(dst []Instr) {
 	for i := range dst {
-		if pr.instrIdx >= pr.nextPhaseEdge {
-			pr.rebuildWeights()
-		}
-		r := pr.rng.Uint64()
-		pr.instrIdx++
-		pr.codePos++
-		if pr.codePos>>3 >= pr.codeLines {
-			pr.codePos = 0
-		}
-		ins := &dst[i]
-		ins.FetchLine = mem.Line(codeBaseLine + pr.codePos>>3)
-		depBits := uint32(r >> 48)
-		if depBits&0xf < pr.noDepTh {
-			ins.DepDist = 0
-		} else {
-			ins.DepDist = 1 + pr.depMod(depBits>>4)
-		}
-		sel := uint32(r & 0xffff)
-		switch {
-		case sel < pr.thMem:
-			pr.genMem(ins, uint32(r>>16))
-		case sel < pr.thBranch:
-			pr.genBranch(ins, uint32(r>>16))
-		default:
-			ins.Addr = 0
-			ins.Taken = false
-			if uint32(r>>16)&0xffff < pr.thFP {
-				ins.Kind = KindFP
-				ins.PC = 0x900000 + uint64(r>>32)%64*4
-				ins.Lat = 4
-			} else {
-				ins.Kind = KindALU
-				ins.PC = 0xa00000 + uint64(r>>32)%64*4
-				ins.Lat = 1
-			}
-		}
+		pr.Next(&dst[i])
 	}
 }
 
