@@ -259,12 +259,16 @@ func NewCore(cfg Config, hier *cache.Hierarchy, bp *BranchPred) *Core {
 // splitting n over several calls is not equivalent to one call.
 //
 // The program is decoded in chunks of workload.Chunk instructions into an
-// on-stack array (FillInstrs) and each chunk is timed in a second pass.
-// The split is legal because instruction generation is open loop: the
-// program stream never depends on timing state, so decoding a chunk ahead
-// of timing it observes nothing different. The hot scheduling state
-// (cycle, width, fetch stall, ROB head, max completion) lives in locals
-// for the whole call and is written back once at its end.
+// on-stack array and each chunk is timed in a second pass. The decode,
+// Program.FillInstrs, runs the generator's two-phase block loop: it writes
+// the fields every instruction kind shares without branching on the kind,
+// then fills in the memory accesses and branches from per-block lists,
+// bit-identical to a loop over Next. The split is legal because
+// instruction generation is open loop: the program stream never depends
+// on timing state, so decoding a chunk ahead of timing it observes
+// nothing different. The hot scheduling state (cycle, width, fetch stall,
+// ROB head, max completion) lives in locals for the whole call and is
+// written back once at its end.
 //
 // The per-instruction I-fetch is hoisted behind a fetch-line memo. The
 // memo is exact, not approximate: consecutive instructions on one fetch

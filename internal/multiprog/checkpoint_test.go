@@ -3,6 +3,7 @@ package multiprog
 import (
 	"encoding/json"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/workload"
@@ -115,5 +116,11 @@ func TestCheckpointRejectsBadShape(t *testing.T) {
 	bad.LLC.Tags = bad.LLC.Tags[:1]
 	if _, err := NewCoSimFromCheckpoint(&bad); err == nil {
 		t.Error("fork accepted a checkpoint with a wrong-geometry LLC")
+	}
+	bad = *ck
+	bad.Apps = slices.Clone(ck.Apps)
+	bad.Apps[0].Prog.CodePos = 1 << 40
+	if _, err := NewCoSimFromCheckpoint(&bad); err == nil {
+		t.Error("fork accepted a checkpoint whose program position no run reaches")
 	}
 }

@@ -119,15 +119,29 @@ func TestFillBatchMatchesNext(t *testing.T) {
 }
 
 // TestFillInstrBatchMatchesNext pins the instruction decoder (FillInstrs)
-// to the access-at-a-time generator: identical instruction records and
-// identical subsequent state, across chunk boundaries and phase edges.
+// to the access-at-a-time generator over every benchmark: identical
+// instruction records and identical subsequent state, across chunk
+// boundaries, two-phase block boundaries and phase edges. The records are
+// decoded over garbage, so a field the decoder leaves unwritten fails.
+// The last case runs calculix at a scale where its phase period is ~76k
+// instructions, so the span crosses several phase edges.
 func TestFillInstrBatchMatchesNext(t *testing.T) {
 	const span = 300_000
-	for _, prof := range batchProfiles() {
-		prof := prof
-		t.Run(prof.Name, func(t *testing.T) {
-			ref := prof.NewProgram(64)
-			bat := prof.NewProgram(64)
+	type tc struct {
+		name  string
+		prof  *Profile
+		scale uint64
+	}
+	var cases []tc
+	for _, prof := range Benchmarks() {
+		cases = append(cases, tc{prof.Name, prof, 64})
+	}
+	cases = append(cases, tc{"calculix-phase-edges", Calculix(), 1 << 16})
+	for _, c := range cases {
+		prof, scale := c.prof, c.scale
+		t.Run(c.name, func(t *testing.T) {
+			ref := prof.NewProgram(scale)
+			bat := prof.NewProgram(scale)
 
 			want := make([]Instr, span)
 			for i := range want {
@@ -135,10 +149,20 @@ func TestFillInstrBatchMatchesNext(t *testing.T) {
 			}
 
 			got := make([]Instr, span)
-			// Uneven chunk sizes so boundaries land everywhere, including
+			for i := range got {
+				got[i] = Instr{PC: ^uint64(i), Addr: 0xdead, FetchLine: 0xbeef, Kind: numKinds,
+					Taken: true, DepDist: 0xffff, Lat: 0xff}
+			}
+			// Chunks on either side of one and two blocks first, then
+			// uneven sizes so boundaries land everywhere, including
 			// mid-burst and on phase edges.
+			fixed := []uint64{1, skipBlock - 1, skipBlock, skipBlock + 1, 2*skipBlock - 1}
 			for done, chunk := uint64(0), uint64(1); done < span; chunk = chunk*7%8191 + 1 {
-				n := min(chunk, span-done)
+				n := chunk
+				if len(fixed) > 0 {
+					n, fixed = fixed[0], fixed[1:]
+				}
+				n = min(n, span-done)
 				bat.FillInstrs(got[done : done+n])
 				done += n
 			}

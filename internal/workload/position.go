@@ -61,6 +61,13 @@ func (pr *Program) Position() Position {
 // instruction index, so rebuilding them at seek time reproduces exactly
 // the state a straight replay would carry. Seek replaces "Reset then Skip
 // to offset" — O(streams) instead of O(instructions).
+//
+// Positions arrive from checkpoints read back from a store or a peer, so
+// Seek rejects, besides a mismatched shape, every counter no run can
+// reach: a code-walk position at or past the walk's period, a burst
+// count at or past its stream's burst length, and a loop-branch counter
+// at or past the loop duty. From such a position Next, Skip, FetchWalk
+// and FillInstrs would each continue differently.
 func (pr *Program) Seek(p Position) error {
 	if len(p.Streams) != len(pr.streams) {
 		return fmt.Errorf("workload: seek: position has %d streams, program %q has %d",
@@ -69,6 +76,22 @@ func (pr *Program) Seek(p Position) error {
 	if len(p.BranchCtrs) != len(pr.branchSlots) {
 		return fmt.Errorf("workload: seek: position has %d branch counters, program %q has %d",
 			len(p.BranchCtrs), pr.prof.Name, len(pr.branchSlots))
+	}
+	if period := pr.codeLines << 3; p.CodePos >= period {
+		return fmt.Errorf("workload: seek: code position %d past program %q's code walk of %d",
+			p.CodePos, pr.prof.Name, period)
+	}
+	for i, sp := range p.Streams {
+		if n := pr.streams[i].burstLen; sp.BurstLeft >= n {
+			return fmt.Errorf("workload: seek: stream %d has %d burst accesses left, program %q bursts %d",
+				i, sp.BurstLeft, pr.prof.Name, n)
+		}
+	}
+	for i, c := range p.BranchCtrs {
+		if c >= pr.loopDuty {
+			return fmt.Errorf("workload: seek: branch counter %d is %d, program %q's loop duty is %d",
+				i, c, pr.prof.Name, pr.loopDuty)
+		}
 	}
 	pr.rng.SetState(p.RNG)
 	pr.randRng.SetState(p.RandRNG)

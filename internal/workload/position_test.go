@@ -2,6 +2,7 @@ package workload
 
 import (
 	"encoding/json"
+	"slices"
 	"testing"
 )
 
@@ -88,5 +89,41 @@ func TestSeekRejectsMismatchedShape(t *testing.T) {
 	pos2.BranchCtrs = nil
 	if err := Mcf().NewProgram(64).Seek(pos2); err == nil {
 		t.Fatal("seek accepted a position with the wrong branch-counter count")
+	}
+}
+
+// TestSeekRejectsUnreachablePosition: a position whose code walk, burst
+// or loop-branch counter lies outside what any run reaches is refused,
+// and the same counters one step inside the range are accepted.
+func TestSeekRejectsUnreachablePosition(t *testing.T) {
+	prof := Bwaves() // bursts of 6 and 4, loop duty 64
+	pr := prof.NewProgram(256)
+	pr.Skip(10_000)
+	base := pr.Position()
+	period := pr.codeLines << 3
+	cases := []struct {
+		name   string
+		mutate func(p *Position, edge uint64)
+	}{
+		{"code position", func(p *Position, edge uint64) { p.CodePos = period - 1 + edge }},
+		{"burst count", func(p *Position, edge uint64) {
+			p.Streams[1].BurstLeft = pr.streams[1].burstLen - 1 + uint32(edge)
+		}},
+		{"loop-branch counter", func(p *Position, edge uint64) { p.BranchCtrs[3] = pr.loopDuty - 1 + uint32(edge) }},
+	}
+	for _, c := range cases {
+		for edge := uint64(0); edge <= 1; edge++ {
+			p := base
+			p.Streams = slices.Clone(base.Streams)
+			p.BranchCtrs = slices.Clone(base.BranchCtrs)
+			c.mutate(&p, edge)
+			err := prof.NewProgram(256).Seek(p)
+			if edge == 0 && err != nil {
+				t.Errorf("%s: seek refused the last reachable value: %v", c.name, err)
+			}
+			if edge == 1 && err == nil {
+				t.Errorf("%s: seek accepted a value no run reaches", c.name)
+			}
+		}
 	}
 }

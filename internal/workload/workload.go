@@ -45,6 +45,13 @@ const (
 	_ = uint64(KindLoad + 1 - KindStore)
 )
 
+// FillInstrs' branchless ALU/FP pick relies on KindFP == KindALU+1 the
+// same way.
+const (
+	_ = uint64(KindFP - KindALU - 1)
+	_ = uint64(KindALU + 1 - KindFP)
+)
+
 // String returns the kind name.
 func (k InstrKind) String() string {
 	switch k {
@@ -618,7 +625,7 @@ type Branch struct {
 // pass and a handler-driven pass replay the same execution (pinned by
 // TestFillBatchMatchesNext).
 //
-// It runs the two-phase block loop it shares with Skip (see drawBlock):
+// It runs the two-phase block loop of Skip and FillInstrs (drawBlock):
 // non-memory instructions advance their state without materializing an
 // Instr, and no per-instruction branch depends on the instruction kind.
 // The second phase generates the block's accesses in program order, each
@@ -657,9 +664,11 @@ func (pr *Program) FillBatch(n uint64, b *mem.Batch, br *[]Branch) {
 
 // Chunk is the instruction count of one decode chunk, shared by the
 // batched consumers of the program stream: directed profiling (vm.RunVDP,
-// Explorer-1) decodes FillBatch chunks of it, and the timing core
-// (cpu.Core.Run) decodes FillInstrs chunks of it into an on-stack array.
-// A chunk's access records (10 KiB) or instructions (8 KiB) stay in L1.
+// Explorer-1) and functional warming (vm.RunFuncWarm) decode FillBatch
+// chunks of it, and the timing core (cpu.Core.Run) decodes FillInstrs
+// chunks of it into an on-stack array. It equals the two-phase block
+// bound, so a chunk is one block unless a phase edge cuts it in two. A
+// chunk's access records (10 KiB) or instructions (8 KiB) stay in L1.
 const Chunk = 256
 
 // FillInstrs executes len(dst) instructions, writing every one of them to
@@ -668,13 +677,70 @@ const Chunk = 256
 // and reuse layers observe nothing else), FillInstrs materializes the full
 // dynamic instruction stream — the timing model needs the fetch lines,
 // dependence distances, kinds and latencies of non-memory instructions
-// too. It is a loop over Next, so it is exactly len(dst) calls of Next
-// (TestFillInstrBatchMatchesNext); Next assigns every field, so stale
-// records in a reused array never leak through.
+// too. Records and resulting state are exactly those of len(dst) calls of
+// Next (TestFillInstrBatchMatchesNext).
+//
+// It runs the two-phase block loop of Skip and FillBatch (drawBlock). The
+// first phase writes, from each instruction's random word and without
+// branching on its kind, the fields every kind shares (fillCommon): the
+// fetch line, the dependence distance, and the ALU/FP values of Kind, PC,
+// Lat, Addr and Taken. The second phase runs genMem over the block's
+// memory instructions and genBranch over its branches, each overwriting
+// its record's kind-specific fields in place. Every field of every record
+// is written, so stale records in a reused array never leak through.
 func (pr *Program) FillInstrs(dst []Instr) {
-	for i := range dst {
-		pr.Next(&dst[i])
+	var blk block
+	for len(dst) > 0 {
+		m, nm, nb := pr.drawBlock(uint64(len(dst)), &blk)
+		ins := dst[:m]
+		dst = dst[m:]
+		pr.fillCommon(ins, blk.word[:m])
+		for j, rb := range blk.memRB[:nm] {
+			pr.genMem(&ins[blk.memOff[j]], rb)
+		}
+		for j, rb := range blk.brRB[:nb] {
+			pr.genBranch(&ins[blk.brOff[j]], rb)
+		}
 	}
+}
+
+// fillCommon is FillInstrs' first phase over one block: it walks the code
+// and writes every record as Next would for an ALU or FP instruction
+// drawing the same word — the fields a memory instruction or a branch
+// keeps (fetch line, dependence distance) and the rest, which genMem and
+// genBranch overwrite.
+func (pr *Program) fillCommon(ins []Instr, words []uint64) {
+	period := pr.codeLines << 3
+	thFP, noDepTh := pr.thFP, pr.noDepTh
+	codePos := pr.codePos
+	for i, r := range words {
+		codePos++
+		if codePos >= period {
+			codePos = 0
+		}
+		depBits := uint32(r >> 48)
+		dep := 1 + pr.depMod(depBits>>4)
+		if depBits&0xf < noDepTh {
+			dep = 0
+		}
+		// The ALU/FP pick without a branch: KindFP == KindALU+1, and the
+		// FP PCs sit 1<<20 below the ALU ones.
+		var fp uint64
+		if uint32(r>>16)&0xffff < thFP {
+			fp = 1
+		}
+		// Field by field: a composite literal is assembled on the stack
+		// and copied out, and the copy stalls on the store forward.
+		p := &ins[i]
+		p.PC = 0xa00000 - fp<<20 + (r>>32)%64*4
+		p.Addr = 0
+		p.FetchLine = mem.Line(codeBaseLine + codePos>>3)
+		p.Kind = KindALU + InstrKind(fp)
+		p.Taken = false
+		p.DepDist = dep
+		p.Lat = uint8(1 + 3*fp)
+	}
+	pr.codePos = codePos
 }
 
 // genBranchState applies exactly the state updates of genBranch (the loop
@@ -721,17 +787,20 @@ func (pr *Program) genMemState(rb uint32) {
 	st.burstLeft = st.burstLen - 1
 }
 
-// skipBlock bounds one block of the two-phase loop Skip and FillBatch
-// share (drawBlock).
+// skipBlock bounds one block of the two-phase loop Skip, FillBatch and
+// FillInstrs share (drawBlock).
 const skipBlock = 256
 
-// block is the scratch of one two-phase block: the random words of its
-// memory and branch instructions, each list in program order, and every
-// memory instruction's offset inside the block.
+// block is the scratch of one two-phase block: every instruction's random
+// word, the kind-specific bits of its memory and branch instructions (what
+// genMem and genBranch take), each list in program order, and each listed
+// instruction's offset inside the block.
 type block struct {
+	word   [skipBlock]uint64
 	memRB  [skipBlock]uint32
 	memOff [skipBlock]uint32
 	brRB   [skipBlock]uint32
+	brOff  [skipBlock]uint32
 }
 
 // drawBlock is the first phase of the block loop. It takes the next block
@@ -750,9 +819,17 @@ func (pr *Program) drawBlock(n uint64, blk *block) (m uint64, nm, nb int) {
 	}
 	m = min(n, pr.nextPhaseEdge-pr.instrIdx, skipBlock)
 	pr.instrIdx += m
+	// Draw all the words first and sort them in a second loop: two short
+	// loops measured faster than one doing both, which ran out of
+	// registers. The generator is a local copy, written back once.
+	words := blk.word[:m]
+	rng := pr.rng
+	for i := range words {
+		words[i] = rng.Uint64()
+	}
+	pr.rng = rng
 	thMem, thBranch := pr.thMem, pr.thBranch
-	for i := uint64(0); i < m; i++ {
-		r := pr.rng.Uint64()
+	for i, r := range words {
 		sel := uint32(r & 0xffff)
 		// Write every slot unconditionally and advance only the matching
 		// list (nm, nb <= i < skipBlock; the masks drop the bounds
@@ -761,6 +838,7 @@ func (pr *Program) drawBlock(n uint64, blk *block) (m uint64, nm, nb int) {
 		blk.memRB[nm&(skipBlock-1)] = uint32(r >> 16)
 		blk.memOff[nm&(skipBlock-1)] = uint32(i)
 		blk.brRB[nb&(skipBlock-1)] = uint32(r >> 16)
+		blk.brOff[nb&(skipBlock-1)] = uint32(i)
 		isMem, isBr := 0, 0
 		if sel < thMem {
 			isMem = 1

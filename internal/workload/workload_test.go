@@ -325,3 +325,21 @@ func BenchmarkProgramFillBatch(b *testing.B) {
 		pr.FillBatch(n, &batch, nil)
 	}
 }
+
+// BenchmarkProgramFillInstrs reports the full-instruction decoder's cost
+// per instruction (ns/op is ns per instruction), decoded into the
+// Chunk-sized array the timing core uses.
+func BenchmarkProgramFillInstrs(b *testing.B) {
+	for _, prof := range []*Profile{Mcf(), Omnetpp(), Bwaves()} {
+		b.Run(prof.Name, func(b *testing.B) {
+			pr := prof.NewProgram(256)
+			var buf [Chunk]Instr
+			b.ResetTimer()
+			for left := uint64(b.N); left > 0; {
+				n := min(left, Chunk)
+				left -= n
+				pr.FillInstrs(buf[:n])
+			}
+		})
+	}
+}
