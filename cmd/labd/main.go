@@ -13,14 +13,15 @@
 //	     [-self URL -peers URL,URL,...] [-steal-depth N] [-peer-fetch-timeout D]
 //
 // Crash safety (DESIGN.md §14): with a store, labd keeps a durable job
-// journal (default <store>/journal.wal) — every accepted submission is
-// fsynced before the 202, and a restarted daemon re-arms and re-runs
-// whatever was accepted but unfinished. Long co-run cells additionally
-// checkpoint mid-run progress into the store every -progress-every
-// measured quanta, so a crash, cancellation or fleet steal resumes from
-// the last paid-for quantum instead of starting over. -faultpoints arms
-// deterministic crash sites (SIGKILL at the Nth hit) for the chaos
-// harness; never set it in production.
+// journal (default <store>/journal.wal). An accepted submission is
+// durable at its accepted record, fsynced before the 202, or, when the
+// store already indexes its artifact, at that artifact; a restarted
+// daemon re-arms and re-runs whatever was journaled but unfinished.
+// Long co-run cells additionally checkpoint mid-run progress into the
+// store every -progress-every measured quanta, so a crash, cancellation
+// or fleet steal resumes from the last paid-for quantum instead of
+// starting over. -faultpoints arms deterministic crash sites (SIGKILL at
+// the Nth hit) for the chaos harness; never set it in production.
 //
 // Fleet mode (-self + -peers, DESIGN.md §13): nodes share one static
 // peer list, agree on a rendezvous-hashed owner per spec key (non-owners
@@ -144,9 +145,10 @@ func main() {
 		fatal(err)
 	}
 
-	// Durable job journal (DESIGN.md §14): accepted submissions are
-	// fsynced before the 202, and whatever a previous incarnation accepted
-	// but never finished is re-armed below, once the server exists.
+	// Durable job journal (DESIGN.md §14): accepted submissions the store
+	// cannot answer yet are fsynced before the 202, and whatever a
+	// previous incarnation journaled but never finished is re-armed below,
+	// once the server exists.
 	var (
 		jrnl    *lab.Journal
 		pending []lab.PendingJob

@@ -110,6 +110,7 @@ type Store struct {
 
 	mu    sync.Mutex
 	index map[string]*entry
+	pins  map[string]int // Pin counts: keys held out of LRU eviction
 	total int64
 	tick  uint64
 
@@ -139,7 +140,8 @@ func Open(dir string, maxBytes int64, codecs map[string]Codec) (*Store, error) {
 // backend's modification times, which Load refreshes where the backend
 // supports it.
 func OpenBlob(b Blob, maxBytes int64, codecs map[string]Codec) (*Store, error) {
-	s := &Store{blob: b, maxBytes: maxBytes, codecs: codecs, index: make(map[string]*entry)}
+	s := &Store{blob: b, maxBytes: maxBytes, codecs: codecs,
+		index: make(map[string]*entry), pins: make(map[string]int)}
 	all := b.List()
 	// Recency recovers from mtimes, which on coarse-grained filesystems
 	// (or artifacts written in the same instant) collide; break ties by
@@ -477,6 +479,34 @@ func (s *Store) StatKey(key string) (KeyInfo, bool) {
 	return KeyInfo{Key: key, Kind: ent.kind, Size: ent.size}, true
 }
 
+// Pin reports whether key's artifact is indexed and, if it is, holds it
+// out of LRU eviction until the matching Unpin (pins nest). A pin guards
+// against the byte budget only: DeleteKey and the reconciliation of a
+// missing or corrupt blob still remove a pinned artifact.
+func (s *Store) Pin(key string) bool {
+	if !validKey(key) {
+		return false
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, ok := s.index[key]; !ok {
+		return false
+	}
+	s.pins[key]++
+	return true
+}
+
+// Unpin releases one Pin of key.
+func (s *Store) Unpin(key string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.pins[key] <= 1 {
+		delete(s.pins, key)
+	} else {
+		s.pins[key]--
+	}
+}
+
 // Keys lists the indexed artifacts sorted by key (GET /v1/blobs).
 func (s *Store) Keys() []KeyInfo {
 	s.mu.Lock()
@@ -639,7 +669,8 @@ func (s *Store) touchLocked(key string, size int64, kind string) {
 
 // evictLocked removes least-recently-used artifacts until the store fits
 // its byte budget. The just-written key is exempt: an artifact larger than
-// the whole budget is kept (alone) rather than thrashing.
+// the whole budget is kept (alone) rather than thrashing. Pinned keys are
+// exempt too, so the store may stay over budget until they are unpinned.
 func (s *Store) evictLocked(justWritten string) {
 	if s.maxBytes <= 0 {
 		return
@@ -648,7 +679,7 @@ func (s *Store) evictLocked(justWritten string) {
 		victim := ""
 		var oldest uint64
 		for k, e := range s.index {
-			if k == justWritten {
+			if k == justWritten || s.pins[k] > 0 {
 				continue
 			}
 			if victim == "" || e.used < oldest {

@@ -270,3 +270,45 @@ func TestLRUEviction(t *testing.T) {
 		t.Error("most recent artifact ee evicted")
 	}
 }
+
+// TestPinHoldsOutOfEviction: a pinned artifact is never an LRU victim —
+// the store evicts younger ones around it — until its last pin is
+// released. Pin refuses a key the store does not index, and DeleteKey
+// still removes a pinned artifact.
+func TestPinHoldsOutOfEviction(t *testing.T) {
+	pad := strings.Repeat("x", 4096)
+	st, _ := artifact.Open(t.TempDir(), 14<<10, codecs())
+	st.Save("test", key("aa"), payload{Name: "a", Pad: pad})
+	if st.Pin(key("ff")) {
+		t.Fatal("Pin of an unindexed key succeeded")
+	}
+	if !st.Pin(key("aa")) || !st.Pin(key("aa")) {
+		t.Fatal("Pin of an indexed key failed")
+	}
+	for _, k := range []string{"bb", "cc", "dd", "ee"} {
+		st.Save("test", key(k), payload{Name: k, Pad: pad})
+	}
+	if _, ok := st.StatKey(key("aa")); !ok {
+		t.Fatal("pinned LRU artifact aa was evicted")
+	}
+	if _, ok := st.StatKey(key("bb")); ok {
+		t.Error("bb survived; want the oldest unpinned artifact evicted")
+	}
+	st.Unpin(key("aa"))
+	st.Save("test", key("ab"), payload{Name: "ab", Pad: pad})
+	if _, ok := st.StatKey(key("aa")); !ok {
+		t.Fatal("aa evicted while one of its two pins is held")
+	}
+	st.Unpin(key("aa"))
+	st.Save("test", key("ac"), payload{Name: "ac", Pad: pad})
+	if _, ok := st.StatKey(key("aa")); ok {
+		t.Error("aa survived after its last Unpin; want it evicted as the LRU artifact")
+	}
+
+	if !st.Pin(key("ac")) || !st.DeleteKey(key("ac")) {
+		t.Fatal("DeleteKey of a pinned artifact failed")
+	}
+	if _, ok := st.StatKey(key("ac")); ok {
+		t.Error("DeleteKey left a pinned artifact indexed")
+	}
+}

@@ -35,7 +35,9 @@ import (
 // Three schedules cover the three distinct crash windows: before the
 // journal fsync (the durability point itself), mid-artifact-write (torn
 // temp file on disk), and mid-measured-run (between progress
-// checkpoints of a co-run cell).
+// checkpoints of a co-run cell). A fourth crashes at the journal fsync
+// after acknowledging specs the store already held, which left no
+// journal record: their artifacts are their durability point.
 
 // labdProc is one running labd child process.
 type labdProc struct {
@@ -199,7 +201,7 @@ func scrapeMetrics(t *testing.T, url string) string {
 		t.Fatalf("scrape /metrics: status=%s err=%v", resp.Status, err)
 	}
 	mets := string(raw)
-	for _, m := range []string{"labd_journal_records_total", "labd_journal_syncs_total", "labd_journal_recovered_total", "labd_jobs{state=\"queued\"}"} {
+	for _, m := range []string{"labd_journal_records_total", "labd_journal_syncs_total", "labd_journal_recovered_total", "labd_submits_stored_total", "labd_jobs{state=\"queued\"}"} {
 		if !strings.Contains(mets, m) {
 			t.Errorf("/metrics after restart missing %s", m)
 		}
@@ -221,6 +223,29 @@ func corunSpec(t *testing.T) []byte {
 	return b
 }
 
+// fillStore runs a clean labd over storeDir until every body's artifact
+// is servable, then stops it gracefully.
+func fillStore(t *testing.T, bin, storeDir string, bodies [][]byte) {
+	t.Helper()
+	p := startLabd(t, bin, "-store", storeDir, "-workers", "1")
+	keys := submitAll(t, p.url, bodies)
+	if len(keys) != len(bodies) {
+		t.Fatalf("filling the store: %d of %d submissions accepted\n%s", len(keys), len(bodies), p.stderr.String())
+	}
+	deadline := time.Now().Add(120 * time.Second)
+	for _, key := range keys {
+		fetchArtifact(t, p.url, key, deadline)
+	}
+	if err := p.cmd.Process.Signal(os.Interrupt); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-p.exited:
+	case <-time.After(30 * time.Second):
+		t.Fatalf("labd did not shut down\n%s", p.stderr.String())
+	}
+}
+
 func TestChaosCrashRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos harness builds and crash-loops a real labd; skipped in -short")
@@ -228,6 +253,12 @@ func TestChaosCrashRecovery(t *testing.T) {
 	bin := buildLabd(t, t.TempDir())
 
 	loadBodies, err := lab.LoadSpecs(5, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Stored and fresh specs, interleaved: the even ones are in the store
+	// before the victim starts.
+	mixed, err := lab.LoadSpecs(6, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,6 +271,11 @@ func TestChaosCrashRecovery(t *testing.T) {
 		// wantRecovered: the restart must re-arm at least one journaled
 		// job (scenarios where a job is provably mid-flight at the crash).
 		wantRecovered bool
+		// stored are put in the store by a clean daemon before the victim
+		// starts; wantAccepted, when set, is the exact number of
+		// submissions the victim acknowledges before it dies.
+		stored       [][]byte
+		wantAccepted int
 	}{
 		{
 			// The daemon dies inside Journal.Accepted, after the record
@@ -269,6 +305,18 @@ func TestChaosCrashRecovery(t *testing.T) {
 			bodies:        [][]byte{corunSpec(t)},
 			wantRecovered: true,
 		},
+		{
+			// Stored specs are acknowledged without a journal record, so
+			// only fresh ones reach the fsync: the daemon dies on the
+			// second fresh key (the fourth submission) after acking two
+			// stored keys and one fresh one. The stored keys' artifacts
+			// are their durability point.
+			name:         "crash-after-stored-acks",
+			faultpoints:  "journal.accept=2",
+			bodies:       mixed,
+			stored:       [][]byte{mixed[0], mixed[2], mixed[4]},
+			wantAccepted: 3,
+		},
 	}
 
 	for _, sc := range scenarios {
@@ -278,12 +326,18 @@ func TestChaosCrashRecovery(t *testing.T) {
 			if err := os.MkdirAll(storeDir, 0o755); err != nil {
 				t.Fatal(err)
 			}
+			if len(sc.stored) > 0 {
+				fillStore(t, bin, storeDir, sc.stored)
+			}
 			args := append([]string{"-store", storeDir, "-workers", "1", "-faultpoints", sc.faultpoints}, sc.extraArgs...)
 
 			victim := startLabd(t, bin, args...)
 			accepted := submitAll(t, victim.url, sc.bodies)
 			if len(accepted) == 0 {
 				t.Fatalf("no submission was accepted before the crash\n%s", victim.stderr.String())
+			}
+			if sc.wantAccepted > 0 && len(accepted) != sc.wantAccepted {
+				t.Errorf("victim acknowledged %d submissions before the crash, want %d", len(accepted), sc.wantAccepted)
 			}
 			waitKilled(t, victim)
 

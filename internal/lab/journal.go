@@ -1,11 +1,16 @@
 // Durable job journal (DESIGN.md §14): an append-only, checksummed WAL of
 // job lifecycle transitions that makes accepted work survive a labd crash.
-// The durability contract is exactly one fsync wide: an `accepted` record
-// is synced to disk before the client sees 202, so every acknowledged
-// submission is recoverable; `started` and terminal records are appended
-// without syncing — losing them costs a redundant re-execution on replay
-// (at-least-once), never a lost job, because execution itself is
-// idempotent (specs are content-keyed and results content-addressed).
+// The durability contract is at most one fsync wide: an accepted
+// submission is durable at its `accepted` record, synced to disk before
+// the client sees 202, or, when the store indexes its artifact at
+// acceptance, at that artifact — such a submission gets no record at
+// all, its job pins the artifact against eviction until it finishes,
+// and the server journals it (with the fsync) only if the artifact is
+// deleted or found missing before it runs. `started` and terminal
+// records are appended without syncing — losing them costs a redundant
+// re-execution on replay (at-least-once), never a lost job, because
+// execution itself is idempotent (specs are content-keyed and results
+// content-addressed).
 package lab
 
 import (
@@ -244,6 +249,9 @@ type JournalStats struct {
 	Records   uint64 `json:"records"`   // records appended this process
 	Syncs     uint64 `json:"syncs"`     // fsyncs issued this process
 	Recovered uint64 `json:"recovered"` // pending jobs found at open
+	// Stored counts submissions acknowledged from the store without a
+	// journal record; the server fills it in (the journal never sees them).
+	Stored uint64 `json:"stored"`
 }
 
 func (jl *Journal) Stats() JournalStats {

@@ -105,7 +105,7 @@ type serviceMetrics struct {
 	submits   atomic.Uint64 // POST /v1/specs requests decoded successfully
 	rejected  atomic.Uint64 // submissions refused with 429 (queue or ledger full)
 	cancels   atomic.Uint64 // cancellation requests accepted (DELETE or abandoned wait)
-	journaled atomic.Uint64 // submissions made durable in the job journal
+	stored    atomic.Uint64 // submissions acknowledged from the store without a journal record
 	recovered atomic.Uint64 // journaled jobs re-armed after a restart
 	submitLat latHist       // POST /v1/specs handler latency
 	waitLat   latHist       // successful /v1/jobs/{key}/wait latency

@@ -44,7 +44,7 @@ func TestSubmitIsJournaledDurably(t *testing.T) {
 	}
 	mets, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	for _, m := range []string{"labd_journal_records_total", "labd_journal_syncs_total", "labd_journal_recovered_total"} {
+	for _, m := range []string{"labd_journal_records_total", "labd_journal_syncs_total", "labd_journal_recovered_total", "labd_submits_stored_total"} {
 		if !strings.Contains(string(mets), m) {
 			t.Errorf("/metrics missing %s", m)
 		}

@@ -148,6 +148,16 @@ type job struct {
 	// one disconnects before the job finishes, nobody is left to consume
 	// the result and the job is aborted.
 	waiters int
+	// journaled marks an incarnation whose accepted record is in the
+	// journal (never set without a journal). pinned marks one acknowledged
+	// from the store instead (DESIGN.md §14): the store indexed its
+	// artifact at acceptance, that artifact is its durability point, and
+	// the job holds a store pin on it (no LRU eviction) until it finishes.
+	// If the artifact leaves the index anyway — DELETE /v1/blobs, or a
+	// missing or corrupt blob — the job is journaled late, before it can
+	// execute.
+	journaled bool
+	pinned    bool
 }
 
 // arm (re)initializes the job's execution state: fresh done channel,
@@ -160,6 +170,7 @@ func (j *job) arm() {
 	j.val = nil
 	j.started, j.finished = time.Time{}, time.Time{}
 	j.elapsed = 0
+	j.journaled = false
 	j.done = make(chan struct{})
 	j.ctx, j.cancel = context.WithCancel(context.Background())
 }
@@ -189,10 +200,12 @@ type Options struct {
 	// single-flight + work stealing, DESIGN.md §13). Zero value: fleet
 	// mode off.
 	Fleet FleetConfig
-	// Journal is the durable job WAL (DESIGN.md §14): every accepted
-	// submission is fsynced to it before the client sees 202, and
-	// Server.Recover re-arms whatever it holds after a crash. nil: no
-	// crash durability (the default for embedded/test servers).
+	// Journal is the durable job WAL (DESIGN.md §14). An accepted
+	// submission is durable at its accepted record, fsynced before the
+	// client sees 202, or, when the store indexes its artifact at
+	// acceptance, at that artifact, with no record at all.
+	// Server.Recover re-arms whatever the journal holds after a crash.
+	// nil: no crash durability (the default for embedded/test servers).
 	Journal *Journal
 }
 
@@ -290,6 +303,7 @@ func (s *Server) Recover(pending []PendingJob) int {
 		}
 		j := &job{spec: sp, body: body}
 		j.arm()
+		j.journaled = s.jrnl != nil // its accepted record is what replay found
 		s.jobs[sp.Key()] = j
 		s.queued++
 		s.mu.Unlock()
@@ -414,7 +428,9 @@ func (s *Server) evictTerminalLocked(n int) {
 // cache on a repeated request". A failed or cancelled job re-arms: the
 // resubmit queues a fresh execution instead of serving the stale error.
 // Admission control: when the queue (or the ledger) is full the
-// submission is refused with 429 and a Retry-After hint.
+// submission is refused with 429 and a Retry-After hint. A new or
+// re-armed job whose artifact the store already indexes is acknowledged
+// without a journal record (see acceptLocked).
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	defer func() { s.mets.submitLat.Observe(time.Since(start).Seconds()) }()
@@ -440,26 +456,21 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		body = nil // only the fleet router forwards bodies; don't pin them
 	}
 	noProxy := r.Header.Get(proxyHeader) != ""
+	key := sp.Key()
 
 	s.mu.Lock()
 	s.pruneLocked(start)
-	if j, ok := s.jobs[sp.Key()]; ok {
+	if j, ok := s.jobs[key]; ok {
 		j.body, j.noProxy = body, j.noProxy || noProxy
 		if j.state == StateFailed || j.state == StateCancelled {
 			// Re-arm: the recorded failure may be transient (and the
 			// engine never caches errors), so a resubmit retries instead
 			// of serving the stale error until restart. Only the queue
 			// bound applies — the job is already a ledger entry.
-			if !s.admitLocked(w, false) {
+			if !s.admitLocked(w, false) || !s.acceptLocked(w, j, raw) {
 				s.mu.Unlock()
 				return
 			}
-			if !s.journalAcceptLocked(w, sp.Key(), raw) {
-				s.mu.Unlock()
-				return
-			}
-			j.arm()
-			s.queued++
 			st := s.status(j)
 			s.mu.Unlock()
 			go s.run(j)
@@ -474,18 +485,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, st)
 		return
 	}
-	if !s.admitLocked(w, true) {
-		s.mu.Unlock()
-		return
-	}
-	if !s.journalAcceptLocked(w, sp.Key(), raw) {
-		s.mu.Unlock()
-		return
-	}
 	j := &job{spec: sp, body: body, noProxy: noProxy}
-	j.arm()
-	s.jobs[sp.Key()] = j
-	s.queued++
+	if !s.admitLocked(w, true) || !s.acceptLocked(w, j, raw) {
+		s.mu.Unlock()
+		return
+	}
+	s.jobs[key] = j
 	st := s.status(j)
 	s.mu.Unlock()
 
@@ -519,23 +524,49 @@ func (s *Server) admitLocked(w http.ResponseWriter, newJob bool) bool {
 	return true
 }
 
-// journalAcceptLocked makes a submission durable before it is
-// acknowledged: the accepted record (with the verbatim body, which replay
-// resubmits) is fsynced while s.mu is held, so its WAL position is
-// ordered against the racing finish/resubmit records of the same key. If
-// the journal cannot take the record the submission is refused with 500 —
-// accepting un-journaled work would silently drop the crash-safety
-// contract. No-op without a journal.
-func (s *Server) journalAcceptLocked(w http.ResponseWriter, key string, body []byte) bool {
-	if s.jrnl == nil {
-		return true
+// acceptLocked makes an admitted submission durable before it is
+// acknowledged, then arms j and queues it. The accepted record (with the
+// verbatim body, which replay resubmits) is fsynced while s.mu is held,
+// so its WAL position is ordered against the racing finish/resubmit
+// records of the same key. If the journal cannot take the record the
+// submission is refused with 500 — accepting un-journaled work would
+// silently drop the crash-safety contract. When the store indexes the
+// artifact at acceptance, the artifact is the durability point instead (a
+// restart serves it without replaying anything): no record is written,
+// and j pins the artifact so the byte budget cannot evict it while j is
+// live. Without a journal nothing is written either way.
+func (s *Server) acceptLocked(w http.ResponseWriter, j *job, raw []byte) bool {
+	key := j.spec.Key()
+	stored := s.jrnl != nil && s.store != nil && s.store.Pin(key)
+	if s.jrnl != nil && !stored {
+		if err := s.jrnl.Accepted(key, raw); err != nil {
+			writeError(w, http.StatusInternalServerError, "journal submission: %v", err)
+			return false
+		}
 	}
-	if err := s.jrnl.Accepted(key, body); err != nil {
-		writeError(w, http.StatusInternalServerError, "journal submission: %v", err)
-		return false
+	j.arm()
+	j.journaled, j.pinned = s.jrnl != nil && !stored, stored
+	if stored {
+		s.mets.stored.Add(1)
 	}
-	s.mets.journaled.Add(1)
+	s.queued++
 	return true
+}
+
+// journalLateLocked journals a job acknowledged from the store whose
+// artifact has left the index: its accepted record, fsynced, carries the
+// re-encoded spec (replay decodes it to the same content key). Called
+// with s.mu held, like every other record of a live job.
+func (s *Server) journalLateLocked(j *job) error {
+	body, err := json.Marshal(j.spec)
+	if err == nil {
+		err = s.jrnl.Accepted(j.spec.Key(), body)
+	}
+	if err != nil {
+		return fmt.Errorf("journal submission: %w", err)
+	}
+	j.journaled = true
+	return nil
 }
 
 func (s *Server) run(j *job) {
@@ -558,12 +589,25 @@ func (s *Server) run(j *job) {
 	}
 	defer func() { <-s.sem }()
 
+	// A job acknowledged from the store whose artifact has since left the
+	// index (its pin keeps eviction away, but not a store-level delete or
+	// a missing or corrupt blob) must execute, so it becomes replayable
+	// first: its accepted record and fsync land before the execution
+	// starts.
+	key := j.spec.Key()
 	s.mu.Lock()
+	if j.pinned && !j.journaled && !s.indexed(key) {
+		if err := s.journalLateLocked(j); err != nil {
+			s.mu.Unlock()
+			s.finish(j, nil, err)
+			return
+		}
+	}
 	s.queued--
 	j.state = StateRunning
 	j.started = time.Now()
-	if s.jrnl != nil {
-		_ = s.jrnl.Started(j.spec.Key()) // best-effort: loss re-runs, never loses, the job
+	if j.journaled {
+		_ = s.jrnl.Started(key) // best-effort: loss re-runs, never loses, the job
 	}
 	s.mu.Unlock()
 
@@ -572,10 +616,8 @@ func (s *Server) run(j *job) {
 	// Once the artifact is safely persisted, the in-memory copy is
 	// redundant (handleArtifact prefers the store) — drop it so a
 	// long-running daemon's job ledger doesn't pin every result forever.
-	if err == nil && s.store != nil {
-		if _, _, ok := s.store.Raw(j.spec.Key()); ok {
-			val = nil
-		}
+	if err == nil && s.indexed(key) {
+		val = nil
 	}
 	s.finish(j, val, err)
 }
@@ -596,7 +638,9 @@ func (s *Server) routeToOwner(j *job) {
 	}
 	key := j.spec.Key()
 	owner := f.owner(key)
-	if owner == f.cfg.Self || s.localHit(key) {
+	// A live engine entry (done, or in flight: joining it is
+	// single-flight) or an indexed local artifact is served here.
+	if owner == f.cfg.Self || s.eng.HasCached(key) || s.indexed(key) {
 		return
 	}
 	depth, derr := f.queueDepth(j.ctx, owner)
@@ -612,19 +656,14 @@ func (s *Server) routeToOwner(j *job) {
 	f.steals.Add(1)
 }
 
-// localHit reports whether key can be served without executing or
-// proxying: a live engine cache entry (done, or in flight — joining it is
-// single-flight) or an indexed local artifact.
-func (s *Server) localHit(key string) bool {
-	if s.eng.HasCached(key) {
-		return true
+// indexed reports whether the local store's index holds key's artifact,
+// without reading it.
+func (s *Server) indexed(key string) bool {
+	if s.store == nil {
+		return false
 	}
-	if s.store != nil {
-		if _, ok := s.store.StatKey(key); ok {
-			return true
-		}
-	}
-	return false
+	_, ok := s.store.StatKey(key)
+	return ok
 }
 
 // finish moves a job to its terminal state and wakes the waiters.
@@ -638,6 +677,10 @@ func (s *Server) finish(j *job, val any, err error) {
 	}
 	j.finished = now
 	j.val = val
+	if j.pinned {
+		s.store.Unpin(j.spec.Key())
+		j.pinned = false
+	}
 	switch {
 	case err == nil:
 		j.state = StateDone
@@ -655,7 +698,7 @@ func (s *Server) finish(j *job, val any, err error) {
 	// resubmit journals its accepted record under the same lock, so
 	// appending after unlock could order "failed" AFTER the re-arm's
 	// "accepted" and make replay drop a live job.
-	if s.jrnl != nil {
+	if j.journaled {
 		switch j.state {
 		case StateDone:
 			_ = s.jrnl.Done(j.spec.Key())
@@ -973,11 +1016,26 @@ func (s *Server) handleBlobDelete(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no artifact store")
 		return
 	}
-	if !s.store.DeleteKey(r.PathValue("key")) {
-		writeError(w, http.StatusNotFound, "no artifact for %q", r.PathValue("key"))
-		return
+	key := r.PathValue("key")
+	// A live job acknowledged from the store has this artifact as its
+	// durability point, so it is journaled before the artifact goes. s.mu
+	// is held through the delete: no resubmit can be acknowledged from the
+	// store in between.
+	s.mu.Lock()
+	var err error
+	if j, ok := s.jobs[key]; ok && j.pinned && !j.journaled {
+		err = s.journalLateLocked(j)
 	}
-	w.WriteHeader(http.StatusNoContent)
+	deleted := err == nil && s.store.DeleteKey(key)
+	s.mu.Unlock()
+	switch {
+	case err != nil:
+		writeError(w, http.StatusInternalServerError, "%v", err)
+	case !deleted:
+		writeError(w, http.StatusNotFound, "no artifact for %q", key)
+	default:
+		w.WriteHeader(http.StatusNoContent)
+	}
 }
 
 func (s *Server) handleKinds(w http.ResponseWriter, _ *http.Request) {
@@ -1031,6 +1089,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
 	if s.jrnl != nil {
 		js := s.jrnl.Stats()
 		js.Recovered = s.mets.recovered.Load() // jobs actually re-armed, not just replayed
+		js.Stored = s.mets.stored.Load()
 		st["journal"] = js
 	}
 	if s.fleet != nil {
@@ -1100,6 +1159,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		promCounter(w, "labd_journal_records_total", "job journal records appended", js.Records)
 		promCounter(w, "labd_journal_syncs_total", "job journal fsyncs (one per durable acceptance)", js.Syncs)
 		promCounter(w, "labd_journal_recovered_total", "journaled jobs re-armed after restart", s.mets.recovered.Load())
+		promCounter(w, "labd_submits_stored_total", "submissions acknowledged from the artifact store without a journal record", s.mets.stored.Load())
 	}
 	s.mets.submitLat.writeProm(w, "labd_submit_latency_seconds", "POST /v1/specs handler latency")
 	s.mets.waitLat.writeProm(w, "labd_wait_latency_seconds", "successful /v1/jobs/{key}/wait latency")
