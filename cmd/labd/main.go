@@ -10,7 +10,7 @@
 //	labd [-addr :8080] [-store DIR] [-store-max-mb N] [-workers N]
 //	     [-max-queue N] [-job-ttl D] [-max-jobs N]
 //	     [-journal PATH|auto|off] [-progress-every N] [-faultpoints SCHED]
-//	     [-self URL -peers URL,URL,...] [-steal-depth N] [-peer-fetch-timeout D]
+//	     [-self URL -peers URL,URL,...] [-peer-fetch-timeout D]
 //
 // Crash safety (DESIGN.md §14): with a store, labd keeps a durable job
 // journal (default <store>/journal.wal). An accepted submission is
@@ -18,17 +18,19 @@
 // store already indexes its artifact, at that artifact; a restarted
 // daemon re-arms and re-runs whatever was journaled but unfinished.
 // Long co-run cells additionally checkpoint mid-run progress into the
-// store every -progress-every measured quanta, so a crash, cancellation
-// or fleet steal resumes from the last paid-for quantum instead of
-// starting over. -faultpoints arms deterministic crash sites (SIGKILL at
-// the Nth hit) for the chaos harness; never set it in production.
+// store every -progress-every measured quanta, so a crash, a cancellation,
+// or the same spec submitted to another fleet node resumes from the last
+// paid-for quantum instead of starting over. -faultpoints arms
+// deterministic crash sites (SIGKILL at the Nth hit) for the chaos
+// harness; never set it in production.
 //
-// Fleet mode (-self + -peers, DESIGN.md §13): nodes share one static
-// peer list, agree on a rendezvous-hashed owner per spec key (non-owners
-// proxy-wait on the owner, or steal the work when the owner's queue
-// exceeds -steal-depth or the owner is dead), and serve each other's
-// artifacts over an integrity-verified peer fetch tier — a checkpoint
-// warmed anywhere in the fleet is paid for once. Requires -store.
+// Fleet mode (-self + -peers, DESIGN.md §13): nodes serve each other's
+// artifacts over an integrity-verified peer fetch tier, so a result or
+// checkpoint stored anywhere in the fleet is not recomputed. Every node
+// may take the same -peers list; its own -self entry is dropped from it.
+// Each node executes locally whatever no peer holds yet: a spec submitted
+// to several nodes at once can run once per node, sequential submissions
+// run once fleet-wide. Requires -store.
 //
 // API:
 //
@@ -94,9 +96,8 @@ func main() {
 		maxJobs  = flag.Int("max-jobs", 0, "job ledger cap (0 = default 16384, negative = unbounded)")
 		printCfg = flag.Bool("print-default-cfg", false, "print the default warm.Config as JSON and exit")
 
-		self         = flag.String("self", "", "fleet mode: this node's advertised base URL (must appear in every peer's -peers)")
+		self         = flag.String("self", "", "fleet mode: this node's advertised base URL (dropped from -peers)")
 		peers        = flag.String("peers", "", "fleet mode: comma-separated peer base URLs")
-		stealDepth   = flag.Int("steal-depth", 0, "owner queue depth above which non-owners steal work (0 = default 4, negative = never)")
 		fetchTimeout = flag.Duration("peer-fetch-timeout", 0, "per-attempt peer artifact fetch timeout (0 = default 5s)")
 
 		journalPath   = flag.String("journal", "auto", "durable job journal WAL path (auto = <store>/journal.wal when -store is set, off = disable)")
@@ -126,8 +127,8 @@ func main() {
 			peerList = append(peerList, p)
 		}
 	}
-	fleet := lab.FleetConfig{Self: *self, Peers: peerList, StealDepth: *stealDepth}
-	if (len(peerList) > 0) != (*self != "") {
+	fleet := len(peerList) > 0
+	if fleet != (*self != "") {
 		fatal(fmt.Errorf("fleet mode needs both -self and -peers"))
 	}
 
@@ -136,8 +137,8 @@ func main() {
 		store *artifact.Store
 		err   error
 	)
-	if fleet.Enabled() {
-		eng, store, err = lab.NewFleetEngine(*workers, *storeDir, *storeMax<<20, peerList, *fetchTimeout)
+	if fleet {
+		eng, store, err = lab.NewFleetEngine(*workers, *storeDir, *storeMax<<20, *self, peerList, *fetchTimeout)
 	} else {
 		eng, store, err = lab.NewEngine(*workers, *storeDir, *storeMax<<20)
 	}
@@ -168,8 +169,7 @@ func main() {
 	}
 
 	labSrv := lab.NewServerOpts(eng, store, lab.Options{
-		MaxQueue: *maxQueue, JobTTL: *jobTTL, MaxJobs: *maxJobs, Fleet: fleet,
-		Journal: jrnl,
+		MaxQueue: *maxQueue, JobTTL: *jobTTL, MaxJobs: *maxJobs, Journal: jrnl,
 	})
 	if n := labSrv.Recover(pending); n > 0 {
 		fmt.Fprintf(os.Stderr, "labd: recovered %d journaled job(s)\n", n)
@@ -192,8 +192,8 @@ func main() {
 	if jrnl != nil {
 		where += ", journal on"
 	}
-	if fleet.Enabled() {
-		where += fmt.Sprintf(", fleet of %d peers", len(peerList))
+	if fleet {
+		where += fmt.Sprintf(", fleet of %d peers", len(store.Peers().PeerURLs()))
 	}
 	// Listen before announcing so the printed address is the resolved one
 	// (with -addr :0 the kernel picks the port; the chaos harness parses

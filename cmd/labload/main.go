@@ -7,8 +7,8 @@
 //
 // With a comma-separated -addr list it drives a multi-node fleet:
 // requests round-robin across the nodes and the report adds aggregate
-// throughput plus the fleet-wide counter movement (executions, peer
-// fetches, proxies, steals) scraped from every node's /v1/status.
+// throughput plus the fleet-wide counter movement (executions and peer
+// fetches) scraped from every node's /v1/status.
 //
 // Usage:
 //
@@ -68,8 +68,8 @@ func main() {
 		fmt.Printf("  wait latency:   p50 %.2f ms, p99 %.2f ms\n", rep.WaitP50Ms, rep.WaitP99Ms)
 		fmt.Printf("  aggregate: %d node(s), %.0f req/s\n", rep.Nodes, rep.ThroughputRPS)
 		if f := rep.Fleet; f != nil {
-			fmt.Printf("  fleet: %d executions, peer fetch %d hit / %d miss / %d err, %d proxied, %d steals\n",
-				f.Executions, f.PeerFetchHits, f.PeerFetchMisses, f.PeerFetchErrors, f.Proxied, f.Steals)
+			fmt.Printf("  fleet: %d executions, peer fetch %d hit / %d miss / %d err\n",
+				f.Executions, f.PeerFetchHits, f.PeerFetchMisses, f.PeerFetchErrors)
 		}
 	}
 

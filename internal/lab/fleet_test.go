@@ -5,13 +5,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"path/filepath"
-	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/lab"
-	"repro/internal/runner"
 	"repro/internal/spec"
 )
 
@@ -61,22 +61,15 @@ func waitDoneURL(t *testing.T, base, key string) {
 	}
 }
 
-// specOwnedBy searches labtest IDs until one's key rendezvous-hashes to
-// the wanted node — how the tests pin which fleet member owns a job.
-func specOwnedBy(t *testing.T, nodes []string, owner, prefix string) (body []byte, key string) {
+// labtestSpec encodes the labtest spec with the given ID.
+func labtestSpec(t *testing.T, id string) (body []byte, key string) {
 	t.Helper()
-	for i := 0; i < 4096; i++ {
-		sp := spec.MustNew(testParams{ID: fmt.Sprintf("%s-%d", prefix, i)})
-		if lab.RendezvousOwner(nodes, sp.Key()) == owner {
-			b, err := json.Marshal(sp)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return b, sp.Key()
-		}
+	sp := spec.MustNew(testParams{ID: id})
+	b, err := json.Marshal(sp)
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Fatalf("no labtest spec owned by %s in 4096 tries", owner)
-	return nil, ""
+	return b, sp.Key()
 }
 
 func fleetStatus(t *testing.T, base string) (executions uint64, stats lab.FleetStats) {
@@ -99,55 +92,14 @@ func fleetStatus(t *testing.T, base string) (executions uint64, stats lab.FleetS
 	return st.Executions, *st.Fleet
 }
 
-// TestRendezvousOwner pins the ownership function's three load-bearing
-// properties: determinism independent of candidate order, a roughly even
-// key distribution, and minimal disruption — removing one node reassigns
-// only that node's keys.
-func TestRendezvousOwner(t *testing.T) {
-	nodes := []string{"http://n1:8080", "http://n2:8080", "http://n3:8080"}
-	reversed := []string{nodes[2], nodes[1], nodes[0]}
-
-	counts := map[string]int{}
-	owners := map[string]string{}
-	const keys = 300
-	for i := 0; i < keys; i++ {
-		k := fmt.Sprintf("%064x", i*7919)
-		o := lab.RendezvousOwner(nodes, k)
-		if ro := lab.RendezvousOwner(reversed, k); ro != o {
-			t.Fatalf("owner depends on candidate order: %s vs %s", o, ro)
-		}
-		counts[o]++
-		owners[k] = o
-	}
-	for _, n := range nodes {
-		if counts[n] < keys/10 {
-			t.Errorf("node %s owns %d/%d keys — distribution badly skewed", n, counts[n], keys)
-		}
-	}
-
-	// Drop n2: every key n2 did not own must keep its owner.
-	survivors := []string{nodes[0], nodes[2]}
-	for k, o := range owners {
-		no := lab.RendezvousOwner(survivors, k)
-		if o != nodes[1] && no != o {
-			t.Fatalf("removing %s moved key owned by %s to %s", nodes[1], o, no)
-		}
-		if o == nodes[1] && no == nodes[1] {
-			t.Fatal("removed node still owns a key")
-		}
-	}
-}
-
 // TestFleetExactlyOnce: the same spec submitted to every node of a fleet
-// executes exactly once, on its rendezvous owner; the other nodes proxy
-// and pull the artifact over the peer tier.
+// in turn executes exactly once, on the first node; the later nodes pull
+// the artifact over the peer tier.
 func TestFleetExactlyOnce(t *testing.T) {
 	fl := startFleet(t, 3, lab.LocalFleetOptions{Workers: 1})
 	urls := fl.URLs()
-	owner := urls[1]
-	body, key := specOwnedBy(t, urls, owner, "exactly-once")
+	body, key := labtestSpec(t, "exactly-once")
 
-	// Non-owners first: both must route to the owner, not execute.
 	for _, u := range []string{urls[0], urls[2], urls[1]} {
 		st := postSpecURL(t, u, body)
 		if st.Key != key {
@@ -159,102 +111,24 @@ func TestFleetExactlyOnce(t *testing.T) {
 	if got := fl.Executions(); got != 1 {
 		t.Fatalf("fleet executed the spec %d times, want exactly 1", got)
 	}
-	for i, n := range fl.Nodes {
-		want := uint64(0)
-		if urls[i] == owner {
-			want = 1
-		}
-		if got := n.Engine.Executions(); got != want {
-			t.Errorf("node %d (%s): %d executions, want %d", i, urls[i], got, want)
-		}
-	}
 
-	// The artifact reached the non-owners through the peer fetch tier and
-	// is now pinned in their local stores.
+	// The artifact reached the later nodes through the peer fetch tier and
+	// is now in their local stores.
 	var peerHits uint64
-	for i, n := range fl.Nodes {
-		if urls[i] == owner {
-			continue
-		}
+	for i, n := range fl.Nodes[1:] {
 		if _, ok := n.Store.StatKey(key); !ok {
-			t.Errorf("node %d missing the artifact locally after proxying", i)
+			t.Errorf("node %d missing the artifact locally after its submission", i+1)
 		}
 		peerHits += n.Store.Peers().Stats().Hits
 	}
 	if peerHits == 0 {
 		t.Error("no peer fetch hits — artifact did not travel the peer tier")
 	}
-	_, stats := fleetStatus(t, urls[0])
-	if stats.Proxied == 0 {
-		t.Errorf("node 0 fleet stats show no proxied jobs: %+v", stats)
-	}
-}
-
-// TestFleetStealsWhenOwnerBusy: once the owner's queue is deeper than
-// StealDepth, a non-owner stops proxying and executes locally — latency
-// over strict single-flight.
-func TestFleetStealsWhenOwnerBusy(t *testing.T) {
-	fl := startFleet(t, 2, lab.LocalFleetOptions{
-		Workers: 1,
-		Opts:    lab.Options{Fleet: lab.FleetConfig{StealDepth: 1}},
-	})
-	urls := fl.URLs()
-	owner, other := urls[0], urls[1]
-
-	// Saturate the owner: one running blocker plus two queued ones, all
-	// rendezvous-owned by it so they execute where submitted.
-	release := make(chan struct{})
-	releaseOnce := sync.OnceFunc(func() { close(release) })
-	defer releaseOnce()
-	var blockKeys []string
-	for i := 0; i < 3; i++ {
-		body, bkey := specOwnedBy(t, urls, owner, fmt.Sprintf("steal-block-%d", i))
-		blockKeys = append(blockKeys, bkey)
-		var wire struct {
-			Params testParams `json:"params"`
-		}
-		if err := json.Unmarshal(body, &wire); err != nil {
-			t.Fatal(err)
-		}
-		testBehaviors.Store(wire.Params.ID, func(sub runner.Sub) (any, error) {
-			select {
-			case <-release:
-				return "ok", nil
-			case <-sub.Context().Done():
-				return nil, sub.Context().Err()
-			}
-		})
-		postSpecURL(t, owner, body)
-	}
-
-	// Owner queue depth is now 2 (> StealDepth 1): a non-owned submission
-	// to the other node must be stolen, not proxied.
-	body, key := specOwnedBy(t, urls, owner, "steal-victim")
-	st := postSpecURL(t, other, body)
-	waitDoneURL(t, other, st.Key)
-	if st.Key != key {
-		t.Fatalf("ledger key %s, want %s", st.Key, key)
-	}
-
-	if got := fl.Nodes[1].Engine.Executions(); got != 1 {
-		t.Errorf("stealing node executed %d jobs, want 1", got)
-	}
-	_, stats := fleetStatus(t, other)
-	if stats.Steals == 0 {
-		t.Errorf("no steal recorded: %+v", stats)
-	}
-
-	// Drain the blockers so their artifact writes finish before TempDir
-	// cleanup tears the stores down.
-	releaseOnce()
-	for _, k := range blockKeys {
-		waitDoneURL(t, owner, k)
-	}
 }
 
 // TestFleetDeadPeerFailover: killing a node mid-matrix must degrade to
 // local recomputation on the survivors — never to a failed job — even for
-// work the dead node owned and had already computed.
+// work the dead node had already computed.
 func TestFleetDeadPeerFailover(t *testing.T) {
 	fl := startFleet(t, 3, lab.LocalFleetOptions{
 		Workers:      1,
@@ -262,14 +136,14 @@ func TestFleetDeadPeerFailover(t *testing.T) {
 	})
 	urls := fl.URLs()
 
-	// Warm a job on node 2 (its owner), then kill node 2.
-	warmBody, warmKey := specOwnedBy(t, urls, urls[2], "dead-warm")
+	// Warm a job on node 2, then kill node 2.
+	warmBody, warmKey := labtestSpec(t, "dead-warm")
 	st := postSpecURL(t, urls[2], warmBody)
 	waitDoneURL(t, urls[2], st.Key)
 	fl.Kill(2)
 
-	// The survivors can neither proxy to the dead owner nor fetch its
-	// artifact: the job must re-execute locally and still succeed.
+	// The survivors cannot fetch the dead node's artifact: the job must
+	// re-execute locally and still succeed.
 	st = postSpecURL(t, urls[0], warmBody)
 	waitDoneURL(t, urls[0], st.Key)
 	if st.Key != warmKey {
@@ -279,15 +153,12 @@ func TestFleetDeadPeerFailover(t *testing.T) {
 		t.Errorf("survivor executed %d jobs, want 1 (local recompute)", got)
 	}
 	_, stats := fleetStatus(t, urls[0])
-	if stats.Steals == 0 {
-		t.Errorf("dead-owner fallback not recorded as a steal: %+v", stats)
-	}
 	if stats.PeerFetch.Errors == 0 && stats.PeerFetch.Misses == 0 {
 		t.Errorf("peer tier recorded no failed fetch against the dead node: %+v", stats.PeerFetch)
 	}
 
-	// Fresh work owned by the dead node also lands on a survivor.
-	coldBody, coldKey := specOwnedBy(t, urls, urls[2], "dead-cold")
+	// Fresh work also completes on a survivor.
+	coldBody, coldKey := labtestSpec(t, "dead-cold")
 	st = postSpecURL(t, urls[1], coldBody)
 	waitDoneURL(t, urls[1], st.Key)
 	if st.Key != coldKey {
@@ -340,7 +211,7 @@ func TestFleetMetrics(t *testing.T) {
 	fl := startFleet(t, 2, lab.LocalFleetOptions{Workers: 1})
 	urls := fl.URLs()
 
-	body, _ := specOwnedBy(t, urls, urls[1], "fleet-metrics")
+	body, _ := labtestSpec(t, "fleet-metrics")
 	st := postSpecURL(t, urls[0], body)
 	waitDoneURL(t, urls[0], st.Key)
 
@@ -358,21 +229,20 @@ func TestFleetMetrics(t *testing.T) {
 			t.Errorf("/metrics missing %s", name)
 		}
 	}
-	if !bytes.Contains(page.Bytes(), []byte("labd_fleet_proxied_total 1")) {
-		t.Errorf("/metrics did not record the proxied job:\n%s", page.String())
-	}
-
 	execs, stats := fleetStatus(t, urls[0])
-	if stats.Self != urls[0] || len(stats.Peers) != 1 || stats.Peers[0] != urls[1] {
+	if len(stats.Peers) != 1 || stats.Peers[0] != urls[1] {
 		t.Errorf("fleet status peers wrong: %+v", stats)
 	}
-	if execs != 0 {
-		t.Errorf("proxying node reports %d executions, want 0", execs)
+	if execs != 1 {
+		t.Errorf("node reports %d executions, want 1", execs)
 	}
 }
 
 // TestRunLoadFleet: the load generator drives a multi-node fleet,
 // reporting aggregate throughput and the fleet-wide counter movement.
+// Concurrent submissions of one key to different nodes may each execute
+// it, so the bound is per node: each node runs every unique spec at most
+// once, and the fleet runs each at least once.
 func TestRunLoadFleet(t *testing.T) {
 	fl := startFleet(t, 3, lab.LocalFleetOptions{Workers: 1})
 
@@ -405,10 +275,56 @@ func TestRunLoadFleet(t *testing.T) {
 	if rep.Fleet == nil {
 		t.Fatal("fleet totals missing from a fleet load report")
 	}
-	if rep.Fleet.Executions != unique {
-		t.Errorf("fleet executed %d specs for %d unique bodies", rep.Fleet.Executions, unique)
+	if got := fl.Executions(); rep.Fleet.Executions != got {
+		t.Errorf("load report counts %d executions, engines %d", rep.Fleet.Executions, got)
 	}
-	if got := fl.Executions(); got != unique {
-		t.Errorf("engines report %d executions, want %d", got, unique)
+	if got := fl.Executions(); got < unique {
+		t.Errorf("fleet executed %d specs for %d unique bodies", got, unique)
+	}
+	for i, n := range fl.Nodes {
+		if got := n.Engine.Executions(); got > unique {
+			t.Errorf("node %d executed %d specs for %d unique bodies", i, got, unique)
+		}
+	}
+}
+
+// TestFleetPeersExcludeSelf: every node may take the same -peers list,
+// its own URL included. The node drops itself from its peer tier, so a
+// local miss asks only the other nodes and never sends a request to
+// itself.
+func TestFleetPeersExcludeSelf(t *testing.T) {
+	var selfHits, otherHits atomic.Int64
+	self := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		selfHits.Add(1)
+		http.NotFound(w, nil)
+	}))
+	defer self.Close()
+	other := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		otherHits.Add(1)
+		http.NotFound(w, nil)
+	}))
+	defer other.Close()
+
+	// -self given with a trailing slash, -peers without: the comparison is
+	// on normalized URLs.
+	eng, st, err := lab.NewFleetEngine(1, t.TempDir(), 0, self.URL+"/", []string{self.URL, other.URL}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := st.Peers().Stats().Peers; len(got) != 1 || got[0] != other.URL {
+		t.Fatalf("peer tier = %v, want only %s", got, other.URL)
+	}
+
+	if _, err := eng.RunSpec(spec.MustNew(testParams{ID: "self-miss"})); err != nil {
+		t.Fatal(err)
+	}
+	if n := selfHits.Load(); n != 0 {
+		t.Errorf("a local miss sent %d requests to the node itself", n)
+	}
+	if n := otherHits.Load(); n == 0 {
+		t.Error("a local miss never asked the other peer")
+	}
+	if ps := st.Peers().Stats(); ps.Misses != 1 || ps.Errors != 0 {
+		t.Errorf("peer stats after one miss: %+v", ps)
 	}
 }

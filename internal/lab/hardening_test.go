@@ -446,9 +446,6 @@ var storeMetricsInventory = []string{
 // must serve; single-node servers rightly omit it (TestFleetMetrics).
 var fleetMetricsInventory = []string{
 	"labd_fleet_peers",
-	"labd_fleet_proxied_total",
-	"labd_fleet_proxy_errors_total",
-	"labd_fleet_steals_total",
 	"labd_peer_fetch_hits_total",
 	"labd_peer_fetch_misses_total",
 	"labd_peer_fetch_errors_total",

@@ -109,9 +109,6 @@ type FleetLoadTotals struct {
 	PeerFetchHits   uint64 `json:"peer_fetch_hits"`
 	PeerFetchMisses uint64 `json:"peer_fetch_misses"`
 	PeerFetchErrors uint64 `json:"peer_fetch_errors"`
-	Proxied         uint64 `json:"proxied"`
-	ProxyErrors     uint64 `json:"proxy_errors"`
-	Steals          uint64 `json:"steals"`
 }
 
 // LoadSpecs builds n distinct, cheap-but-real sampling specs (one region,
@@ -212,9 +209,6 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 			PeerFetchHits:   after.PeerFetchHits - before.PeerFetchHits,
 			PeerFetchMisses: after.PeerFetchMisses - before.PeerFetchMisses,
 			PeerFetchErrors: after.PeerFetchErrors - before.PeerFetchErrors,
-			Proxied:         after.Proxied - before.Proxied,
-			ProxyErrors:     after.ProxyErrors - before.ProxyErrors,
-			Steals:          after.Steals - before.Steals,
 		}
 	}
 	return rep, nil
@@ -233,17 +227,8 @@ func scrapeFleet(cfg LoadConfig) *FleetLoadTotals {
 			continue
 		}
 		var st struct {
-			Executions uint64 `json:"executions"`
-			Fleet      *struct {
-				Proxied     uint64 `json:"proxied"`
-				ProxyErrors uint64 `json:"proxy_errors"`
-				Steals      uint64 `json:"steals"`
-				PeerFetch   struct {
-					Hits   uint64 `json:"hits"`
-					Misses uint64 `json:"misses"`
-					Errors uint64 `json:"errors"`
-				} `json:"peer_fetch"`
-			} `json:"fleet"`
+			Executions uint64      `json:"executions"`
+			Fleet      *FleetStats `json:"fleet"`
 		}
 		err = json.NewDecoder(resp.Body).Decode(&st)
 		resp.Body.Close()
@@ -253,9 +238,6 @@ func scrapeFleet(cfg LoadConfig) *FleetLoadTotals {
 		tot.Executions += st.Executions
 		if st.Fleet != nil {
 			anyFleet = true
-			tot.Proxied += st.Fleet.Proxied
-			tot.ProxyErrors += st.Fleet.ProxyErrors
-			tot.Steals += st.Fleet.Steals
 			tot.PeerFetchHits += st.Fleet.PeerFetch.Hits
 			tot.PeerFetchMisses += st.Fleet.PeerFetch.Misses
 			tot.PeerFetchErrors += st.Fleet.PeerFetch.Errors

@@ -11,7 +11,8 @@ import (
 )
 
 // LocalFleet boots n in-process labd nodes on loopback listeners, wired
-// into one static fleet (every node's peer list is the other n-1). It is
+// into one static fleet (every node gets the same peer list, all n URLs,
+// as labd's -peers would be; NewFleetEngine drops each node's own). It is
 // the harness behind the fleet perf scenario and the fleet tests; the CI
 // fleet-smoke job does the same thing with real labd processes.
 type LocalFleet struct {
@@ -20,7 +21,7 @@ type LocalFleet struct {
 
 // LocalNode is one in-process fleet member with its engine and store
 // exposed so callers can read the per-node execution and cache counters
-// the zero-duplicate invariant sums.
+// the fleet's execution checks sum.
 type LocalNode struct {
 	URL    string
 	Engine *runner.Engine
@@ -42,14 +43,12 @@ type LocalFleetOptions struct {
 	StoreMaxBytes int64
 	// FetchTimeout bounds each peer artifact fetch attempt (0: default).
 	FetchTimeout time.Duration
-	// Service options applied to every node; the Fleet field is
-	// overwritten per node.
+	// Service options applied to every node.
 	Opts Options
 }
 
 // StartLocalFleet starts the fleet. Listeners are bound first so every
-// node knows the full URL set before any server starts — the rendezvous
-// candidate list must be identical everywhere.
+// node knows the full URL set before any server starts.
 func StartLocalFleet(n int, o LocalFleetOptions) (*LocalFleet, error) {
 	if o.StoreDir == nil {
 		return nil, fmt.Errorf("lab: LocalFleetOptions.StoreDir is required")
@@ -67,13 +66,7 @@ func StartLocalFleet(n int, o LocalFleetOptions) (*LocalFleet, error) {
 		urls[i] = "http://" + ln.Addr().String()
 	}
 	for i := 0; i < n; i++ {
-		peers := make([]string, 0, n-1)
-		for j, u := range urls {
-			if j != i {
-				peers = append(peers, u)
-			}
-		}
-		eng, st, err := NewFleetEngine(o.Workers, o.StoreDir(i), o.StoreMaxBytes, peers, o.FetchTimeout)
+		eng, st, err := NewFleetEngine(o.Workers, o.StoreDir(i), o.StoreMaxBytes, urls[i], urls, o.FetchTimeout)
 		if err != nil {
 			for _, ln := range lns {
 				ln.Close()
@@ -81,9 +74,7 @@ func StartLocalFleet(n int, o LocalFleetOptions) (*LocalFleet, error) {
 			f.Close()
 			return nil, err
 		}
-		opts := o.Opts
-		opts.Fleet = FleetConfig{Self: urls[i], Peers: peers, StealDepth: o.Opts.Fleet.StealDepth}
-		sv := NewServerOpts(eng, st, opts)
+		sv := NewServerOpts(eng, st, o.Opts)
 		node := &LocalNode{URL: urls[i], Engine: eng, Store: st, Server: sv,
 			srv: &http.Server{Handler: sv.Handler()}, ln: lns[i]}
 		f.Nodes = append(f.Nodes, node)
@@ -102,7 +93,7 @@ func (f *LocalFleet) URLs() []string {
 }
 
 // Executions sums the per-node engine execution counters — the left-hand
-// side of the fleet's zero-duplicate invariant. Killed nodes still count:
+// side of the fleet's execution checks. Killed nodes still count:
 // their past executions happened.
 func (f *LocalFleet) Executions() uint64 {
 	var sum uint64

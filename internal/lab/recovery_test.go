@@ -66,7 +66,7 @@ func TestSubmitIsJournaledDurably(t *testing.T) {
 // boundary with a 400 — before the journal records it — so it can never
 // become a pending job that crashes every restart.
 func TestInvalidConfigRejectedBeforeJournal(t *testing.T) {
-	assertRejectedBeforeJournal(t, shortSpec(t), func(cfg map[string]any) { cfg["Scale"] = 0 }, "Scale")
+	assertRejectedBeforeJournal(t, shortSpec(t), func(p map[string]any) { cfgOf(p)["Scale"] = 0 }, "Scale")
 }
 
 // TestInvalidCPURejectedBeforeJournal: a dse-sweep spec with a zero-entry
@@ -84,14 +84,54 @@ func TestInvalidCPURejectedBeforeJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertRejectedBeforeJournal(t, body, func(cfg map[string]any) { cfg["CPU"].(map[string]any)["ROB"] = 0 }, "ROB")
+	assertRejectedBeforeJournal(t, body, func(p map[string]any) { cfgOf(p)["CPU"].(map[string]any)["ROB"] = 0 }, "ROB")
 }
 
+// TestHugeLLCRejectedBeforeJournal: an LLC request above warm.MaxLLCBytes
+// once scaled would size the cache's tag and age arrays into an
+// out-of-memory kill, which the journal would re-arm on every restart.
+// Every kind must refuse it at the boundary.
+func TestHugeLLCRejectedBeforeJournal(t *testing.T) {
+	cfg := warm.DefaultConfig()
+	cfg.Regions = 1
+	cfg.PaperGap = 400_000
+	cfg.Scale = 1
+	cfg.VicinityEvery = 5_000
+	mcf := spec.BenchRef{Name: "mcf"}
+	mix := []spec.BenchRef{{Name: "omnetpp"}, {Name: "hmmer"}}
+	hugeLLC := func(p map[string]any) { cfgOf(p)["LLCPaperBytes"] = uint64(4 << 30) }
+	cases := []struct {
+		params spec.Params
+		edit   func(map[string]any)
+		field  string
+	}{
+		{spec.SamplingParams{Bench: mcf, Method: spec.MethodDeLorean, Cfg: cfg}, hugeLLC, "LLCPaperBytes"},
+		{spec.DSESweepParams{Bench: mcf, Sizes: []uint64{1 << 20, 4 << 20}, Cfg: cfg},
+			func(p map[string]any) { p["sizes"].([]any)[1] = uint64(1<<30 + 1) }, "sizes[1]"},
+		{spec.CoRunProfileParams{Bench: mcf, Cfg: cfg}, hugeLLC, "LLCPaperBytes"},
+		{spec.CoRunCalParams{Bench: mcf, Cfg: cfg}, hugeLLC, "LLCPaperBytes"},
+		{spec.CoRunWarmParams{Mix: "omnetpp+hmmer", Apps: mix, Cfg: cfg}, hugeLLC, "LLCPaperBytes"},
+		{spec.CoRunSimParams{Mix: "omnetpp+hmmer", Apps: mix, Cfg: cfg}, hugeLLC, "LLCPaperBytes"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.params.Kind(), func(t *testing.T) {
+			body, err := json.Marshal(spec.MustNew(tc.params))
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertRejectedBeforeJournal(t, body, tc.edit, tc.field)
+		})
+	}
+}
+
+// cfgOf returns a decoded spec's params' cfg object.
+func cfgOf(params map[string]any) map[string]any { return params["cfg"].(map[string]any) }
+
 // assertRejectedBeforeJournal POSTs the spec body with edit applied to its
-// cfg to a journaled server and checks the rejection contract: a 400 that
+// params to a journaled server and checks the rejection contract: a 400 that
 // names field, no journal record, no execution, nothing re-armed on
 // restart.
-func assertRejectedBeforeJournal(t *testing.T, specJSON []byte, edit func(cfg map[string]any), field string) {
+func assertRejectedBeforeJournal(t *testing.T, specJSON []byte, edit func(params map[string]any), field string) {
 	t.Helper()
 	dir := t.TempDir()
 	jpath := filepath.Join(dir, "journal.wal")
@@ -113,7 +153,7 @@ func assertRejectedBeforeJournal(t *testing.T, specJSON []byte, edit func(cfg ma
 	if err := json.Unmarshal(specJSON, &wire); err != nil {
 		t.Fatal(err)
 	}
-	edit(wire.Params["cfg"].(map[string]any))
+	edit(wire.Params)
 	body, err := json.Marshal(wire)
 	if err != nil {
 		t.Fatal(err)

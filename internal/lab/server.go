@@ -54,13 +54,16 @@ func NewEngine(workers int, storeDir string, storeMaxBytes int64) (*runner.Engin
 	return eng, st, nil
 }
 
-// NewFleetEngine is NewEngine plus the fleet's artifact tier: the store
-// gets a peer-HTTP read-through backend over the given base URLs, so a
-// local miss is retried against the fleet (integrity re-verified, then
-// persisted locally) before the engine recomputes. Fleet mode requires a
-// store — the peer tier is an artifact tier, and a node with nothing to
-// serve would be a freeloader that also re-executes everything.
-func NewFleetEngine(workers int, storeDir string, storeMaxBytes int64, peers []string, fetchTimeout time.Duration) (*runner.Engine, *artifact.Store, error) {
+// NewFleetEngine is NewEngine plus the fleet's artifact tier, the only
+// thing fleet nodes share (DESIGN.md §13): the store gets a peer-HTTP
+// read-through backend over the given base URLs, so a local miss is
+// retried against the fleet (integrity re-verified, then persisted
+// locally) before the engine recomputes. Every node may be given the same
+// peer list: self, this node's own base URL, is dropped from it, so a
+// miss never asks the node itself. Fleet mode requires a store — the peer
+// tier is an artifact tier, and a node with nothing to serve would be a
+// freeloader that also re-executes everything.
+func NewFleetEngine(workers int, storeDir string, storeMaxBytes int64, self string, peers []string, fetchTimeout time.Duration) (*runner.Engine, *artifact.Store, error) {
 	if storeDir == "" {
 		return nil, nil, fmt.Errorf("fleet mode requires an artifact store (-store)")
 	}
@@ -68,7 +71,14 @@ func NewFleetEngine(workers int, storeDir string, storeMaxBytes int64, peers []s
 	if err != nil {
 		return nil, nil, err
 	}
-	st.AttachPeers(artifact.NewPeerBlob(peers, artifact.PeerOptions{Timeout: fetchTimeout}))
+	self = artifact.NormalizePeerURL(self)
+	others := make([]string, 0, len(peers))
+	for _, p := range peers {
+		if artifact.NormalizePeerURL(p) != self {
+			others = append(others, p)
+		}
+	}
+	st.AttachPeers(artifact.NewPeerBlob(others, artifact.PeerOptions{Timeout: fetchTimeout}))
 	return eng, st, nil
 }
 
@@ -127,18 +137,12 @@ type job struct {
 	state     string
 	cached    bool
 	fromStore bool
-	// body is the raw submission (kept only in fleet mode) so a non-owner
-	// can forward the spec verbatim to its owner node; noProxy marks a
-	// submission that itself arrived via a fleet proxy and must execute
-	// locally (cycle guard).
-	body     []byte
-	noProxy  bool
-	err      string
-	val      any
-	started  time.Time
-	finished time.Time
-	elapsed  time.Duration
-	done     chan struct{}
+	err       string
+	val       any
+	started   time.Time
+	finished  time.Time
+	elapsed   time.Duration
+	done      chan struct{}
 	// ctx/cancel bound the execution: DELETE /v1/jobs/{key} (or the last
 	// waiter disconnecting) cancels, and the runner plus the engines'
 	// region/quantum Cancel hooks observe it cooperatively.
@@ -196,10 +200,6 @@ type Options struct {
 	// MaxBody bounds one submission request's body; larger bodies are
 	// refused with 413. 0: default 16 MiB.
 	MaxBody int64
-	// Fleet wires this node into a multi-node fleet (cross-node
-	// single-flight + work stealing, DESIGN.md §13). Zero value: fleet
-	// mode off.
-	Fleet FleetConfig
 	// Journal is the durable job WAL (DESIGN.md §14). An accepted
 	// submission is durable at its accepted record, fsynced before the
 	// client sees 202, or, when the store indexes its artifact at
@@ -240,9 +240,6 @@ type Server struct {
 	// without this gate N clients would mean N concurrent experiments
 	// regardless of -workers. Jobs stay "queued" while waiting.
 	sem chan struct{}
-	// fleet is the cross-node single-flight router; nil outside fleet
-	// mode.
-	fleet *fleet
 	// jrnl is the durable job WAL; nil when crash durability is off.
 	jrnl *Journal
 
@@ -267,9 +264,6 @@ func NewServerOpts(eng *runner.Engine, store *artifact.Store, opts Options) *Ser
 	s := &Server{eng: eng, store: store, opts: opts.withDefaults(),
 		sem:  make(chan struct{}, runner.PoolSize(eng.Workers)),
 		jobs: make(map[string]*job), subs: make(map[chan runner.Progress]bool)}
-	if s.opts.Fleet.Enabled() {
-		s.fleet = newFleet(s.opts.Fleet)
-	}
 	s.jrnl = s.opts.Journal
 	eng.OnProgress = s.onProgress
 	return s
@@ -292,16 +286,12 @@ func (s *Server) Recover(pending []PendingJob) int {
 		if err != nil {
 			continue
 		}
-		var body []byte
-		if s.fleet != nil {
-			body = p.Body // fleet routing forwards the verbatim submission
-		}
 		s.mu.Lock()
 		if _, ok := s.jobs[sp.Key()]; ok {
 			s.mu.Unlock()
 			continue // a client resubmitted it before recovery got here
 		}
-		j := &job{spec: sp, body: body}
+		j := &job{spec: sp}
 		j.arm()
 		j.journaled = s.jrnl != nil // its accepted record is what replay found
 		s.jobs[sp.Key()] = j
@@ -451,23 +441,17 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.mets.submits.Add(1)
-	raw := body // the journal needs the verbatim submission either way
-	if s.fleet == nil {
-		body = nil // only the fleet router forwards bodies; don't pin them
-	}
-	noProxy := r.Header.Get(proxyHeader) != ""
 	key := sp.Key()
 
 	s.mu.Lock()
 	s.pruneLocked(start)
 	if j, ok := s.jobs[key]; ok {
-		j.body, j.noProxy = body, j.noProxy || noProxy
 		if j.state == StateFailed || j.state == StateCancelled {
 			// Re-arm: the recorded failure may be transient (and the
 			// engine never caches errors), so a resubmit retries instead
 			// of serving the stale error until restart. Only the queue
 			// bound applies — the job is already a ledger entry.
-			if !s.admitLocked(w, false) || !s.acceptLocked(w, j, raw) {
+			if !s.admitLocked(w, false) || !s.acceptLocked(w, j, body) {
 				s.mu.Unlock()
 				return
 			}
@@ -485,8 +469,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, st)
 		return
 	}
-	j := &job{spec: sp, body: body, noProxy: noProxy}
-	if !s.admitLocked(w, true) || !s.acceptLocked(w, j, raw) {
+	j := &job{spec: sp}
+	if !s.admitLocked(w, true) || !s.acceptLocked(w, j, body) {
 		s.mu.Unlock()
 		return
 	}
@@ -570,14 +554,6 @@ func (s *Server) journalLateLocked(j *job) error {
 }
 
 func (s *Server) run(j *job) {
-	// Fleet routing happens while the job is still queued, BEFORE a worker
-	// slot is taken: proxy-waiting on another node is idle network time,
-	// and holding a slot through it would let a fleet of saturated nodes
-	// proxy-wait at each other in a cycle — a distributed deadlock. After
-	// routing, the local execution (a peer-tier artifact pull when the
-	// proxy succeeded, a real run otherwise) takes the slot as usual.
-	s.routeToOwner(j)
-
 	// Queued phase: wait for a worker slot, but leave immediately if the
 	// job is cancelled first — cancellation must abort queued work without
 	// consuming a slot.
@@ -620,40 +596,6 @@ func (s *Server) run(j *job) {
 		val = nil
 	}
 	s.finish(j, val, err)
-}
-
-// routeToOwner is the cross-node single-flight decision for one queued
-// job: if another node owns the key, proxy the submission there and wait
-// it out (the job then executes exactly once, remotely; the follow-up
-// local RunSpecCtx pulls the artifact through the tiered store — peer
-// fetch, integrity check, local persist — without executing). A saturated
-// owner (queue deeper than StealDepth), a dead owner, or a failed proxy
-// degrades to local execution — a steal. If the owner dies between proxy
-// and pull, the peer fetch misses and the engine recomputes; either way
-// the job never fails because of the fleet.
-func (s *Server) routeToOwner(j *job) {
-	f := s.fleet
-	if f == nil || j.noProxy {
-		return
-	}
-	key := j.spec.Key()
-	owner := f.owner(key)
-	// A live engine entry (done, or in flight: joining it is
-	// single-flight) or an indexed local artifact is served here.
-	if owner == f.cfg.Self || s.eng.HasCached(key) || s.indexed(key) {
-		return
-	}
-	depth, derr := f.queueDepth(j.ctx, owner)
-	if derr == nil && (f.cfg.StealDepth < 0 || depth <= f.cfg.StealDepth) {
-		if err := f.proxyWait(j.ctx, owner, j.body, key); err == nil {
-			f.proxied.Add(1)
-			return
-		} else if j.ctx.Err() != nil {
-			return // cancelled mid-proxy: run() observes the dead context
-		}
-		f.proxyErrors.Add(1)
-	}
-	f.steals.Add(1)
 }
 
 // indexed reports whether the local store's index holds key's artifact,
@@ -1063,6 +1005,21 @@ func (s *Server) stateCountsLocked() map[string]int {
 	return counts
 }
 
+// FleetStats is a fleet node's "fleet" block on /v1/status: its peer
+// list and the peer artifact tier's fetch counters.
+type FleetStats struct {
+	Peers     []string           `json:"peers"`
+	PeerFetch artifact.PeerStats `json:"peer_fetch"`
+}
+
+// peers returns the store's peer tier; nil outside fleet mode.
+func (s *Server) peers() *artifact.PeerBlob {
+	if s.store == nil {
+		return nil
+	}
+	return s.store.Peers()
+}
+
 func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
 	hits, misses := s.eng.CacheStats()
 	s.mu.Lock()
@@ -1092,12 +1049,9 @@ func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
 		js.Stored = s.mets.stored.Load()
 		st["journal"] = js
 	}
-	if s.fleet != nil {
-		fs := s.fleet.stats()
-		if s.store != nil && s.store.Peers() != nil {
-			fs.PeerFetch = s.store.Peers().Stats()
-		}
-		st["fleet"] = fs
+	if peers := s.peers(); peers != nil {
+		ps := peers.Stats()
+		st["fleet"] = FleetStats{Peers: ps.Peers, PeerFetch: ps}
 	}
 	writeJSON(w, http.StatusOK, st)
 }
@@ -1133,18 +1087,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		promGauge(w, "labd_store_bytes", "bytes currently in the store", st.Bytes)
 		promGauge(w, "labd_store_max_bytes", "store byte budget (0: unbounded)", st.MaxBytes)
 	}
-	if s.fleet != nil {
-		fs := s.fleet.stats()
-		promGauge(w, "labd_fleet_peers", "peer nodes in the static fleet", int64(len(fs.Peers)))
-		promCounter(w, "labd_fleet_proxied_total", "jobs proxy-waited on their owner node", fs.Proxied)
-		promCounter(w, "labd_fleet_proxy_errors_total", "proxy attempts that failed over to local execution", fs.ProxyErrors)
-		promCounter(w, "labd_fleet_steals_total", "non-owned jobs executed locally (owner saturated or dead)", fs.Steals)
-		if s.store != nil && s.store.Peers() != nil {
-			ps := s.store.Peers().Stats()
-			promCounter(w, "labd_peer_fetch_hits_total", "artifact fetches served by a peer (integrity verified)", ps.Hits)
-			promCounter(w, "labd_peer_fetch_misses_total", "artifact fetches no peer could serve", ps.Misses)
-			promCounter(w, "labd_peer_fetch_errors_total", "peer fetch errors (transport, non-404 status, failed verification)", ps.Errors)
-		}
+	if peers := s.peers(); peers != nil {
+		ps := peers.Stats()
+		promGauge(w, "labd_fleet_peers", "peer nodes in the static fleet", int64(len(ps.Peers)))
+		promCounter(w, "labd_peer_fetch_hits_total", "artifact fetches served by a peer (integrity verified)", ps.Hits)
+		promCounter(w, "labd_peer_fetch_misses_total", "artifact fetches no peer could serve", ps.Misses)
+		promCounter(w, "labd_peer_fetch_errors_total", "peer fetch errors (transport, non-404 status, failed verification)", ps.Errors)
 	}
 	promGauge(w, "labd_queue_depth", "jobs waiting for a worker slot", int64(queued))
 	fmt.Fprintf(w, "# HELP labd_jobs jobs in the ledger by state\n# TYPE labd_jobs gauge\n")

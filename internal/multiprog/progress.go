@@ -1,6 +1,6 @@
 // Mid-run progress checkpoints: where checkpoint.go captures the engine at
 // the WarmAlign/RunMeasured cut, this file captures it *inside* the
-// measured window, so a crashed, cancelled or stolen co-run resumes from
+// measured window, so a crashed or cancelled co-run resumes from
 // its last quantum boundary instead of re-running the whole window. A
 // resumed run is bit-identical to a straight one (pinned by
 // TestResumedRunMatchesStraight over the full suite): the min-cycle

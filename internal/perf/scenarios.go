@@ -340,17 +340,17 @@ func LabdLoad() Scenario {
 
 // FleetLoad is the scale-out steady state: a 3-node in-process labd fleet
 // serves a warmed co-run matrix to round-robin clients. Setup warms the
-// matrix through the fleet (rendezvous routing decides which node executes
-// each cell) and then enforces the fleet's central invariant before any
-// measurement happens: summed per-node execution counters must equal the
-// number of unique spec keys — zero duplicate executions fleet-wide — and
-// a full resubmit of every cell to every node must add no executions while
-// moving artifacts between nodes over the peer fetch tier. The measured
-// step is pure cache-hit traffic across all three nodes, so ns/access
-// reads as ns per fleet request round-trip; on a multi-core host this is
-// where the near-N× aggregate submit throughput shows up, while on the
-// 1-CPU CI runner the gate tracks the per-request cost of the fleet path
-// (rendezvous + ledger/cache hit) staying flat.
+// matrix through the fleet, one sequential submission per cell, and then
+// enforces the fleet's sequential exactly-once contract before any
+// measurement happens: a node executes only what no peer's store holds
+// yet, so summed per-node execution counters must equal the number of
+// unique spec keys, and a full resubmit of every cell to every node must
+// add no executions while moving artifacts between nodes over the peer
+// fetch tier. The measured step is pure cache-hit traffic across all
+// three nodes, so ns/access reads as ns per fleet request round-trip; on
+// a multi-core host this is where the near-N× aggregate submit throughput
+// shows up, while on the 1-CPU CI runner the gate tracks the per-request
+// cost of the fleet path (ledger/cache hit) staying flat.
 func FleetLoad() Scenario {
 	return Scenario{
 		Name: "fleet",
@@ -408,8 +408,9 @@ func FleetLoad() Scenario {
 			}
 			cleanup := func() { fl.Close(); _ = os.RemoveAll(dir) }
 
-			// Warm pass: each cell submitted once, round-robin. Non-owner
-			// nodes proxy-wait on the rendezvous owner, so each cell (and
+			// Warm pass: each cell submitted once, round-robin, each waited
+			// out before the next. A cell's nested warm checkpoint stored on
+			// another node arrives over the peer tier, so each cell (and
 			// each nested warm checkpoint) executes on exactly one node.
 			urls := fl.URLs()
 			for i, body := range bodies {

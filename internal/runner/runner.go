@@ -160,20 +160,6 @@ func (e *Engine) StoreHits() uint64 {
 	return e.storeHits
 }
 
-// HasCached reports whether key has a live in-memory cache entry —
-// currently executing (joining it via RunSpec rides the single-flight path
-// instead of duplicating work) or, on a store-less engine, completed
-// successfully. A store-backed engine's completed results live in the
-// store, which callers probe separately. The fleet
-// router uses it as a cheap "will RunSpec be free?" probe before deciding
-// to proxy a job to its owner node.
-func (e *Engine) HasCached(key string) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	_, ok := e.cache[key]
-	return ok
-}
-
 // Executions returns how many spec executions this engine actually
 // started (cache and store hits excluded, nested sub-specs included).
 // It is the counter the fleet's zero-duplicate-execution invariant sums

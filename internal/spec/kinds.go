@@ -335,8 +335,8 @@ func runCoRunSim(p Params, sub runner.Sub) (any, error) {
 	// Mid-run resume (DESIGN.md §14): with a store attached, the measured
 	// window periodically persists a progress checkpoint under a key
 	// derived from this cell's identity, and a previous execution's
-	// checkpoint — crashed, cancelled, or written by the fleet node this
-	// job was stolen from — seeds the engine here instead of re-running
+	// checkpoint — crashed, cancelled, or written by another fleet node
+	// that ran the same cell — seeds the engine here instead of re-running
 	// the paid-for window prefix. A resumed engine matches a forked one
 	// because the checkpoint carries the complete engine state.
 	st := subStore(sub)
@@ -420,14 +420,17 @@ func resolveAll(refs []BenchRef) ([]*workload.Profile, error) {
 }
 
 // validateCoRun is the co-run kinds' shared check: a non-empty app mix, a
-// CPU the timing core can build (cpu.Config.Validate) and resolvable
-// benchmarks.
+// CPU the timing core can build (cpu.Config.Validate), a scaled LLC within
+// warm.MaxLLCBytes (warm.ValidateLLC) and resolvable benchmarks.
 func validateCoRun(cfg warm.Config, apps []BenchRef) error {
 	if len(apps) == 0 {
 		return fmt.Errorf("empty app mix")
 	}
 	if err := cfg.CPU.Validate(); err != nil {
 		return fmt.Errorf("cfg: %w", err)
+	}
+	if err := warm.ValidateLLC(cfg.LLCPaperBytes, cfg.Scale); err != nil {
+		return fmt.Errorf("cfg: LLCPaperBytes: %w", err)
 	}
 	for _, a := range apps {
 		if err := a.validate(); err != nil {
@@ -494,6 +497,11 @@ func init() {
 			}
 			if err := sp.Cfg.Validate(); err != nil {
 				return fmt.Errorf("cfg: %w", err)
+			}
+			for i, size := range sp.Sizes {
+				if err := warm.ValidateLLC(size, sp.Cfg.Scale); err != nil {
+					return fmt.Errorf("sizes[%d]: %w", i, err)
+				}
 			}
 			return sp.Bench.validate()
 		},

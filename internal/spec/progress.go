@@ -1,10 +1,11 @@
 // Mid-run progress persistence for co-run cells (DESIGN.md §14): while a
 // corun-sim measured window executes with a store attached, the engine
 // periodically persists a multiprog.ProgressCheckpoint under a key derived
-// from the cell's canonical identity. A crashed, cancelled or stolen run
-// finds the checkpoint on its next execution — locally, or through the
-// fleet's peer read-through tier — and resumes from the last paid-for
-// quantum boundary instead of re-running the window. Resumption is
+// from the cell's canonical identity. A crashed or cancelled run's
+// checkpoint is found by the cell's next execution — locally, or on
+// another fleet node through the peer read-through tier — which resumes
+// from the last paid-for quantum boundary instead of re-running the
+// window. Resumption is
 // bit-identical to a straight run (multiprog's TestResumedRunMatchesStraight
 // and the spec-level resume tests pin this), so progress is purely an
 // execution shortcut, never part of a spec's identity or its result.

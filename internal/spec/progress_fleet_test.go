@@ -16,7 +16,7 @@ import (
 )
 
 // cancelAfterPuts mirrors the in-package cancelOnPut helper for the fleet
-// test: cancel a context after the Nth Put of one key, so "the owner died
+// test: cancel a context after the Nth Put of one key, so "node A died
 // mid-measured-window" happens at a deterministic checkpoint count.
 type cancelAfterPuts struct {
 	artifact.Blob
@@ -36,10 +36,10 @@ func (c *cancelAfterPuts) Put(key string, data []byte) bool {
 	return ok
 }
 
-// TestStolenCellResumesFromPeerProgress is the fleet steal-mid-run case:
-// node A dies partway through a cell's measured window, leaving a
-// progress checkpoint in its store; node B — which never ran the mix —
-// picks the job up and must resume through the peer read-through tier
+// TestStolenCellResumesFromPeerProgress is the fleet resume case: node A
+// dies partway through a cell's measured window, leaving a progress
+// checkpoint in its store; node B — which never ran the mix — gets the
+// same spec and must resume through the peer read-through tier
 // from A's checkpoint, landing on the bit-identical result without
 // re-warming or re-running the paid-for prefix.
 func TestStolenCellResumesFromPeerProgress(t *testing.T) {
@@ -74,7 +74,7 @@ func TestStolenCellResumesFromPeerProgress(t *testing.T) {
 	engA := runner.New(1)
 	engA.Store = stA
 	if _, err := engA.RunSpecCtx(ctx, spec.MustNew(cell)); !errors.Is(err, context.Canceled) {
-		t.Fatalf("owner run returned %v, want context.Canceled", err)
+		t.Fatalf("node A run returned %v, want context.Canceled", err)
 	}
 
 	// A's store (reopened clean, as a restarted or surviving node would

@@ -123,8 +123,23 @@ func DecodeConfig(b []byte) (Config, error) {
 	return cfg, nil
 }
 
+// MaxLLCBytes bounds the scaled LLC a spec may request. cache.New sizes
+// its tag and age arrays from the LLC, so an unbounded request is an
+// out-of-memory kill, which no panic containment can catch. The paper's
+// largest LLC is 512 MiB at scale 1.
+const MaxLLCBytes = 1 << 30
+
+// ValidateLLC checks that an LLC of paperBytes at scale, sized as
+// cache.DefaultHierarchy sizes it, stays within MaxLLCBytes.
+func ValidateLLC(paperBytes, scale uint64) error {
+	if size := cache.DefaultHierarchy(paperBytes, scale).LLC.SizeB; size > MaxLLCBytes {
+		return fmt.Errorf("LLC of %d paper bytes at scale %d is %d bytes, above the %d-byte bound", paperBytes, scale, size, MaxLLCBytes)
+	}
+	return nil
+}
+
 // Validate checks the rules every sampled run relies on: a positive
-// Scale, Explorer windows non-empty and strictly ascending within (0, 1],
+// Scale, a scaled LLC within MaxLLCBytes, Explorer windows non-empty and strictly ascending within (0, 1],
 // a detailed-warming window plus detailed region that fit in one gap, and
 // a CPU the timing core can build (cpu.Config.Validate). Under these
 // rules every region's checkpoint targets lie at or after the previous
@@ -133,6 +148,9 @@ func DecodeConfig(b []byte) (Config, error) {
 func (c Config) Validate() error {
 	if c.Scale == 0 {
 		return errors.New("Scale must be > 0")
+	}
+	if err := ValidateLLC(c.LLCPaperBytes, c.Scale); err != nil {
+		return fmt.Errorf("LLCPaperBytes: %w", err)
 	}
 	if len(c.ExplorerWindows) == 0 {
 		return errors.New("ExplorerWindows is empty")

@@ -34,6 +34,11 @@ func TestConfigValidate(t *testing.T) {
 			c.PaperGap, c.Scale, c.RegionLen = 1_000, 1, 0
 		}, "gap"},
 		{"huge region cannot wrap", func(c *Config) { c.RegionLen = math.MaxUint64 }, "gap"},
+		{"paper's largest LLC at scale 1", func(c *Config) { c.LLCPaperBytes, c.Scale = 512<<20, 1 }, ""},
+		{"LLC at the bound", func(c *Config) { c.LLCPaperBytes, c.Scale = MaxLLCBytes, 1 }, ""},
+		{"huge paper LLC scaled to the bound", func(c *Config) { c.LLCPaperBytes = 64 * MaxLLCBytes }, ""},
+		{"LLC one byte over the bound", func(c *Config) { c.LLCPaperBytes, c.Scale = MaxLLCBytes+1, 1 }, "LLCPaperBytes"},
+		{"huge LLC at the default scale", func(c *Config) { c.LLCPaperBytes = 1 << 62 }, "LLCPaperBytes"},
 		{"largest ROB", func(c *Config) { c.CPU.ROB = 1 << 16 }, ""},
 		{"one-entry predictor tables", func(c *Config) {
 			c.CPU.BP = cpu.BPConfig{LocalEntries: 1, GlobalEntries: 1, ChoiceEntries: 1, BTBEntries: 1}
