@@ -214,20 +214,6 @@ func (h *Hierarchy) AccessDataMiss(a *mem.Access, line mem.Line) DataResult {
 	return DataResult{Latency: h.Cfg.L1D.HitLat + h.Cfg.LLC.HitLat + h.Cfg.MemLat, Served: LevelMem, L1: Miss}
 }
 
-// AccessBatch drives every access of b through AccessData in order,
-// appending the per-access results to out (reused across windows; pass
-// out[:0]). Results, counters and cache state are bit-identical to the
-// access-at-a-time path; the batch records live in the caller's array, so
-// the oracle indirection costs no per-access heap allocation. Works
-// unchanged on a shared-LLC hierarchy (NewSharedHierarchy): callers
-// interleave per-core batches exactly as they would interleave accesses.
-func (h *Hierarchy) AccessBatch(b mem.Batch, out []DataResult) []DataResult {
-	for i := range b {
-		out = append(out, h.AccessData(&b[i]))
-	}
-	return out
-}
-
 // prefetchObserve feeds the stride prefetcher with LLC-side traffic. The
 // prefetcher is trained by misses — for DeLorean those are the *predicted*
 // misses, which is exactly the §6.3.2 extension.

@@ -24,7 +24,8 @@
 // move forward through the execution. RunSequential drives them
 // region-at-a-time on one goroutine; the paper's pipelined overlap (its
 // passes as separate processes joined by OS pipes) is modelled in
-// simulated time from the per-pass ledgers (Result.SimSecondsPipelined).
+// simulated time from the per-pass ledgers: the slowest pass bounds the
+// pipeline's throughput (sampling.BenchSpeeds).
 //
 // Time travel is by checkpoint: one tracker program, owned by the Scout,
 // walks each region's checkpoint targets in ascending order and captures
@@ -110,18 +111,6 @@ type Result struct {
 	// pipeline has exactly one.
 	AnalystSeconds float64
 	WarmingSeconds float64
-}
-
-// SimSecondsPipelined returns the simulated wall time of the pipelined
-// evaluation: the slowest pass bounds steady-state throughput.
-func (r *Result) SimSecondsPipelined(cm vm.CostModel) float64 {
-	var maxS float64
-	for _, c := range r.PassCounters {
-		if s := cm.Seconds(c); s > maxS {
-			maxS = s
-		}
-	}
-	return maxS
 }
 
 // New builds a DeLorean evaluation for one benchmark.
@@ -406,7 +395,7 @@ func (d *DeLorean) finish() *Result {
 }
 
 // MemAccesses returns the total number of memory accesses generated across
-// all pass programs so far — the work unit the perf harness (internal/perf)
+// all pass programs so far — the work unit dse's BenchmarkDSEFanout
 // normalizes its timings against.
 func (d *DeLorean) MemAccesses() uint64 {
 	n := d.scout.Prog.MemIndex() + d.analyst.Prog.MemIndex()

@@ -11,12 +11,14 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/figures"
 	"repro/internal/lab"
 	"repro/internal/spec"
+	"repro/internal/warm"
 )
 
 // startFleet boots an n-node in-process fleet with per-node temp stores.
-func startFleet(t *testing.T, n int, opts lab.LocalFleetOptions) *lab.LocalFleet {
+func startFleet(t testing.TB, n int, opts lab.LocalFleetOptions) *lab.LocalFleet {
 	t.Helper()
 	dir := t.TempDir()
 	opts.StoreDir = func(i int) string { return filepath.Join(dir, fmt.Sprintf("node%d", i)) }
@@ -28,7 +30,7 @@ func startFleet(t *testing.T, n int, opts lab.LocalFleetOptions) *lab.LocalFleet
 	return fl
 }
 
-func postSpecURL(t *testing.T, base string, body []byte) lab.JobStatus {
+func postSpecURL(t testing.TB, base string, body []byte) lab.JobStatus {
 	t.Helper()
 	resp, err := http.Post(base+"/v1/specs", "application/json", bytes.NewReader(body))
 	if err != nil {
@@ -45,7 +47,7 @@ func postSpecURL(t *testing.T, base string, body []byte) lab.JobStatus {
 	return st
 }
 
-func waitDoneURL(t *testing.T, base, key string) {
+func waitDoneURL(t testing.TB, base, key string) {
 	t.Helper()
 	resp, err := http.Get(base + "/v1/jobs/" + key + "/wait")
 	if err != nil {
@@ -62,7 +64,7 @@ func waitDoneURL(t *testing.T, base, key string) {
 }
 
 // labtestSpec encodes the labtest spec with the given ID.
-func labtestSpec(t *testing.T, id string) (body []byte, key string) {
+func labtestSpec(t testing.TB, id string) (body []byte, key string) {
 	t.Helper()
 	sp := spec.MustNew(testParams{ID: id})
 	b, err := json.Marshal(sp)
@@ -166,43 +168,133 @@ func TestFleetDeadPeerFailover(t *testing.T) {
 	}
 }
 
+// labtestBodies encodes n distinct labtest specs and returns them with
+// their keys.
+func labtestBodies(tb testing.TB, prefix string, n int) (bodies [][]byte, keys map[string]bool) {
+	tb.Helper()
+	keys = map[string]bool{}
+	for i := 0; i < n; i++ {
+		b, key := labtestSpec(tb, fmt.Sprintf("%s-%d", prefix, i))
+		bodies = append(bodies, b)
+		keys[key] = true
+	}
+	return bodies, keys
+}
+
+// corunMatrixBodies encodes the short co-run matrix at Scale 1024 as
+// corun-sim spec bodies. The keys are every spec the forked execution
+// path runs: each cell plus its mix's nested corun-warm checkpoint.
+func corunMatrixBodies(tb testing.TB) (bodies [][]byte, keys map[string]bool) {
+	tb.Helper()
+	cfg := warm.DefaultConfig()
+	cfg.Scale = 1024
+	keys = map[string]bool{}
+	for _, mix := range figures.CoRunMixes(true) {
+		apps := make([]spec.BenchRef, len(mix.Apps))
+		for i, p := range mix.Apps {
+			apps[i] = spec.BenchRef{Name: p.Name}
+		}
+		for _, size := range figures.CoRunSizes(true) {
+			c := cfg
+			c.LLCPaperBytes = size
+			sp := spec.MustNew(spec.CoRunSimParams{Mix: mix.Name, Apps: apps, Cfg: c})
+			b, err := json.Marshal(sp)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			bodies = append(bodies, b)
+			keys[sp.Key()] = true
+			keys[spec.MustNew(spec.CoRunWarmParams{Mix: mix.Name, Apps: apps, Cfg: c}).Key()] = true
+		}
+	}
+	return bodies, keys
+}
+
+// runRoundRobin submits each body once, round-robin over the nodes, and
+// waits each out before the next.
+func runRoundRobin(tb testing.TB, urls []string, bodies [][]byte) {
+	tb.Helper()
+	for i, b := range bodies {
+		u := urls[i%len(urls)]
+		waitDoneURL(tb, u, postSpecURL(tb, u, b).Key)
+	}
+}
+
 // TestFleetZeroDuplicates: a batch of distinct specs scattered round-robin
 // and then resubmitted everywhere executes each key exactly once
-// fleet-wide — the invariant the fleet perf scenario and CI's fleet-smoke
-// job gate on.
+// fleet-wide, nested specs included — the invariant CI's fleet-smoke job
+// gates on — and the resubmits move artifacts over the peer tier.
 func TestFleetZeroDuplicates(t *testing.T) {
-	fl := startFleet(t, 3, lab.LocalFleetOptions{Workers: 1})
+	labBodies, labKeys := labtestBodies(t, "zero-dup", 9)
+	matrixBodies, matrixKeys := corunMatrixBodies(t)
+	for _, tc := range []struct {
+		name   string
+		bodies [][]byte
+		keys   map[string]bool
+	}{
+		{"labtest", labBodies, labKeys},
+		{"corun-matrix", matrixBodies, matrixKeys},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bodies, keys := tc.bodies, tc.keys
+			fl := startFleet(t, 3, lab.LocalFleetOptions{Workers: 1})
+			urls := fl.URLs()
+
+			runRoundRobin(t, urls, bodies)
+			if got := fl.Executions(); got != uint64(len(keys)) {
+				t.Fatalf("warm pass: %d executions for %d unique specs", got, len(keys))
+			}
+
+			for _, b := range bodies {
+				for _, u := range urls {
+					waitDoneURL(t, u, postSpecURL(t, u, b).Key)
+				}
+			}
+			if got := fl.Executions(); got != uint64(len(keys)) {
+				t.Fatalf("resubmit pass re-executed work: %d executions for %d unique specs", got, len(keys))
+			}
+			var peerHits uint64
+			for _, n := range fl.Nodes {
+				peerHits += n.Store.Peers().Stats().Hits
+			}
+			if peerHits == 0 {
+				t.Error("no peer fetch hits — artifacts did not move between nodes")
+			}
+		})
+	}
+}
+
+// BenchmarkFleet is the scale-out steady state: a 3-node in-process fleet
+// serves the warmed short co-run matrix to round-robin clients. The warm
+// pass runs once per benchmark run, outside the cache-hit sub-benchmark
+// the testing package ramps; its exactly-once checks live in
+// TestFleetZeroDuplicates. One op is 48 requests, the work unit one fleet
+// request round trip, so ns/access reads as ns per request.
+func BenchmarkFleet(b *testing.B) {
+	const requests = 48
+	bodies, _ := corunMatrixBodies(b)
+	fl := startFleet(b, 3, lab.LocalFleetOptions{})
 	urls := fl.URLs()
-
-	const jobs = 9
-	bodies := make([][]byte, jobs)
-	keys := make([]string, jobs)
-	for i := range bodies {
-		sp := spec.MustNew(testParams{ID: fmt.Sprintf("zero-dup-%d", i)})
-		b, err := json.Marshal(sp)
-		if err != nil {
-			t.Fatal(err)
+	runRoundRobin(b, urls, bodies)
+	b.Run("cache-hit", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			rep, err := lab.RunLoad(lab.LoadConfig{
+				BaseURLs: urls, Bodies: bodies, Requests: requests, Clients: 6, Seed: 42,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if rep.Failures > 0 {
+				b.Fatalf("%d failed requests", rep.Failures)
+			}
+			if rep.Fleet.Executions > 0 {
+				b.Fatalf("%d executions during cache-hit steady state", rep.Fleet.Executions)
+			}
 		}
-		bodies[i], keys[i] = b, sp.Key()
-	}
-
-	for i, b := range bodies {
-		st := postSpecURL(t, urls[i%len(urls)], b)
-		waitDoneURL(t, urls[i%len(urls)], st.Key)
-	}
-	if got := fl.Executions(); got != jobs {
-		t.Fatalf("warm pass: %d executions for %d unique specs", got, jobs)
-	}
-
-	for _, b := range bodies {
-		for _, u := range urls {
-			st := postSpecURL(t, u, b)
-			waitDoneURL(t, u, st.Key)
-		}
-	}
-	if got := fl.Executions(); got != jobs {
-		t.Fatalf("resubmit pass re-executed work: %d executions for %d unique specs", got, jobs)
-	}
+		n := uint64(b.N) * requests
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(n), "ns/access")
+		b.ReportMetric(requests, "accesses/op")
+	})
 }
 
 // TestFleetMetrics: a fleet node serves the fleet metric families and the
@@ -247,15 +339,7 @@ func TestRunLoadFleet(t *testing.T) {
 	fl := startFleet(t, 3, lab.LocalFleetOptions{Workers: 1})
 
 	const unique = 4
-	bodies := make([][]byte, unique)
-	for i := range bodies {
-		sp := spec.MustNew(testParams{ID: fmt.Sprintf("load-fleet-%d", i)})
-		b, err := json.Marshal(sp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bodies[i] = b
-	}
+	bodies, _ := labtestBodies(t, "load-fleet", unique)
 
 	rep, err := lab.RunLoad(lab.LoadConfig{
 		BaseURLs: fl.URLs(), Bodies: bodies, Requests: 24, Clients: 4,

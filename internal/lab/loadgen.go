@@ -15,8 +15,8 @@ import (
 	"repro/internal/warm"
 )
 
-// This file is the labd load generator (cmd/labload, the labd-load perf
-// scenario, and CI's labload-smoke gate): concurrent clients submit real
+// This file is the labd load generator (cmd/labload, BenchmarkFleet, and
+// CI's labload-smoke gate): concurrent clients submit real
 // sampling specs against a running service, wait for completion, honor
 // 429 backpressure by backing off per the Retry-After hint, and report
 // submit/wait latency percentiles. It lives in the lab package so the

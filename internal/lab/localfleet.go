@@ -13,7 +13,7 @@ import (
 // LocalFleet boots n in-process labd nodes on loopback listeners, wired
 // into one static fleet (every node gets the same peer list, all n URLs,
 // as labd's -peers would be; NewFleetEngine drops each node's own). It is
-// the harness behind the fleet perf scenario and the fleet tests; the CI
+// the harness behind BenchmarkFleet and the fleet tests; the CI
 // fleet-smoke job does the same thing with real labd processes.
 type LocalFleet struct {
 	Nodes []*LocalNode

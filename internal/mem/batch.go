@@ -6,8 +6,8 @@ package mem
 // Ownership rules:
 //
 //   - The caller owns the backing array. Producers (workload.Program.
-//     FillBatch, vm.Engine.RunFuncBatch) append; consumers (cache.
-//     Hierarchy.AccessBatch, reuse.ExactMonitor.ObserveHist, ...) read.
+//     FillBatch, vm.Engine.RunFuncBatch) append; consumers (reuse.
+//     ExactMonitor.ObserveHist, vm.Engine.RunVDP, ...) read.
 //   - Records are by value. A consumer that needs an access beyond the
 //     call must copy the record, never retain a pointer into the batch:
 //     the caller will Reset and refill the same array on the next window.

@@ -108,6 +108,25 @@ func TestRunAllDeterministicAcrossParallelism(t *testing.T) {
 	}
 }
 
+// TestDeLoreanSpeedIsSlowestPass: BenchSpeeds charges DeLorean the
+// slowest pass of its pipeline (§3.2), which is never more than the merged
+// ledger of all passes run back to back.
+func TestDeLoreanSpeedIsSlowestPass(t *testing.T) {
+	cfg := testCfg()
+	cmp := RunAll(testProfs(), cfg, Options{SkipSMARTS: true, SkipCoolSim: true})
+	for _, b := range cmp.Benches {
+		pipelined := BenchSpeeds(cfg, b).DeLorean
+		sequential := PaperInstr(cfg) / PaperSeconds(cfg, b.DeLorean.Counters) / 1e6
+		if pipelined <= 0 || sequential <= 0 {
+			t.Fatalf("%s: ledger produced no time (pipelined %f, sequential %f MIPS)", b.Bench, pipelined, sequential)
+		}
+		if pipelined < sequential*(1-1e-9) {
+			t.Errorf("%s: slowest pass is slower than all passes summed: %f MIPS pipelined, %f sequential",
+				b.Bench, pipelined, sequential)
+		}
+	}
+}
+
 func TestPaperScaleExtrapolation(t *testing.T) {
 	cfg := testCfg()
 	cfg.Scale = 4
