@@ -2,6 +2,7 @@ package lab_test
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -121,6 +122,38 @@ func TestHugeLLCRejectedBeforeJournal(t *testing.T) {
 			}
 			assertRejectedBeforeJournal(t, body, tc.edit, tc.field)
 		})
+	}
+}
+
+// TestUnboundedRunRejectedBeforeJournal: a spec with no region, or with
+// more regions × gap than warm.MaxRunInstr, would run nothing or hold a
+// worker for days, and the journal would re-arm it on every restart. Each
+// kind whose run walks Regions × Gap() instructions must refuse it at the
+// boundary.
+func TestUnboundedRunRejectedBeforeJournal(t *testing.T) {
+	cfg := warm.DefaultConfig()
+	cfg.Regions = 1
+	cfg.PaperGap = 400_000
+	cfg.Scale = 1
+	cfg.VicinityEvery = 5_000
+	mcf := spec.BenchRef{Name: "mcf"}
+	regions := func(n int) func(map[string]any) {
+		return func(p map[string]any) { cfgOf(p)["Regions"] = n }
+	}
+	overBound := int(warm.MaxRunInstr/cfg.Gap()) + 1
+	for _, params := range []spec.Params{
+		spec.SamplingParams{Bench: mcf, Method: spec.MethodSMARTS, Cfg: cfg},
+		spec.DSESweepParams{Bench: mcf, Sizes: []uint64{1 << 20, 4 << 20}, Cfg: cfg},
+	} {
+		body, err := json.Marshal(spec.MustNew(params))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range []int{0, overBound} {
+			t.Run(fmt.Sprintf("%s/regions=%d", params.Kind(), n), func(t *testing.T) {
+				assertRejectedBeforeJournal(t, body, regions(n), "Regions")
+			})
+		}
 	}
 }
 

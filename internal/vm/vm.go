@@ -10,9 +10,10 @@
 //     CPU), optionally with cache warming (slower). RunFuncBatch hands the
 //     data-access stream to the caller; RunFuncWarm keeps a cache
 //     hierarchy, and optionally a branch predictor, warm. Both decode the
-//     program in workload.Chunk-instruction FillBatch chunks, and
-//     RunFuncWarm replays the I-side from the program's fetch walk, so no
-//     pass materializes a per-instruction record (DESIGN.md §9),
+//     program in FillBatch chunks, and RunFuncWarm replays the I-side
+//     from the program's fetch walk, so no pass materializes a
+//     per-instruction record; a long RunFuncWarm walk decodes on a helper
+//     goroutine, one hand-off ahead of the warming (DESIGN.md §9),
 //   - virtualized directed profiling (VDP): near-native execution with
 //     page-protection watchpoints; every access to a watched page — true
 //     positive or not — pays a fixed trigger cost (KVM exit + signal
@@ -204,8 +205,9 @@ type Engine struct {
 	Prop bool
 
 	sampleCount uint64
-	chunk       mem.Batch         // chunk buffer of RunVDP and RunFuncWarm, allocated on first use
-	branches    []workload.Branch // RunFuncWarm's branch outcomes per chunk, likewise
+	chunk       mem.Batch         // chunk buffer of RunVDP and the serial RunFuncWarm, allocated on first use
+	branches    []workload.Branch // the serial RunFuncWarm's branch outcomes per chunk, likewise
+	pipe        *pipeline         // the pipelined RunFuncWarm's hand-off ring, likewise
 }
 
 // NewEngine wraps prog with a fresh ledger.
@@ -276,11 +278,27 @@ type Warming struct {
 //     program order.
 //   - The branch outcomes train BP in a loop of their own per chunk: the
 //     predictor shares no state with the caches.
+//
+// A walk of pipeMinInstrs or more is pipelined (runPipelined): a helper
+// goroutine decodes it and trains BP one hand-off ahead while the caller
+// warms the hierarchy. OnData runs on the caller's goroutine either way,
+// but must not touch e.Prog, which the helper owns during the walk.
 func (e *Engine) RunFuncWarm(n uint64, cacheSim bool, w *Warming) {
-	h := w.Hier
-	walk := e.Prog.FetchWalk()
-	next := e.Prog.InstrIndex() // first instruction not yet fetched
-	end := next + n
+	f := fetchCursor{walk: e.Prog.FetchWalk(), next: e.Prog.InstrIndex()} // next: first instruction not yet fetched
+	f.end = f.next + n
+	if n >= pipeMinInstrs {
+		e.runPipelined(n, w, &f)
+	} else {
+		e.runChunked(n, w, &f)
+	}
+	for f.next < f.end {
+		f.next = fetchRun(w.Hier, &f.walk, f.next, f.end)
+	}
+	e.chargeFunc(n, cacheSim)
+}
+
+// runChunked is the serial walk: decode a chunk, warm it, train BP on it.
+func (e *Engine) runChunked(n uint64, w *Warming, f *fetchCursor) {
 	if e.chunk == nil {
 		e.chunk = make(mem.Batch, 0, workload.Chunk)
 	}
@@ -297,25 +315,37 @@ func (e *Engine) RunFuncWarm(n uint64, cacheSim bool, w *Warming) {
 		e.chunk.Reset()
 		e.branches = e.branches[:0]
 		e.Prog.FillBatch(m, &e.chunk, brs)
-		for i := range e.chunk {
-			a := &e.chunk[i]
-			for next <= a.InstrIdx {
-				next = fetchRun(h, &walk, next, end)
-			}
-			if w.OnData != nil {
-				w.OnData(a)
-			} else {
-				h.WarmData(a.Line())
-			}
-		}
+		f.warm(w, e.chunk)
 		for _, b := range e.branches {
 			w.BP.PredictAndUpdate(b.PC, b.Taken)
 		}
 	}
-	for next < end {
-		next = fetchRun(h, &walk, next, end)
+}
+
+// fetchCursor is a walk's I-side position: the fetch walk, the first
+// instruction not yet fetched, and the instruction after the walk.
+type fetchCursor struct {
+	walk      workload.FetchWalk
+	next, end uint64
+}
+
+// warm warms the data accesses of one decoded span in program order, each
+// after the fetches of every instruction up to and including its own.
+func (f *fetchCursor) warm(w *Warming, acc mem.Batch) {
+	h, onData := w.Hier, w.OnData
+	walk, next, end := f.walk, f.next, f.end
+	for i := range acc {
+		a := &acc[i]
+		for next <= a.InstrIdx {
+			next = fetchRun(h, &walk, next, end)
+		}
+		if onData != nil {
+			onData(a)
+		} else {
+			h.WarmData(a.Line())
+		}
 	}
-	e.chargeFunc(n, cacheSim)
+	f.walk, f.next = walk, next
 }
 
 // fetchRun warms the fetches of the walk's next run, cut at end, starting

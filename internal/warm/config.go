@@ -138,16 +138,31 @@ func ValidateLLC(paperBytes, scale uint64) error {
 	return nil
 }
 
+// MaxRunInstr bounds the instructions one sampled run walks, Regions ×
+// Gap(): every methodology functionally warms or fast-forwards all of
+// them, so a run's host time grows with it, and without a bound one spec
+// can hold a worker for as long as it asks. It equals DefaultConfig at
+// Scale 1, the paper's full ten regions of 1 B instructions.
+const MaxRunInstr = 10 * 1_000_000_000
+
 // Validate checks the rules every sampled run relies on: a positive
-// Scale, a scaled LLC within MaxLLCBytes, Explorer windows non-empty and strictly ascending within (0, 1],
-// a detailed-warming window plus detailed region that fit in one gap, and
-// a CPU the timing core can build (cpu.Config.Validate). Under these
-// rules every region's checkpoint targets lie at or after the previous
-// region's, which is what lets DeLorean's tracker (internal/core) replay
-// the execution once, moving only forward.
+// Scale, at least one region, a run of at most MaxRunInstr instructions,
+// a scaled LLC within MaxLLCBytes, Explorer windows non-empty and strictly
+// ascending within (0, 1], a detailed-warming window plus detailed region
+// that fit in one gap, and a CPU the timing core can build
+// (cpu.Config.Validate). Under these rules every region's checkpoint
+// targets lie at or after the previous region's, which is what lets
+// DeLorean's tracker (internal/core) replay the execution once, moving
+// only forward.
 func (c Config) Validate() error {
 	if c.Scale == 0 {
 		return errors.New("Scale must be > 0")
+	}
+	if c.Regions < 1 {
+		return fmt.Errorf("Regions %d: a run needs at least one region", c.Regions)
+	}
+	if gap := c.Gap(); gap > 0 && uint64(c.Regions) > MaxRunInstr/gap {
+		return fmt.Errorf("Regions %d × the scaled gap %d exceed the %d-instruction bound", c.Regions, gap, uint64(MaxRunInstr))
 	}
 	if err := ValidateLLC(c.LLCPaperBytes, c.Scale); err != nil {
 		return fmt.Errorf("LLCPaperBytes: %w", err)

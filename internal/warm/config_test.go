@@ -21,6 +21,13 @@ func TestConfigValidate(t *testing.T) {
 			c.PaperGap, c.Scale = 40_000, 1
 		}, ""},
 		{"zero scale", func(c *Config) { c.Scale = 0 }, "Scale"},
+		{"one region", func(c *Config) { c.Regions = 1 }, ""},
+		{"no regions", func(c *Config) { c.Regions = 0 }, "Regions"},
+		{"negative regions", func(c *Config) { c.Regions = -1 }, "Regions"},
+		{"paper's full run at scale 1", func(c *Config) { c.Scale = 1 }, ""},
+		{"one region past the instruction bound", func(c *Config) { c.Scale, c.Regions = 1, 11 }, "Regions"},
+		{"gap past the instruction bound", func(c *Config) { c.Scale, c.PaperGap = 1, MaxRunInstr/10+1 }, "Regions"},
+		{"regions that overflow a product", func(c *Config) { c.Regions = math.MaxInt }, "Regions"},
 		{"no windows", func(c *Config) { c.ExplorerWindows = nil }, "empty"},
 		{"descending windows", func(c *Config) { c.ExplorerWindows = []float64{0.1, 0.05} }, "ascending"},
 		{"repeated window", func(c *Config) { c.ExplorerWindows = []float64{0.05, 0.05, 1} }, "ascending"},
