@@ -165,8 +165,8 @@ func benchProgressCadence(b *testing.B, every uint64) {
 	}
 }
 
-func BenchmarkCoRunCellProgressOff(b *testing.B)     { benchProgressCadence(b, 0) }
-func BenchmarkCoRunCellProgressDefault(b *testing.B) { benchProgressCadence(b, 4096) }
+func BenchmarkCoRunCellProgressOff(b *testing.B)      { benchProgressCadence(b, 0) }
+func BenchmarkCoRunCellProgressDefault(b *testing.B)  { benchProgressCadence(b, 4096) }
 func BenchmarkCoRunCellProgressEvery256(b *testing.B) { benchProgressCadence(b, 256) }
 
 // TestProgressDisabledWithoutStore pins the dormant path: a store-less

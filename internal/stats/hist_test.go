@@ -173,6 +173,23 @@ func TestRNGDeterminism(t *testing.T) {
 	}
 }
 
+// TestRNGJump: Jump(n) lands where n draws do, across the uint64 wrap of
+// the state.
+func TestRNGJump(t *testing.T) {
+	for _, seed := range []uint64{7, ^uint64(0) - 3} {
+		a, b := NewRNG(seed), NewRNG(seed)
+		for n := uint64(0); n < 300; n += 37 {
+			for i := uint64(0); i < n; i++ {
+				a.Uint64()
+			}
+			b.Jump(n)
+			if a.State() != b.State() || a.Uint64() != b.Uint64() {
+				t.Fatalf("seed %d: Jump(%d) left state %d, %d draws %d", seed, n, b.State(), n, a.State())
+			}
+		}
+	}
+}
+
 func TestRNGUniform(t *testing.T) {
 	r := NewRNG(1)
 	const n = 200000

@@ -30,14 +30,21 @@ func (r *RNG) State() uint64 { return r.state }
 // not a seed.
 func (r *RNG) SetState(s uint64) { r.state = s }
 
+// gamma is splitmix64's state increment: one draw adds it to the state.
+const gamma = 0x9e3779b97f4a7c15
+
 // Uint64 returns the next value (splitmix64).
 func (r *RNG) Uint64() uint64 {
-	r.state += 0x9e3779b97f4a7c15
+	r.state += gamma
 	z := r.state
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
 }
+
+// Jump advances the generator by n draws in O(1): the state of splitmix64
+// after n draws is its current state plus n increments.
+func (r *RNG) Jump(n uint64) { r.state += n * gamma }
 
 // Uint64n returns a value uniform in [0, n). n must be > 0.
 func (r *RNG) Uint64n(n uint64) uint64 {

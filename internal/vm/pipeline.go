@@ -1,6 +1,8 @@
 package vm
 
 import (
+	"runtime"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/cpu"
@@ -8,18 +10,28 @@ import (
 	"repro/internal/workload"
 )
 
-// Pipelined functional warming (DESIGN.md §9). A long RunFuncWarm walk
-// splits into two stages that share no state: a helper goroutine decodes
-// the program (FillBatch) and trains the branch predictor, one hand-off of
-// handoffInstrs instructions at a time, while the caller replays the fetch
-// runs and warms the D-side from each hand-off in program order. The
-// hand-offs circulate through a ring of pipeSlots buffers the Engine owns,
-// so a walk allocates nothing per hand-off and the ring is reused across
-// calls.
+// Walks split across two goroutines (DESIGN.md §9). Two walk kinds run a
+// helper goroutine beside the caller, both through the same ring of
+// hand-off buffers and under the same panic and drain contract:
+//
+//   - a long RunFuncWarm walk is pipelined (runPipelined): the helper
+//     decodes the program (FillBatch) and trains the branch predictor,
+//     one hand-off of handoffInstrs instructions at a time, while the
+//     caller replays the fetch runs and warms the D-side from each
+//     hand-off in program order;
+//   - a long RunVDP walk is split (runVDPSplit): the caller decodes and
+//     profiles the even segments of vdpSegInstrs instructions itself, and
+//     the helper, on a program of its own, Skips each even segment and
+//     decodes the odd one after it into a hand-off, with the position it
+//     ends at.
+//
+// The rings come from one package-level pool shared by every Engine, so a
+// walk allocates nothing per hand-off, and the buffers live once per walk
+// running at a time rather than once per engine.
 const (
-	// handoffInstrs is one hand-off: 32 chunks. With hand-offs of 1 024
-	// instructions the hand-off cost ate the whole gain; 8 192 and 16 384
-	// measured best, and the smaller keeps the ring at about 600 KiB.
+	// handoffInstrs is one warming hand-off: 32 chunks. With hand-offs
+	// of 1 024 instructions the hand-off cost ate the whole gain; 8 192
+	// and 16 384 measured best, and the smaller was taken.
 	handoffInstrs = 32 * workload.Chunk
 	// pipeSlots is the ring: one hand-off being decoded, one being
 	// warmed, one ready between them. Two slots lost a quarter of the
@@ -29,112 +41,187 @@ const (
 	// hand-off runs slower pipelined, one of two already faster; four
 	// keep the Scout's 30 000- and 10 000-instruction windows serial.
 	pipeMinInstrs = 4 * handoffInstrs
+	// vdpSegInstrs is one segment of a split VDP walk: two warming
+	// hand-offs. The helper's first odd segment is lost to the caller
+	// unless the helper starts and Skips the first even one before the
+	// caller has profiled it, and waking the second CPU took 0.1-0.7 ms
+	// on a 2-vCPU container: 8 192-instruction segments lost most walks
+	// that way, 16 384 and 32 768 gained alike, and the smaller keeps a
+	// slot's access buffer at 320 KiB (DESIGN.md §9).
+	vdpSegInstrs = 2 * handoffInstrs
+	// vdpSplitMin is the shortest split VDP walk: eight segments, four
+	// for each side, which splits every CoolSim schedule segment and the
+	// Explorer-2..4 windows of the sampling benchmark's configuration.
+	vdpSplitMin = 8 * vdpSegInstrs
 )
 
-// handoff is one ring buffer: a span's data accesses and, when a
-// predictor is trained, its branch outcomes.
+// handoff is one ring buffer: a span's data accesses, its branch outcomes
+// when a predictor is trained, and, for a split VDP walk, the position the
+// program reaches at the span's end.
 type handoff struct {
 	acc mem.Batch
 	brs []workload.Branch
+	end workload.Position
 }
 
-// pipeline is the ring of one Engine. Between walks, free holds every
-// slot index and full is empty. During a walk, a slot index is owned by
+// ring is one walk's hand-off ring. Between walks, free holds every slot
+// index and full is empty. During a walk, a slot index is owned by
 // whoever last received it: the helper fills a slot it took from free and
-// sends it on full; the caller warms from it and returns it to free. The
+// sends it on full; the caller consumes it and returns it to free. The
 // helper's last act is a -1 on full, so receiving it means the helper has
 // exited and every slot is back in free or full.
-type pipeline struct {
+type ring struct {
 	slots [pipeSlots]handoff
 	free  chan int
 	full  chan int
 	stop  atomic.Bool // the caller is unwinding: the helper exits at its next slot
 	fault any         // the helper's panic value, published by its -1
+
+	// Caller side: the slot it holds (-1 for none), and whether it has
+	// received the helper's -1.
+	held   int
+	exited bool
+
+	// A split VDP walk's hand-over: the program position the helper seeks
+	// to first, and the next odd segment the helper may claim, or -1 once
+	// the caller decodes one itself (runVDPSplit).
+	start workload.Position
+	claim atomic.Int64
 }
 
-func newPipeline() *pipeline {
+// rings is the package-level pool of rings. A helper needs a CPU of its
+// own, so at most one ring per two CPUs (and at least one) exists: a walk
+// that finds every ring busy runs serial, which on a saturated pool is
+// what a helper would mostly have done, without the ring's memory. Idle
+// rings are kept; a sync.Pool would drop them at garbage collections,
+// and under the race detector at random, and rebuild them.
+var rings struct {
+	sync.Mutex
+	idle  []*ring
+	built int
+}
+
+// getRing takes a ring from the pool, building one while fewer than
+// max(1, GOMAXPROCS/2) exist, and arms it for a walk. It returns nil when
+// every ring is busy.
+func getRing() *ring {
+	rings.Lock()
+	var r *ring
+	if n := len(rings.idle); n > 0 {
+		r = rings.idle[n-1]
+		rings.idle = rings.idle[:n-1]
+	} else if rings.built < max(1, runtime.GOMAXPROCS(0)/2) {
+		rings.built++
+		r = newRing()
+	}
+	rings.Unlock()
+	if r == nil {
+		return nil
+	}
+	r.stop.Store(false)
+	r.held, r.exited = -1, false
+	return r
+}
+
+// newRing builds a ring whose slots start empty: each grows to what the
+// walks that fill it need and keeps that capacity, so a ring whose helper
+// seldom wins a segment, as on a saturated pool, stays small.
+func newRing() *ring {
 	// free holds every slot between walks; full can hold every slot and
 	// the helper's -1, so no send on either ever blocks.
-	p := &pipeline{free: make(chan int, pipeSlots), full: make(chan int, pipeSlots+1)}
-	for i := range p.slots {
-		p.slots[i] = handoff{
-			acc: make(mem.Batch, 0, handoffInstrs/2),
-			brs: make([]workload.Branch, 0, handoffInstrs/4),
-		}
-		p.free <- i
+	r := &ring{free: make(chan int, pipeSlots), full: make(chan int, pipeSlots+1)}
+	for i := range r.slots {
+		r.free <- i
 	}
-	return p
+	return r
 }
 
-// runPipelined warms n instructions through the ring: the program moves
-// on the helper goroutine (decode), the hierarchy and OnData on the
-// caller's (warm), so a panic in either re-panics here with its value once
-// the helper has exited.
+// release ends the caller's side of a walk, normally or while a panic
+// unwinds: it stops the helper, returns the slot the caller holds, waits
+// for the helper's -1 and puts the ring, whole again, back in the pool.
+func (r *ring) release() {
+	r.stop.Store(true)
+	r.claim.Store(-1)
+	if r.held >= 0 {
+		r.free <- r.held
+		r.held = -1
+	}
+	for !r.exited {
+		if i := <-r.full; i < 0 {
+			r.exited = true
+		} else {
+			r.free <- i
+		}
+	}
+	rings.Lock()
+	rings.idle = append(rings.idle, r)
+	rings.Unlock()
+}
+
+// recv takes the next filled slot for the caller. If the helper panicked
+// instead, the helper has exited, and recv re-panics with its value.
+func (r *ring) recv() *handoff {
+	i := <-r.full
+	if i < 0 {
+		r.exited = true
+		fault := r.fault
+		r.fault = nil
+		panic(fault)
+	}
+	r.held = i
+	return &r.slots[i]
+}
+
+// done returns the caller's slot to the helper.
+func (r *ring) done() {
+	r.free <- r.held
+	r.held = -1
+}
+
+// exit is the helper's deferred last act: it publishes a panic, returns
+// the slot the helper holds and sends the -1.
+func (r *ring) exit(held *int) {
+	if v := recover(); v != nil {
+		r.fault = v
+	}
+	if *held >= 0 {
+		r.free <- *held
+	}
+	r.full <- -1
+}
+
+// runPipelined warms n instructions through a ring: the program moves on
+// the helper goroutine (decode), the hierarchy and OnData on the caller's
+// (warm), so a panic in either re-panics here with its value once the
+// helper has exited.
 func (e *Engine) runPipelined(n uint64, w *Warming, f *fetchCursor) {
-	if e.pipe == nil {
-		e.pipe = newPipeline()
+	r := getRing()
+	if r == nil {
+		e.runChunked(n, w, f)
+		return
 	}
-	p := e.pipe
-	p.stop.Store(false)
-	go p.decode(e.Prog, n, w.BP)
-	held := -1
-	defer func() {
-		if held < 0 {
-			return
-		}
-		// The warming (OnData) panicked while holding slot held: stop
-		// the helper and wait for it, so the panic leaves the ring whole.
-		p.stop.Store(true)
-		p.free <- held
-		p.drain()
-	}()
+	defer r.release()
+	go r.decode(e.Prog, n, w.BP)
 	for left := n; left > 0; left -= min(left, handoffInstrs) {
-		held = <-p.full
-		if held < 0 { // the helper panicked and has exited
-			fault := p.fault
-			p.fault = nil
-			panic(fault)
-		}
-		f.warm(w, p.slots[held].acc)
-		p.free <- held
-		held = -1
-	}
-	p.drain()
-}
-
-// drain moves every slot still on full back to free until the helper's
-// -1 arrives.
-func (p *pipeline) drain() {
-	for {
-		i := <-p.full
-		if i < 0 {
-			return
-		}
-		p.free <- i
+		f.warm(w, r.recv().acc)
+		r.done()
 	}
 }
 
-// decode is the helper: it decodes n instructions of prog hand-off by
-// hand-off into the slots it takes from free, trains bp (when non-nil) on
-// each hand-off's branches in program order, and sends each slot on full.
-func (p *pipeline) decode(prog *workload.Program, n uint64, bp *cpu.BranchPred) {
+// decode is the warming helper: it decodes n instructions of prog hand-off
+// by hand-off into the slots it takes from free, trains bp (when non-nil)
+// on each hand-off's branches in program order, and sends each slot on
+// full.
+func (r *ring) decode(prog *workload.Program, n uint64, bp *cpu.BranchPred) {
 	held := -1
-	defer func() {
-		if r := recover(); r != nil {
-			p.fault = r
-		}
-		if held >= 0 {
-			p.free <- held
-		}
-		p.full <- -1
-	}()
+	defer r.exit(&held)
 	var brs *[]workload.Branch
 	for left := n; left > 0; {
-		held = <-p.free
-		if p.stop.Load() {
+		held = <-r.free
+		if r.stop.Load() {
 			return
 		}
-		s := &p.slots[held]
+		s := &r.slots[held]
 		m := min(left, handoffInstrs)
 		left -= m
 		s.acc.Reset()
@@ -146,7 +233,79 @@ func (p *pipeline) decode(prog *workload.Program, n uint64, bp *cpu.BranchPred) 
 		for _, b := range s.brs {
 			bp.PredictAndUpdate(b.PC, b.Taken)
 		}
-		p.full <- held
+		r.full <- held
+		held = -1
+	}
+}
+
+// runVDPSplit profiles n instructions in segments of vdpSegInstrs, the
+// last one partial. The caller decodes and profiles the even segments;
+// for an odd one the helper has begun decoding, it profiles the helper's
+// hand-off and seeks its own program to the hand-off's end. An odd
+// segment the helper has not begun when the caller needs it, the caller
+// decodes itself, and the helper stops for the rest of the walk: on a
+// saturated host the helper wastes at most the Skip of one segment. Every
+// callback runs on the caller's goroutine, and a panic on either side
+// re-panics here once the helper has exited.
+func (e *Engine) runVDPSplit(n uint64, v *vdpScan) {
+	r := getRing()
+	if r == nil {
+		e.runVDPChunked(n, v)
+		return
+	}
+	defer r.release()
+	h := e.helperProgram()
+	e.Prog.PositionTo(&r.start)
+	r.claim.Store(1)
+	go r.skipDecode(h, n)
+	for j := int64(0); uint64(j)*vdpSegInstrs < n; j++ {
+		m := min(vdpSegInstrs, n-uint64(j)*vdpSegInstrs)
+		if j%2 == 0 || !r.helped(j) {
+			e.runVDPChunked(m, v)
+			continue
+		}
+		s := r.recv()
+		e.scanVDP(v, s.acc)
+		if err := e.Prog.Seek(s.end); err != nil {
+			panic(err) // the helper runs the same profile and scale: a bug
+		}
+		r.done()
+	}
+}
+
+// helped reports whether the helper decodes odd segment j. If it has not
+// claimed j yet, the caller takes it, which stops the helper.
+func (r *ring) helped(j int64) bool {
+	if r.claim.CompareAndSwap(j, -1) {
+		return false
+	}
+	return r.claim.Load() > j
+}
+
+// skipDecode is the split VDP walk's helper: from the walk's start it
+// Skips each even segment of n instructions, claims the odd segment after
+// it, and decodes it with its end position into a slot it sends on full.
+// It exits when the caller has taken a segment it meant to claim.
+func (r *ring) skipDecode(prog *workload.Program, n uint64) {
+	held := -1
+	defer r.exit(&held)
+	if err := prog.Seek(r.start); err != nil {
+		panic(err)
+	}
+	for j := int64(1); uint64(j)*vdpSegInstrs < n; j += 2 {
+		prog.Skip(vdpSegInstrs)
+		if !r.claim.CompareAndSwap(j, j+2) {
+			return
+		}
+		held = <-r.free
+		if r.stop.Load() {
+			return
+		}
+		s := &r.slots[held]
+		s.acc.Reset()
+		prog.FillBatch(min(vdpSegInstrs, n-uint64(j)*vdpSegInstrs), &s.acc, nil)
+		prog.PositionTo(&s.end)
+		r.full <- held
 		held = -1
 	}
 }

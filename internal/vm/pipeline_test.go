@@ -3,6 +3,7 @@ package vm
 import (
 	"errors"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -88,5 +89,28 @@ func TestPipelinedWalkAllocs(t *testing.T) {
 	if allocs[0] > 2 || allocs[1] > allocs[0] {
 		t.Fatalf("allocations per call: %v for %d and %d instructions; want at most 2, not growing with the walk",
 			allocs, pipeMinInstrs, 8*pipeMinInstrs)
+	}
+}
+
+// TestFetchPastWalkEndPanics: an access at the walk's end, which no
+// correct decode produces, makes the fetch replay panic with a message
+// instead of spinning forever on zero-length fetch runs.
+func TestFetchPastWalkEndPanics(t *testing.T) {
+	prog := workload.Mcf().NewProgram(256)
+	h := cache.NewHierarchy(cache.DefaultHierarchy(256<<18, 256), nil)
+	f := fetchCursor{walk: prog.FetchWalk(), next: prog.InstrIndex()}
+	f.end = f.next + 10
+	done := make(chan any, 1)
+	go func() {
+		defer func() { done <- recover() }()
+		f.warm(&Warming{Hier: h}, mem.Batch{{InstrIdx: f.end}})
+	}()
+	select {
+	case r := <-done:
+		if msg, ok := r.(string); !ok || !strings.Contains(msg, "past the walk's end") {
+			t.Fatalf("fetch replay panicked with %v, want the past-the-end message", r)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("fetch replay still running 10 s after an access at the walk's end")
 	}
 }

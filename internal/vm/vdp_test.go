@@ -1,9 +1,13 @@
 package vm
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/mem"
 	"repro/internal/workload"
@@ -107,12 +111,19 @@ func (r *vdpRecorder) config(every uint64, fixed bool) *VDPConfig {
 // per-instruction oracle over every benchmark: the same ordered callbacks,
 // ledger, program state and sample clock, over back-to-back calls whose
 // spans straddle chunk boundaries and whose sampling intervals change
-// between calls (0 included), as CoolSim's schedule segments do.
+// between calls (0 included), as CoolSim's schedule segments do. The
+// longer spans sit one below, at and one above vdpSplitMin, where a walk
+// splits when GOMAXPROCS > 1 (CI runs the test at -cpu 1,2), and past it
+// with an even and an odd segment count, each with a partial last
+// segment, sampling on and off.
 func TestRunVDPMatchesReference(t *testing.T) {
 	calls := []struct{ span, every uint64 }{
 		{0, 100}, {1, 7}, {workload.Chunk - 1, 0}, {workload.Chunk, 100}, {workload.Chunk + 1, 33},
 		{12_345, 1000}, {777, 0}, {3001, 1}, {40_000, 2500}, {5, 3},
 		{workload.Chunk*3 + 17, 0}, {20_011, 400},
+		{vdpSplitMin - 1, 300}, {vdpSplitMin, 0}, {vdpSplitMin + 1, 700},
+		{9*vdpSegInstrs + 123, 1200}, {9*vdpSegInstrs + 5, 0}, // ten segments: the partial one the helper's
+		{10*vdpSegInstrs + 4_567, 0}, {10*vdpSegInstrs + 99, 40}, // eleven: the partial one the caller's
 	}
 	for _, prof := range workload.Benchmarks() {
 		prof := prof
@@ -169,5 +180,155 @@ func TestRunVDPMatchesReference(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestSplitVDPWalkPanics: a callback that panics in the middle of a split
+// walk — OnSample in a segment the helper decoded, OnTrigger in one the
+// caller decoded — re-panics from RunVDP with the same value, leaves no
+// goroutine behind, and leaves an engine whose next walks, split and
+// serial, match the per-instruction oracle from wherever the panic left
+// its program and sample clock.
+func TestSplitVDPWalkPanics(t *testing.T) {
+	prof := workload.Mcf()
+	const scale = 64
+	boom := errors.New("boom")
+	for _, tc := range []struct {
+		name string
+		arm  func(cfg *VDPConfig, at uint64)
+	}{
+		{"OnSample", func(cfg *VDPConfig, at uint64) {
+			inner := cfg.OnSample
+			cfg.OnSample = func(a *mem.Access) {
+				if a.InstrIdx >= at+3*vdpSegInstrs/2 { // segment 1
+					panic(boom)
+				}
+				inner(a)
+			}
+		}},
+		{"OnTrigger", func(cfg *VDPConfig, at uint64) {
+			inner := cfg.OnTrigger
+			cfg.OnTrigger = func(a *mem.Access) {
+				if a.InstrIdx >= at+5*vdpSegInstrs/2 { // segment 2
+					panic(boom)
+				}
+				inner(a)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			eng := NewEngine(prof.NewProgram(scale))
+			eng.Prog.Skip(5_000)
+			rec := &vdpRecorder{wps: NewWatchpoints(), pending: map[mem.Line]bool{}}
+			cfg := rec.config(150, false)
+			tc.arm(cfg, eng.Prog.InstrIndex())
+			func() {
+				defer func() {
+					if r := recover(); r != boom {
+						t.Fatalf("RunVDP panicked with %v", r)
+					}
+				}()
+				eng.RunVDP(2*vdpSplitMin, cfg)
+				t.Fatal("RunVDP returned from a panicking walk")
+			}()
+			for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines after the panic, %d before", runtime.NumGoroutine(), base)
+				}
+			}
+
+			ref := NewEngine(prof.NewProgram(scale))
+			if err := ref.Prog.Seek(eng.Prog.Position()); err != nil {
+				t.Fatal(err)
+			}
+			ref.sampleCount = eng.sampleCount
+			rr := &vdpRecorder{wps: NewWatchpoints(), pending: map[mem.Line]bool{}}
+			br := &vdpRecorder{wps: NewWatchpoints(), pending: map[mem.Line]bool{}}
+			rr.wps.SetState(rec.wps.State())
+			br.wps.SetState(rec.wps.State())
+			for _, n := range []uint64{vdpSplitMin + 1_001, 2_001} {
+				ref.refRunVDP(n, rr.config(150, false))
+				eng.RunVDP(n, br.config(150, false))
+				if !reflect.DeepEqual(br.events, rr.events) || eng.sampleCount != ref.sampleCount ||
+					!reflect.DeepEqual(eng.Prog.Position(), ref.Prog.Position()) {
+					t.Fatalf("walk of %d after the panic: %d callbacks, clock %d; oracle %d callbacks, clock %d",
+						n, len(br.events), eng.sampleCount, len(rr.events), ref.sampleCount)
+				}
+			}
+		})
+	}
+}
+
+// TestSplitVDPWalksConcurrent: split walks on three engines at once, the
+// shape of a saturated worker pool, share the ring pool, and each still
+// delivers the per-instruction oracle's callbacks, sample clock and ledger
+// and ends at its program position.
+func TestSplitVDPWalksConcurrent(t *testing.T) {
+	profs := []*workload.Profile{workload.Mcf(), workload.Calculix(), workload.Bwaves()}
+	spans := []uint64{vdpSplitMin + 7_777, 3 * vdpSplitMin, 2_000}
+	type side struct {
+		eng *Engine
+		rec *vdpRecorder
+	}
+	run := func(prof *workload.Profile, oracle bool) side {
+		s := side{NewEngine(prof.NewProgram(64)), &vdpRecorder{wps: NewWatchpoints(), pending: map[mem.Line]bool{}}}
+		for _, n := range spans {
+			if oracle {
+				s.eng.refRunVDP(n, s.rec.config(90, false))
+			} else {
+				s.eng.RunVDP(n, s.rec.config(90, false))
+			}
+		}
+		return s
+	}
+	got := make([]side, len(profs))
+	var wg sync.WaitGroup
+	for i, prof := range profs {
+		wg.Add(1)
+		go func(i int, prof *workload.Profile) {
+			defer wg.Done()
+			got[i] = run(prof, false)
+		}(i, prof)
+	}
+	wg.Wait()
+	for i, prof := range profs {
+		want := run(prof, true)
+		if !reflect.DeepEqual(got[i].rec.events, want.rec.events) || got[i].eng.sampleCount != want.eng.sampleCount ||
+			!reflect.DeepEqual(got[i].eng.Counters, want.eng.Counters) ||
+			!reflect.DeepEqual(got[i].eng.Prog.Position(), want.eng.Prog.Position()) {
+			t.Errorf("%s: concurrent split walks differ from the oracle (%d callbacks, want %d)",
+				prof.Name, len(got[i].rec.events), len(want.rec.events))
+		}
+	}
+}
+
+// TestSplitVDPWalkAllocs: a split walk on an engine that has walked before
+// allocates a small constant per call — the helper's start and the
+// ledger's counter names — and nothing per segment, so a walk eight times
+// longer allocates no more.
+func TestSplitVDPWalkAllocs(t *testing.T) {
+	prof := workload.Mcf()
+	eng := NewEngine(prof.NewProgram(256))
+	wps := NewWatchpoints()
+	var ahead mem.Batch
+	prof.NewProgram(256).FillBatch(10_000, &ahead, nil)
+	for i := 0; i < len(ahead); i += 97 {
+		wps.Watch(ahead[i].Line())
+	}
+	var calls int
+	cfg := &VDPConfig{WPs: wps, SampleEvery: 500,
+		OnSample:  func(a *mem.Access) { calls++ },
+		OnTrigger: func(a *mem.Access) { calls++ }}
+	var allocs [2]float64
+	for i, n := range []uint64{vdpSplitMin, 8 * vdpSplitMin} {
+		allocs[i] = testing.AllocsPerRun(5, func() { eng.RunVDP(n, cfg) })
+	}
+	if allocs[0] > 8 || allocs[1] > allocs[0] {
+		t.Fatalf("allocations per call: %v for %d and %d instructions; want at most 8, not growing with the walk",
+			allocs, vdpSplitMin, 8*vdpSplitMin)
+	}
+	if calls == 0 {
+		t.Fatal("no callback delivered")
 	}
 }

@@ -17,7 +17,9 @@
 //   - virtualized directed profiling (VDP): near-native execution with
 //     page-protection watchpoints; every access to a watched page — true
 //     positive or not — pays a fixed trigger cost (KVM exit + signal
-//     delivery + handler in the paper),
+//     delivery + handler in the paper). A long RunVDP walk is split in
+//     segments, every other one decoded on a helper goroutine whose
+//     program Skips the rest (DESIGN.md §9),
 //   - detailed simulation is driven by cpu.Core directly; its cost is
 //     charged through ChargeDetail.
 //
@@ -28,6 +30,8 @@
 package vm
 
 import (
+	"runtime"
+
 	"repro/internal/cache"
 	"repro/internal/cpu"
 	"repro/internal/mem"
@@ -207,7 +211,7 @@ type Engine struct {
 	sampleCount uint64
 	chunk       mem.Batch         // chunk buffer of RunVDP and the serial RunFuncWarm, allocated on first use
 	branches    []workload.Branch // the serial RunFuncWarm's branch outcomes per chunk, likewise
-	pipe        *pipeline         // the pipelined RunFuncWarm's hand-off ring, likewise
+	helper      *workload.Program // the split RunVDP's helper program, likewise
 }
 
 // NewEngine wraps prog with a fresh ledger.
@@ -279,7 +283,8 @@ type Warming struct {
 //   - The branch outcomes train BP in a loop of their own per chunk: the
 //     predictor shares no state with the caches.
 //
-// A walk of pipeMinInstrs or more is pipelined (runPipelined): a helper
+// A walk of pipeMinInstrs or more is pipelined (runPipelined) when a
+// hand-off ring is free (at most one exists per two CPUs): a helper
 // goroutine decodes it and trains BP one hand-off ahead while the caller
 // warms the hierarchy. OnData runs on the caller's goroutine either way,
 // but must not touch e.Prog, which the helper owns during the walk.
@@ -352,7 +357,14 @@ func (f *fetchCursor) warm(w *Warming, acc mem.Batch) {
 // at instruction next, and returns the instruction after the run. The
 // run's first fetch is a full WarmInstr; the rest hit the line it left
 // resident, so one TouchN replays them.
+//
+// It panics when next has reached end: an access at or past the walk's end
+// means a decode produced an instruction the walk does not hold, and the
+// fetch loops would otherwise spin on a zero-length run.
 func fetchRun(h *cache.Hierarchy, walk *workload.FetchWalk, next, end uint64) uint64 {
+	if next >= end {
+		panic("vm: fetch past the walk's end: a decoded access lies outside the walk")
+	}
 	line, k := walk.Next()
 	k = min(k, end-next)
 	h.WarmInstr(line)
@@ -370,14 +382,51 @@ func fetchRun(h *cache.Hierarchy, walk *workload.FetchWalk, next, end uint64) ui
 // only the memory accesses are materialized. The instruction-count sample
 // clock advances by each access's InstrIdx delta, and the instructions
 // after the last access are credited when the call returns, so the clock
-// carries across calls exactly as a per-instruction count would. Callbacks
-// see the program at its chunk's end: they must take positions from the
-// access record, and copy what they keep of it.
+// carries across calls exactly as a per-instruction count would.
+//
+// A walk of vdpSplitMin or more instructions, when the process may run
+// more than one goroutine at once (GOMAXPROCS > 1) and a hand-off ring is
+// free, is split (runVDPSplit): a helper goroutine on a program of its own
+// decodes every other segment of the walk while the caller decodes the
+// rest. Every callback runs on
+// the caller's goroutine, in program order, either way. The callbacks
+// follow OnData's rule: they must not touch e.Prog, which a split walk
+// moves segment by segment, so they take positions from the access
+// record, and copy what they keep of it.
 func (e *Engine) RunVDP(n uint64, cfg *VDPConfig) {
-	var triggers, falsePos, sampleStops float64
-	every := cfg.SampleEvery
-	next := e.Prog.InstrIndex() // first instruction the clock has not counted
-	end := next + n
+	v := vdpScan{cfg: cfg, next: e.Prog.InstrIndex()}
+	end := v.next + n
+	if n >= vdpSplitMin && runtime.GOMAXPROCS(0) > 1 {
+		e.runVDPSplit(n, &v)
+	} else {
+		e.runVDPChunked(n, &v)
+	}
+	if cfg.SampleEvery > 0 {
+		e.sampleCount += end - v.next
+	}
+	e.charge(KindVDP, float64(n))
+	if cfg.TriggersFixed {
+		e.Counters.Add("fix/"+KindTrigger, v.triggers)
+		e.Counters.Add("fix/"+KindTriggerFP, v.falsePos)
+		e.Counters.Add("fix/"+KindSampleStop, v.sampleStops)
+	} else {
+		e.charge(KindTrigger, v.triggers)
+		e.charge(KindTriggerFP, v.falsePos)
+		e.charge(KindSampleStop, v.sampleStops)
+	}
+}
+
+// vdpScan is one RunVDP walk's observation state: its configuration, the
+// first instruction the sample clock has not counted, and the stops so
+// far.
+type vdpScan struct {
+	cfg                             *VDPConfig
+	next                            uint64
+	triggers, falsePos, sampleStops float64
+}
+
+// runVDPChunked is the serial walk: decode a chunk, profile it.
+func (e *Engine) runVDPChunked(n uint64, v *vdpScan) {
 	if e.chunk == nil {
 		// Once per engine: most engines never profile.
 		e.chunk = make(mem.Batch, 0, workload.Chunk)
@@ -387,50 +436,60 @@ func (e *Engine) RunVDP(n uint64, cfg *VDPConfig) {
 		left -= m
 		e.chunk.Reset()
 		e.Prog.FillBatch(m, &e.chunk, nil)
-		b := e.chunk
-		for i := range b {
-			a := &b[i]
-			isSample := false
-			if every > 0 {
-				e.sampleCount += a.InstrIdx + 1 - next
-				next = a.InstrIdx + 1
-				if e.sampleCount >= every {
-					e.sampleCount = 0
-					isSample = true
-				}
+		e.scanVDP(v, e.chunk)
+	}
+}
+
+// scanVDP profiles one decoded span in program order: it advances the
+// sample clock, and delivers and counts the sampling stops and the
+// watched-page triggers.
+func (e *Engine) scanVDP(v *vdpScan, b mem.Batch) {
+	cfg := v.cfg
+	every, next := cfg.SampleEvery, v.next
+	var triggers, falsePos, sampleStops float64
+	for i := range b {
+		a := &b[i]
+		isSample := false
+		if every > 0 {
+			e.sampleCount += a.InstrIdx + 1 - next
+			next = a.InstrIdx + 1
+			if e.sampleCount >= every {
+				e.sampleCount = 0
+				isSample = true
 			}
-			watchedPage := cfg.WPs != nil && cfg.WPs.WatchedPage(mem.PageOf(a.Addr))
-			if isSample {
-				sampleStops++
-				if cfg.OnSample != nil {
-					cfg.OnSample(a)
-				}
+		}
+		watchedPage := cfg.WPs != nil && cfg.WPs.WatchedPage(mem.PageOf(a.Addr))
+		if isSample {
+			sampleStops++
+			if cfg.OnSample != nil {
+				cfg.OnSample(a)
 			}
-			if watchedPage {
-				triggers++
-				if cfg.WPs.WatchedLine(a.Line()) {
-					if cfg.OnTrigger != nil {
-						cfg.OnTrigger(a)
-					}
-				} else {
-					falsePos++
+		}
+		if watchedPage {
+			triggers++
+			if cfg.WPs.WatchedLine(a.Line()) {
+				if cfg.OnTrigger != nil {
+					cfg.OnTrigger(a)
 				}
+			} else {
+				falsePos++
 			}
 		}
 	}
-	if every > 0 {
-		e.sampleCount += end - next
+	v.next = next
+	v.triggers += triggers
+	v.falsePos += falsePos
+	v.sampleStops += sampleStops
+}
+
+// helperProgram returns the split RunVDP's helper program: one of the
+// engine's profile and scale, built on first use and rebuilt if e.Prog
+// changes profile. runVDPSplit seeks it to each walk's start.
+func (e *Engine) helperProgram() *workload.Program {
+	if h := e.helper; h == nil || h.Profile() != e.Prog.Profile() || h.Scale() != e.Prog.Scale() {
+		e.helper = e.Prog.Profile().NewProgram(e.Prog.Scale())
 	}
-	e.charge(KindVDP, float64(n))
-	if cfg.TriggersFixed {
-		e.Counters.Add("fix/"+KindTrigger, triggers)
-		e.Counters.Add("fix/"+KindTriggerFP, falsePos)
-		e.Counters.Add("fix/"+KindSampleStop, sampleStops)
-	} else {
-		e.charge(KindTrigger, triggers)
-		e.charge(KindTriggerFP, falsePos)
-		e.charge(KindSampleStop, sampleStops)
-	}
+	return e.helper
 }
 
 // ChargeDetail records n instructions of detailed (cycle-accurate)

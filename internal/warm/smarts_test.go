@@ -12,14 +12,23 @@ import (
 // bwaves, in ns per evaluated instruction. One op evaluates the three
 // benchmarks in turn: serial runs one op at a time, pool2 two ops at once,
 // the saturated two-worker pool of a runner or labd.
-func BenchmarkRunSMARTS(b *testing.B) {
+func BenchmarkRunSMARTS(b *testing.B) { benchEvals(b, RunSMARTS) }
+
+// BenchmarkRunCoolSim measures CoolSim evaluations the same way. Its host
+// time is one long directed-profiling walk per region (the warm-up
+// interval), which RunVDP splits across two CPUs when GOMAXPROCS > 1; the
+// pool2 case is the host with no CPU to spare.
+func BenchmarkRunCoolSim(b *testing.B) { benchEvals(b, RunCoolSim) }
+
+// benchEvals is the harness of the evaluation benchmarks above.
+func benchEvals(b *testing.B, run func(*workload.Profile, Config) *Result) {
 	cfg := DefaultConfig()
 	cfg.Scale = 256
 	cfg.Regions = 1
 	profs := []*workload.Profile{workload.Mcf(), workload.Omnetpp(), workload.Bwaves()}
 	op := func() {
 		for _, p := range profs {
-			RunSMARTS(p, cfg)
+			run(p, cfg)
 		}
 	}
 	instrs := float64(len(profs)) * float64(cfg.TotalInstr())

@@ -1,6 +1,9 @@
 package workload
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // StreamPos is the serializable positional state of one memory stream.
 type StreamPos struct {
@@ -35,15 +38,22 @@ type Position struct {
 // shares no storage with the program and stays valid as the program
 // advances.
 func (pr *Program) Position() Position {
-	p := Position{
-		InstrIdx:   pr.instrIdx,
-		MemIdx:     pr.memIdx,
-		CodePos:    pr.codePos,
-		RNG:        pr.rng.State(),
-		RandRNG:    pr.randRng.State(),
-		Streams:    make([]StreamPos, len(pr.streams)),
-		BranchCtrs: make([]uint32, len(pr.branchSlots)),
-	}
+	var p Position
+	pr.PositionTo(&p)
+	return p
+}
+
+// PositionTo captures the program's current positional state into p,
+// reusing p's slices when they are large enough: a walk that captures a
+// position per step allocates only on its first.
+func (pr *Program) PositionTo(p *Position) {
+	p.InstrIdx = pr.instrIdx
+	p.MemIdx = pr.memIdx
+	p.CodePos = pr.codePos
+	p.RNG = pr.rng.State()
+	p.RandRNG = pr.randRng.State()
+	p.Streams = slices.Grow(p.Streams[:0], len(pr.streams))[:len(pr.streams)]
+	p.BranchCtrs = slices.Grow(p.BranchCtrs[:0], len(pr.branchSlots))[:len(pr.branchSlots)]
 	for i := range pr.streams {
 		st := &pr.streams[i]
 		p.Streams[i] = StreamPos{Pos: st.pos, LastOff: st.lastOff, BurstLeft: st.burstLeft}
@@ -51,7 +61,6 @@ func (pr *Program) Position() Position {
 	for i := range pr.branchSlots {
 		p.BranchCtrs[i] = pr.branchSlots[i].ctr
 	}
-	return p
 }
 
 // Seek restores a position previously captured (from this program or any
@@ -65,9 +74,10 @@ func (pr *Program) Position() Position {
 // Positions arrive from checkpoints read back from a store or a peer, so
 // Seek rejects, besides a mismatched shape, every counter no run can
 // reach: a code-walk position at or past the walk's period, a burst
-// count at or past its stream's burst length, and a loop-branch counter
-// at or past the loop duty. From such a position Next, Skip, FetchWalk
-// and FillInstrs would each continue differently.
+// count at or past its stream's burst length, a loop-branch counter at or
+// past the loop duty, and a stream position no walk takes (checkStream).
+// From such a position Next, Skip, FetchWalk and FillInstrs would each
+// continue differently: Skip's closed form relies on these rules.
 func (pr *Program) Seek(p Position) error {
 	if len(p.Streams) != len(pr.streams) {
 		return fmt.Errorf("workload: seek: position has %d streams, program %q has %d",
@@ -82,9 +92,8 @@ func (pr *Program) Seek(p Position) error {
 			p.CodePos, pr.prof.Name, period)
 	}
 	for i, sp := range p.Streams {
-		if n := pr.streams[i].burstLen; sp.BurstLeft >= n {
-			return fmt.Errorf("workload: seek: stream %d has %d burst accesses left, program %q bursts %d",
-				i, sp.BurstLeft, pr.prof.Name, n)
+		if err := pr.streams[i].checkStream(sp); err != nil {
+			return fmt.Errorf("workload: seek: stream %d of program %q: %w", i, pr.prof.Name, err)
 		}
 	}
 	for i, c := range p.BranchCtrs {
@@ -108,5 +117,37 @@ func (pr *Program) Seek(p Position) error {
 		pr.branchSlots[i].ctr = p.BranchCtrs[i]
 	}
 	pr.rebuildWeights()
+	return nil
+}
+
+// checkStream refuses a stream position no walk reaches. Every walk
+// starts at position 0 with lastOff 0:
+//   - a Seq or Chase advance sets lastOff to the new position, so the two
+//     are equal;
+//   - a Chase position, and a Seq position with a stride below the line
+//     count, stays below the line count (a Seq stride of lines or more
+//     walks past it);
+//   - a Rand stream never moves its position, and draws lastOff below the
+//     line count;
+//   - a burst count stays below the burst length.
+func (st *streamState) checkStream(sp StreamPos) error {
+	if sp.BurstLeft >= st.burstLen {
+		return fmt.Errorf("%d burst accesses left, bursts are %d", sp.BurstLeft, st.burstLen)
+	}
+	if st.kind == Rand {
+		if sp.Pos != 0 {
+			return fmt.Errorf("rand stream at position %d, want 0", sp.Pos)
+		}
+		if sp.LastOff >= st.lines {
+			return fmt.Errorf("rand stream's last line %d past its %d lines", sp.LastOff, st.lines)
+		}
+		return nil
+	}
+	if sp.LastOff != sp.Pos {
+		return fmt.Errorf("last line %d differs from position %d", sp.LastOff, sp.Pos)
+	}
+	if (st.kind == Chase || st.stride < st.lines) && sp.Pos >= st.lines {
+		return fmt.Errorf("position %d past its %d lines", sp.Pos, st.lines)
+	}
 	return nil
 }

@@ -92,32 +92,56 @@ func TestSeekRejectsMismatchedShape(t *testing.T) {
 	}
 }
 
-// TestSeekRejectsUnreachablePosition: a position whose code walk, burst
-// or loop-branch counter lies outside what any run reaches is refused,
-// and the same counters one step inside the range are accepted.
+// TestSeekRejectsUnreachablePosition: a position whose code walk, burst,
+// loop-branch counter or stream position lies outside what any run
+// reaches is refused, and the same field at the last reachable value is
+// accepted.
 func TestSeekRejectsUnreachablePosition(t *testing.T) {
-	prof := Bwaves() // bursts of 6 and 4, loop duty 64
-	pr := prof.NewProgram(256)
-	pr.Skip(10_000)
-	base := pr.Position()
-	period := pr.codeLines << 3
+	// bwaves: stream 0 Rand, stream 1 Seq (bursts of 6 and 4, loop duty
+	// 64); mcf: stream 1 Chase.
+	type program struct {
+		prof *Profile
+		pr   *Program
+		base Position
+	}
+	at := func(prof *Profile) program {
+		pr := prof.NewProgram(256)
+		pr.Skip(10_000)
+		return program{prof, pr, pr.Position()}
+	}
+	bw, mcf := at(Bwaves()), at(Mcf())
+	period := bw.pr.codeLines << 3
+	lines := func(p program, i int) uint64 { return p.pr.streams[i].lines }
 	cases := []struct {
 		name   string
+		on     program
 		mutate func(p *Position, edge uint64)
 	}{
-		{"code position", func(p *Position, edge uint64) { p.CodePos = period - 1 + edge }},
-		{"burst count", func(p *Position, edge uint64) {
-			p.Streams[1].BurstLeft = pr.streams[1].burstLen - 1 + uint32(edge)
+		{"code position", bw, func(p *Position, edge uint64) { p.CodePos = period - 1 + edge }},
+		{"burst count", bw, func(p *Position, edge uint64) {
+			p.Streams[1].BurstLeft = bw.pr.streams[1].burstLen - 1 + uint32(edge)
 		}},
-		{"loop-branch counter", func(p *Position, edge uint64) { p.BranchCtrs[3] = pr.loopDuty - 1 + uint32(edge) }},
+		{"loop-branch counter", bw, func(p *Position, edge uint64) { p.BranchCtrs[3] = bw.pr.loopDuty - 1 + uint32(edge) }},
+		{"seq position", bw, func(p *Position, edge uint64) {
+			p.Streams[1].Pos = lines(bw, 1) - 1 + edge
+			p.Streams[1].LastOff = p.Streams[1].Pos
+		}},
+		{"seq last line", bw, func(p *Position, edge uint64) { p.Streams[1].LastOff = p.Streams[1].Pos + edge }},
+		{"chase position", mcf, func(p *Position, edge uint64) {
+			p.Streams[1].Pos = lines(mcf, 1) - 1 + edge
+			p.Streams[1].LastOff = p.Streams[1].Pos
+		}},
+		{"chase last line", mcf, func(p *Position, edge uint64) { p.Streams[1].LastOff = p.Streams[1].Pos ^ edge }},
+		{"rand position", bw, func(p *Position, edge uint64) { p.Streams[0].Pos = edge }},
+		{"rand last line", bw, func(p *Position, edge uint64) { p.Streams[0].LastOff = lines(bw, 0) - 1 + edge }},
 	}
 	for _, c := range cases {
 		for edge := uint64(0); edge <= 1; edge++ {
-			p := base
-			p.Streams = slices.Clone(base.Streams)
-			p.BranchCtrs = slices.Clone(base.BranchCtrs)
+			p := c.on.base
+			p.Streams = slices.Clone(p.Streams)
+			p.BranchCtrs = slices.Clone(p.BranchCtrs)
 			c.mutate(&p, edge)
-			err := prof.NewProgram(256).Seek(p)
+			err := c.on.prof.NewProgram(256).Seek(p)
 			if edge == 0 && err != nil {
 				t.Errorf("%s: seek refused the last reachable value: %v", c.name, err)
 			}

@@ -195,7 +195,7 @@ type Program struct {
 	streams []streamState
 	// cumW is the cumulative stream weight table in 16-bit fixed point,
 	// rebuilt at phase boundaries; selLUT maps the selector's high byte to
-	// the first stream index its scan could land on, so genMem's selection
+	// the first stream index its scan could land on, so pick's selection
 	// loop starts at (usually exactly) the answer instead of walking from
 	// zero on a data-dependent branch every memory access. activeScratch
 	// is the rebuild's reusable per-stream workspace (phase edges land
@@ -212,6 +212,10 @@ type Program struct {
 	branchSlots []branchSlot
 	loopDuty    uint32
 	randBrBits  uint32
+	// Skip's per-stream access counts and Rand-stream bookkeeping,
+	// reused across calls (see skip.go)
+	skipCnt []uint64
+	rands   []randMark
 	// code walk for the I-side
 	codeLines uint64
 	codePos   uint64
@@ -219,6 +223,17 @@ type Program struct {
 	depMagic  uint64 // floor(2^64/depSpan)+1: Lemire fastmod magic
 	noDepTh   uint32 // of 16: instructions with no input dependence
 }
+
+// nBranchSlots is the number of static branch PCs: 16 is enough to
+// exercise the predictor tables.
+const nBranchSlots = 16
+
+// The Chase streams' full-period LCG over a power-of-two range: the
+// multiplier is 5 mod 8 and the increment odd.
+const (
+	chaseMul = 6364136223846793005
+	chaseInc = 1442695040888963407
+)
 
 type branchSlot struct {
 	pc  uint64
@@ -262,8 +277,7 @@ func (p *Profile) NewProgram(scale uint64) *Program {
 		pr.loopDuty = 2
 	}
 	pr.randBrBits = uint32(p.RandomBranchFrac * 65536)
-	// 16 static branch PCs is enough to exercise the predictor tables.
-	pr.branchSlots = make([]branchSlot, 16)
+	pr.branchSlots = make([]branchSlot, nBranchSlots)
 	for i := range pr.branchSlots {
 		pr.branchSlots[i].pc = 0x800000 + uint64(i)*24
 	}
@@ -359,12 +373,19 @@ func (p *Profile) NewProgram(scale uint64) *Program {
 			})
 		}
 		pr.streams = append(pr.streams, st)
+		if s.Kind == Rand {
+			pr.rands = append(pr.rands, randMark{si: si})
+		}
 		pcNext += st.pcCount * 8
 		if !overlay {
 			nextBase += lines*spread + mem.LinesPerPage // one guard page
 			nextBase = (nextBase + mem.LinesPerPage - 1) &^ uint64(mem.LinesPerPage-1)
 		}
 	}
+	for i := range pr.rands {
+		pr.rands[i].bursts = make([]uint32, len(pr.rands))
+	}
+	pr.skipCnt = make([]uint64, len(pr.streams))
 	pr.cumW = make([]uint32, len(pr.streams))
 	pr.activeScratch = make([]bool, len(pr.streams))
 	pr.Reset()
@@ -464,7 +485,7 @@ func (pr *Program) rebuildWeights() {
 	// Rebuild the selector LUT: entry b holds the scan position for the
 	// smallest selector with high byte b, a lower bound for every selector
 	// sharing that byte (cumW is non-decreasing). Entries saturate at 255
-	// — still a valid lower bound for genMem's scan — so a profile with
+	// — still a valid lower bound for pick's scan — so a profile with
 	// more than 256 streams degrades gracefully instead of wrapping.
 	si := 0
 	for b := 0; b < 256; b++ {
@@ -478,6 +499,20 @@ func (pr *Program) rebuildWeights() {
 		}
 		pr.selLUT[b] = uint8(lut)
 	}
+}
+
+// pick returns the stream a memory instruction's random bits select. It
+// starts from the LUT's lower bound; the remaining scan resolves only the
+// selectors whose high byte straddles a weight boundary, so the loop
+// branch is almost always not-taken (predictable), where the from-zero
+// scan mispredicted on every random stream pick.
+func (pr *Program) pick(rb uint32) int {
+	sel := rb & 0xffff
+	si := int(pr.selLUT[sel>>8])
+	for si < len(pr.cumW)-1 && sel >= pr.cumW[si] {
+		si++
+	}
+	return si
 }
 
 // Next generates the next dynamic instruction into ins. It always succeeds:
@@ -539,16 +574,7 @@ func (pr *Program) depMod(x uint32) uint16 {
 }
 
 func (pr *Program) genMem(ins *Instr, rb uint32) {
-	sel := rb & 0xffff
-	// Start from the LUT's lower bound; the remaining scan resolves only
-	// the selectors whose high byte straddles a weight boundary, so the
-	// loop branch is almost always not-taken (predictable), where the
-	// from-zero scan mispredicted on every random stream pick.
-	si := int(pr.selLUT[sel>>8])
-	for si < len(pr.cumW)-1 && sel >= pr.cumW[si] {
-		si++
-	}
-	st := &pr.streams[si]
+	st := &pr.streams[pr.pick(rb)]
 	var lineOff uint64
 	if st.burstLeft > 0 {
 		// Word-level locality: revisit the current line.
@@ -565,8 +591,7 @@ func (pr *Program) genMem(ins *Instr, rb uint32) {
 		case Rand:
 			lineOff, _ = bits.Mul64(pr.randRng.Uint64(), st.lines)
 		case Chase:
-			// Full-period LCG over a power-of-two range: a ≡ 5 (mod 8), c odd.
-			st.pos = (st.pos*6364136223846793005 + 1442695040888963407) & (st.lines - 1)
+			st.pos = (st.pos*chaseMul + chaseInc) & (st.lines - 1)
 			lineOff = st.pos
 		}
 		st.lastOff = lineOff
@@ -591,7 +616,7 @@ func (pr *Program) genMem(ins *Instr, rb uint32) {
 }
 
 func (pr *Program) genBranch(ins *Instr, rb uint32) {
-	slot := &pr.branchSlots[rb%16]
+	slot := &pr.branchSlots[rb%nBranchSlots]
 	ins.Kind = KindBranch
 	ins.PC = slot.pc
 	ins.Addr = 0
@@ -749,42 +774,11 @@ func (pr *Program) genBranchState(rb uint32) {
 	if rb>>16 < pr.randBrBits {
 		return
 	}
-	slot := &pr.branchSlots[rb%16]
+	slot := &pr.branchSlots[rb%nBranchSlots]
 	slot.ctr++
 	if slot.ctr >= pr.loopDuty {
 		slot.ctr = 0
 	}
-}
-
-// genMemState applies exactly the state updates of genMem (stream pick,
-// burst and walk position, the Rand streams' extra draw, the memory index)
-// without producing the access.
-func (pr *Program) genMemState(rb uint32) {
-	sel := rb & 0xffff
-	si := int(pr.selLUT[sel>>8])
-	for si < len(pr.cumW)-1 && sel >= pr.cumW[si] {
-		si++
-	}
-	st := &pr.streams[si]
-	pr.memIdx++
-	if st.burstLeft > 0 {
-		st.burstLeft--
-		return
-	}
-	switch st.kind {
-	case Seq:
-		st.pos += st.stride
-		if st.pos >= st.lines {
-			st.pos -= st.lines
-		}
-		st.lastOff = st.pos
-	case Rand:
-		st.lastOff, _ = bits.Mul64(pr.randRng.Uint64(), st.lines)
-	case Chase:
-		st.pos = (st.pos*6364136223846793005 + 1442695040888963407) & (st.lines - 1)
-		st.lastOff = st.pos
-	}
-	st.burstLeft = st.burstLen - 1
 }
 
 // skipBlock bounds one block of the two-phase loop Skip, FillBatch and
@@ -809,7 +803,8 @@ type block struct {
 // random words and sorts them, without branching, into blk's memory and
 // branch lists. It advances the instruction index past the block and
 // returns the block length and the two list lengths; the caller's second
-// phase applies the stream and branch-counter updates. The two updates
+// phase applies the stream and branch-counter updates (Skip counts them
+// instead, see skip.go). The two updates
 // touch disjoint state and each list keeps program order, so the split is
 // exact. It removes the data-dependent kind dispatch — a coin flip no
 // predictor learns — from the per-instruction path.
@@ -887,27 +882,6 @@ func (w *FetchWalk) Next() (line mem.Line, k uint64) {
 	k = 8 - p&7
 	w.pos = p + k - 1
 	return mem.Line(codeBaseLine + p>>3), k
-}
-
-// Skip advances the program by n instructions without materializing them.
-// The resulting state is identical to calling Next n times (pinned by
-// TestSkipEquivalence); the engine uses it for virtualized fast-forwarding
-// where no one observes the stream. It runs the two-phase block loop of
-// drawBlock and builds no record at all: only the state the next
-// instruction depends on advances.
-func (pr *Program) Skip(n uint64) {
-	pr.advanceCode(n)
-	var blk block
-	for n > 0 {
-		m, nm, nb := pr.drawBlock(n, &blk)
-		n -= m
-		for _, rb := range blk.memRB[:nm] {
-			pr.genMemState(rb)
-		}
-		for _, rb := range blk.brRB[:nb] {
-			pr.genBranchState(rb)
-		}
-	}
 }
 
 // Footprint returns the total scaled data footprint in bytes.

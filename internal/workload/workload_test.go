@@ -304,11 +304,17 @@ func BenchmarkProgramNext(b *testing.B) {
 }
 
 // BenchmarkProgramSkip reports the fast-forward cost per skipped
-// instruction (ns/op is ns per instruction).
+// instruction (ns/op is ns per instruction): mcf (one Rand stream, two
+// Chase), omnetpp, bwaves (Rand and Seq) and calculix, whose two Rand
+// streams make Skip re-walk the block of each one's last advance.
 func BenchmarkProgramSkip(b *testing.B) {
-	pr := Mcf().NewProgram(256)
-	b.ResetTimer()
-	pr.Skip(uint64(b.N))
+	for _, prof := range []*Profile{Mcf(), Omnetpp(), Bwaves(), Calculix()} {
+		b.Run(prof.Name, func(b *testing.B) {
+			pr := prof.NewProgram(256)
+			b.ResetTimer()
+			pr.Skip(uint64(b.N))
+		})
+	}
 }
 
 // BenchmarkProgramFillBatch reports the batched generator's cost per
