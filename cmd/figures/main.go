@@ -14,7 +14,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
 	"repro/internal/figures"
@@ -25,13 +24,18 @@ func main() {
 	var (
 		short    = flag.Bool("short", false, "reduced sweep sizes for quick runs")
 		outArg   = flag.String("out", "", "output file (default stdout)")
-		only     = flag.String("only", "", "comma-separated subset: table1,fig5..fig14,corun,headline")
+		only     = flag.String("only", "", "comma-separated subset: table1,fig5..fig14,corun,headline,ablation")
 		workers  = flag.Int("workers", 0, "experiment worker pool size (0 = GOMAXPROCS)")
 		prog     = flag.Bool("progress", false, "stream per-job completion to stderr")
 		storeDir = flag.String("store", "", "artifact store directory (persists results across runs)")
 		storeMax = flag.Int64("store-max-mb", 0, "artifact store size budget in MiB (0 = unbounded)")
 	)
 	flag.Parse()
+	want, err := figures.ParseOnly(*only)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 
 	opt := figures.DefaultOptions()
 	opt.Short = *short
@@ -53,13 +57,6 @@ func main() {
 		eng.OnProgress = lab.ProgressPrinter(os.Stderr)
 	}
 	opt.Eng = eng
-
-	want := map[string]bool{}
-	for _, k := range strings.Split(*only, ",") {
-		if k = strings.TrimSpace(k); k != "" {
-			want[k] = true
-		}
-	}
 
 	var out *os.File = os.Stdout
 	if *outArg != "" {

@@ -30,7 +30,9 @@
 // may take the same -peers list; its own -self entry is dropped from it.
 // Each node executes locally whatever no peer holds yet: a spec submitted
 // to several nodes at once can run once per node, sequential submissions
-// run once fleet-wide. Requires -store.
+// run once fleet-wide. Requires -store. The nodes on -peers are trusted:
+// the fetch check catches corruption, not a peer that re-hashes altered
+// bytes. No route writes into a node's store.
 //
 // API:
 //
@@ -43,8 +45,6 @@
 //	GET    /v1/events[?key=K]   NDJSON stream of experiment completions
 //	GET    /v1/artifacts/{key}  the result payload (JSON); ?envelope=1
 //	                            serves the raw envelope (peer fetch path)
-//	GET    /v1/blobs            list stored artifacts (key, kind, size)
-//	GET    /v1/blobs/{key}      raw envelope; PUT/DELETE manage it
 //	GET    /v1/kinds            registered experiment kinds
 //	GET    /v1/status           engine and store statistics
 //	GET    /metrics             Prometheus text exposition

@@ -2,9 +2,9 @@
 // by hex SHA-256 keys. Store owns everything semantic — envelope
 // verification, codecs, LRU accounting — so a backend only has to move
 // bytes, and any S3-style remote can plug in by implementing these five
-// methods. Two backends ship in this package: DiskBlob (the original
-// local-disk layout) and PeerBlob (read-through fetch from other labd
-// nodes over HTTP).
+// methods. DiskBlob (the local-disk layout) is the backend that ships;
+// FaultBlob (fault.go) wraps any backend for the chaos tests. The fleet's
+// peer tier (peer.go) is not a Blob: it only reads, after a local miss.
 package artifact
 
 import (
@@ -51,7 +51,7 @@ type PooledGetter interface {
 
 // Toucher is an optional Blob extension: refresh a blob's recency stamp
 // so LRU order survives a restart. Backends without durable recency
-// (PeerBlob) simply don't implement it.
+// simply don't implement it.
 type Toucher interface {
 	Touch(key string)
 }

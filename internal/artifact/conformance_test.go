@@ -3,29 +3,24 @@ package artifact_test
 import (
 	"bytes"
 	"fmt"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/artifact"
-	"repro/internal/lab"
 )
 
 // The blob conformance suite: every artifact.Blob backend must satisfy the
 // same contract, because artifact.Store layers its semantics (codecs, LRU,
 // integrity) on top of whichever backend it is given. The table runs the
-// identical assertions against the local-disk backend and the peer-HTTP
-// backend (served by a real lab.Server over its own disk store — the same
-// wire path a fleet node uses).
+// identical assertions against the local-disk backend and a quiet
+// FaultBlob wrapped around one.
 type confBackend struct {
 	name string
 	// open returns the blob under test and the authoritative on-disk
-	// directory behind it (where the corruption tests flip bytes: the blob
-	// dir for disk, the serving node's store dir for peer).
+	// directory behind it (where the corruption tests flip bytes).
 	open func(t *testing.T) (artifact.Blob, string)
 }
 
@@ -50,28 +45,11 @@ func confBackends() []confBackend {
 			}
 			return artifact.NewFaultBlob(inner, artifact.FaultConfig{Seed: 1}), dir
 		}},
-		{name: "peer", open: func(t *testing.T) (artifact.Blob, string) {
-			dir := t.TempDir()
-			srvStore, err := artifact.Open(dir, 0, codecs())
-			if err != nil {
-				t.Fatal(err)
-			}
-			eng, _, err := lab.NewEngine(1, "", 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ts := httptest.NewServer(lab.NewServer(eng, srvStore).Handler())
-			t.Cleanup(ts.Close)
-			return artifact.NewPeerBlob([]string{ts.URL}, artifact.PeerOptions{
-				Timeout: 5 * time.Second, RetryBackoff: time.Millisecond,
-			}), dir
-		}},
 	}
 }
 
 // makeEnvelope produces valid envelope bytes for key through a scratch
-// store — the peer backend's serving side re-verifies on PUT, so blob
-// conformance data must be real envelopes, not arbitrary bytes.
+// store, so blob conformance and peer-fetch data are real envelopes.
 func makeEnvelope(t *testing.T, k, name string) []byte {
 	t.Helper()
 	st, err := artifact.Open(t.TempDir(), 0, codecs())
@@ -114,7 +92,7 @@ func corruptOnDisk(t *testing.T, dir, k string) {
 }
 
 // TestBlobConformance: the raw Blob contract — Put/Get/Stat/List/Delete
-// over opaque keys — holds identically for both backends.
+// over opaque keys — holds identically for every backend.
 func TestBlobConformance(t *testing.T) {
 	for _, be := range confBackends() {
 		t.Run(be.name, func(t *testing.T) {

@@ -67,3 +67,49 @@ func TestPayloadHashMatches(t *testing.T) {
 		t.Error("wrong payload accepted")
 	}
 }
+
+// FuzzCheckEnvelope fuzzes the peer trust boundary: the bytes a peer
+// serves for a key. CheckEnvelope must never panic; when it accepts, the
+// envelope names the key and its sha256 field is the hex SHA-256 of its
+// payload; and Store.Envelope over a DiskBlob holding the same bytes must
+// accept exactly when it does. The seed corpus (testdata/fuzz) holds an
+// honest envelope, a tampered payload, a wrong key, a wrong schema,
+// truncated JSON and a non-hex sha256.
+func FuzzCheckEnvelope(f *testing.F) {
+	const key = "0123456789abcdef0123456789abcdef0123456789abcdef0123456789abcdef"
+	b, err := NewDiskBlob(f.TempDir())
+	if err != nil {
+		f.Fatal(err)
+	}
+	st, err := OpenBlob(b, 0, nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		kind, _, err := CheckEnvelope(key, raw)
+		if err == nil {
+			var env struct {
+				Key     string          `json:"key"`
+				SHA256  string          `json:"sha256"`
+				Payload json.RawMessage `json:"payload"`
+			}
+			if jerr := json.Unmarshal(raw, &env); jerr != nil {
+				t.Fatalf("accepted bytes that do not parse: %v", jerr)
+			}
+			sum := sha256.Sum256(env.Payload)
+			if env.Key != key || hex.EncodeToString(sum[:]) != env.SHA256 {
+				t.Fatalf("accepted an envelope for key %q with sha256 %q over a payload hashing to %x", env.Key, env.SHA256, sum)
+			}
+		}
+		if !b.Put(key, raw) {
+			t.Fatal("blob put failed")
+		}
+		got, gotKind, ok := st.Envelope(key)
+		if ok != (err == nil) {
+			t.Fatalf("Store.Envelope ok=%v, CheckEnvelope err=%v", ok, err)
+		}
+		if ok && (!bytes.Equal(got, raw) || gotKind != kind) {
+			t.Fatalf("Store.Envelope served kind %q and %d bytes, want kind %q and the %d stored bytes", gotKind, len(got), kind, len(raw))
+		}
+	})
+}

@@ -1,23 +1,23 @@
 package artifact
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"io"
 	"math/rand"
 	"net/http"
-	"sort"
 	"sync/atomic"
 	"time"
 )
 
-// PeerBlob is the peer-HTTP Blob backend: it reads artifact envelopes
-// from other labd nodes over GET /v1/artifacts/{key}?envelope=1 and
-// speaks the /v1/blobs surface for the rest of the contract. Every fetch
-// is integrity re-verified on receipt (CheckEnvelope: schema, key match,
-// payload SHA-256) before the bytes are trusted — a compromised or
-// bit-rotted peer reads as a miss, never as wrong data.
+// PeerBlob is the fleet's peer artifact tier: a read-only fetch of
+// artifact envelopes from other labd nodes over
+// GET /v1/artifacts/{key}?envelope=1, the one route peers share. It is
+// not a Blob backend; Store consults it only after a local miss. Every
+// fetch is re-verified on receipt (CheckEnvelope: schema, key match,
+// payload SHA-256) before the bytes are trusted, which turns corruption
+// on the wire or on the peer's disk into a miss. It does not detect a
+// forgery: a peer that re-hashes altered bytes passes the check, so the
+// peers named on -peers are trusted by configuration (DESIGN.md §13).
 //
 // Failure policy (a dead peer must never fail a job): each attempt is
 // bounded by Timeout; a transport error gets exactly one retry after a
@@ -157,10 +157,10 @@ func (p *PeerBlob) Get(key string) ([]byte, bool) {
 // and has given its answer.
 func (p *PeerBlob) fetch(peer, key string) ([]byte, int, error) {
 	url := peer + "/v1/artifacts/" + key + "?envelope=1"
-	raw, status, err := p.do(http.MethodGet, url, nil)
+	raw, status, err := p.do(url)
 	if err != nil {
 		time.Sleep(p.backoff())
-		raw, status, err = p.do(http.MethodGet, url, nil)
+		raw, status, err = p.do(url)
 	}
 	return raw, status, err
 }
@@ -170,14 +170,10 @@ func (p *PeerBlob) backoff() time.Duration {
 	return base + time.Duration(rand.Int63n(int64(base)+1))
 }
 
-func (p *PeerBlob) do(method, url string, body []byte) ([]byte, int, error) {
+func (p *PeerBlob) do(url string) ([]byte, int, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), p.opt.Timeout)
 	defer cancel()
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, url, rd)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -191,88 +187,4 @@ func (p *PeerBlob) do(method, url string, body []byte) ([]byte, int, error) {
 		return nil, 0, err
 	}
 	return raw, resp.StatusCode, nil
-}
-
-// Put pushes the envelope to the first peer that accepts it
-// (PUT /v1/blobs/{key}); the remote side re-verifies before storing.
-func (p *PeerBlob) Put(key string, data []byte) bool {
-	if !validKey(key) {
-		return false
-	}
-	for _, peer := range p.peers {
-		_, status, err := p.do(http.MethodPut, peer+"/v1/blobs/"+key, data)
-		if err == nil && status/100 == 2 {
-			return true
-		}
-	}
-	return false
-}
-
-// Stat HEADs /v1/blobs/{key} across the peers.
-func (p *PeerBlob) Stat(key string) (BlobInfo, bool) {
-	if !validKey(key) {
-		return BlobInfo{}, false
-	}
-	for _, peer := range p.peers {
-		req, err := http.NewRequest(http.MethodHead, peer+"/v1/blobs/"+key, nil)
-		if err != nil {
-			continue
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), p.opt.Timeout)
-		resp, err := p.client.Do(req.WithContext(ctx))
-		if err != nil {
-			cancel()
-			continue
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		cancel()
-		if resp.StatusCode == http.StatusOK {
-			return BlobInfo{Key: key, Size: resp.ContentLength}, true
-		}
-	}
-	return BlobInfo{}, false
-}
-
-// Delete issues DELETE /v1/blobs/{key} to every peer; true if any of
-// them had the blob.
-func (p *PeerBlob) Delete(key string) bool {
-	if !validKey(key) {
-		return false
-	}
-	any := false
-	for _, peer := range p.peers {
-		_, status, err := p.do(http.MethodDelete, peer+"/v1/blobs/"+key, nil)
-		if err == nil && status/100 == 2 {
-			any = true
-		}
-	}
-	return any
-}
-
-// List merges GET /v1/blobs across the peers, deduplicated by key and
-// sorted for a deterministic index order in OpenBlob.
-func (p *PeerBlob) List() []BlobInfo {
-	seen := make(map[string]BlobInfo)
-	for _, peer := range p.peers {
-		raw, status, err := p.do(http.MethodGet, peer+"/v1/blobs", nil)
-		if err != nil || status != http.StatusOK {
-			continue
-		}
-		var keys []KeyInfo
-		if json.Unmarshal(raw, &keys) != nil {
-			continue
-		}
-		for _, k := range keys {
-			if _, dup := seen[k.Key]; !dup && validKey(k.Key) {
-				seen[k.Key] = BlobInfo{Key: k.Key, Size: k.Size}
-			}
-		}
-	}
-	out := make([]BlobInfo, 0, len(seen))
-	for _, v := range seen {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out
 }

@@ -8,8 +8,9 @@
 //
 // Store layers the semantics — envelope verification, codecs, LRU byte
 // accounting — over a pluggable Blob byte tier (blob.go): local disk
-// today, peer-HTTP fetch from other labd nodes (peer.go) as a
-// read-through fallback, any S3-style backend by implementing Blob.
+// today, any S3-style backend by implementing Blob. A fleet node adds a
+// read-only peer fetch from other labd nodes (peer.go) as a read-through
+// fallback after a local miss.
 //
 // Properties the rest of the system relies on:
 //
@@ -92,8 +93,8 @@ type Stats struct {
 	MaxBytes  int64  `json:"max_bytes"`
 }
 
-// KeyInfo describes one indexed artifact (GET /v1/blobs). Kind may be
-// empty for artifacts indexed from disk at Open but never yet loaded.
+// KeyInfo describes one indexed artifact (StatKey). Kind may be empty
+// for artifacts indexed from disk at Open but never yet loaded.
 type KeyInfo struct {
 	Key  string `json:"key"`
 	Kind string `json:"kind,omitempty"`
@@ -421,39 +422,7 @@ func (s *Store) Envelope(key string) (raw []byte, kind string, ok bool) {
 	return raw, kind, true
 }
 
-// PutEnvelope stores a pre-encoded envelope pushed by a peer
-// (PUT /v1/blobs/{key}). The envelope is re-verified — integrity, known
-// kind, matching codec version — so a peer can never plant bytes this
-// node would later serve or decode wrongly.
-func (s *Store) PutEnvelope(key string, raw []byte) error {
-	if !validKey(key) {
-		return errors.New("invalid key")
-	}
-	env, err := openEnvelope(key, raw)
-	if err != nil {
-		return err
-	}
-	kind := env.Kind
-	codec, ok := s.codecs[kind]
-	if !ok {
-		return fmt.Errorf("unknown kind %q", kind)
-	}
-	if err := checkVersion(env, codec); err != nil {
-		return err
-	}
-	if !s.blob.Put(key, raw) {
-		return errors.New("blob write failed")
-	}
-	s.mu.Lock()
-	s.saves++
-	s.touchLocked(key, int64(len(raw)), kind)
-	s.evictLocked(key)
-	s.mu.Unlock()
-	return nil
-}
-
-// DeleteKey removes the artifact for key (DELETE /v1/blobs/{key});
-// true if it was indexed.
+// DeleteKey removes the artifact for key; true if it was indexed.
 func (s *Store) DeleteKey(key string) bool {
 	if !validKey(key) {
 		return false
@@ -505,18 +474,6 @@ func (s *Store) Unpin(key string) {
 	} else {
 		s.pins[key]--
 	}
-}
-
-// Keys lists the indexed artifacts sorted by key (GET /v1/blobs).
-func (s *Store) Keys() []KeyInfo {
-	s.mu.Lock()
-	out := make([]KeyInfo, 0, len(s.index))
-	for k, e := range s.index {
-		out = append(out, KeyInfo{Key: k, Kind: e.kind, Size: e.size})
-	}
-	s.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out
 }
 
 // openEnvelope parses raw and verifies it is a well-formed artifact

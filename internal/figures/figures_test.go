@@ -103,3 +103,20 @@ func TestWSSizes(t *testing.T) {
 		t.Error("short sweep should be smaller")
 	}
 }
+
+// TestParseOnly: -only keys are checked against the report's sections, so
+// a typo fails instead of silently dropping a figure, and the opt-in
+// ablation key is accepted.
+func TestParseOnly(t *testing.T) {
+	want, err := ParseOnly(" fig9, ablation ,,")
+	if err != nil || len(want) != 2 || !want["fig9"] || !want["ablation"] {
+		t.Errorf("ParseOnly(fig9,ablation) = %v, %v", want, err)
+	}
+	if want, err := ParseOnly(""); err != nil || len(want) != 0 {
+		t.Errorf("ParseOnly(\"\") = %v, %v, want the default report", want, err)
+	}
+	_, err = ParseOnly("fig9,fgi10")
+	if err == nil || !strings.Contains(err.Error(), `"fgi10"`) || !strings.Contains(err.Error(), "fig10") {
+		t.Errorf("ParseOnly(fig9,fgi10) error = %v, want one naming the typo and the valid keys", err)
+	}
+}

@@ -8,6 +8,8 @@ package figures
 import (
 	"fmt"
 	"io"
+	"slices"
+	"strings"
 	"time"
 
 	"repro/internal/runner"
@@ -18,6 +20,25 @@ import (
 func Sections() []string {
 	return []string{"table1", "fig5", "fig6", "fig7", "fig8", "fig9",
 		"fig10", "fig11", "fig12", "fig13", "fig14", "corun", "headline"}
+}
+
+// ParseOnly parses a comma-separated section list into WriteReport's
+// selection. Each key must be one of Sections() or "ablation", so a typo
+// is an error naming the valid keys instead of a silently missing
+// section. An empty list selects the default report.
+func ParseOnly(list string) (map[string]bool, error) {
+	valid := append(Sections(), "ablation")
+	want := map[string]bool{}
+	for _, k := range strings.Split(list, ",") {
+		if k = strings.TrimSpace(k); k == "" {
+			continue
+		}
+		if !slices.Contains(valid, k) {
+			return nil, fmt.Errorf("unknown section %q (valid: %s)", k, strings.Join(valid, ","))
+		}
+		want[k] = true
+	}
+	return want, nil
 }
 
 // WriteReport renders the selected sections (nil/empty only = all except

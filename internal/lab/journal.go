@@ -136,7 +136,12 @@ func replayJournal(path string) ([]PendingJob, error) {
 		}
 		st.op = rec.Op
 		if len(rec.Body) > 0 {
-			st.body = append([]byte(nil), rec.Body...)
+			// Keep the body as compaction rewrites it (json.Marshal:
+			// compact, HTML-escaped), so replaying a compacted journal
+			// returns the same bytes.
+			if b, err := json.Marshal(rec.Body); err == nil {
+				st.body = b
+			}
 		}
 	}
 

@@ -157,9 +157,9 @@ type job struct {
 	// from the store instead (DESIGN.md §14): the store indexed its
 	// artifact at acceptance, that artifact is its durability point, and
 	// the job holds a store pin on it (no LRU eviction) until it finishes.
-	// If the artifact leaves the index anyway — DELETE /v1/blobs, or a
-	// missing or corrupt blob — the job is journaled late, before it can
-	// execute.
+	// If the artifact leaves the index anyway — a store-level delete, or a
+	// missing or corrupt blob — run journals the job late, before it
+	// executes.
 	journaled bool
 	pinned    bool
 }
@@ -330,10 +330,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/jobs/{key}/wait", s.handleWait)
 	mux.HandleFunc("GET /v1/events", s.handleEvents)
 	mux.HandleFunc("GET /v1/artifacts/{key}", s.handleArtifact)
-	mux.HandleFunc("GET /v1/blobs", s.handleBlobList)
-	mux.HandleFunc("GET /v1/blobs/{key}", s.handleBlobGet)
-	mux.HandleFunc("PUT /v1/blobs/{key}", s.handleBlobPut)
-	mux.HandleFunc("DELETE /v1/blobs/{key}", s.handleBlobDelete)
 	mux.HandleFunc("GET /v1/kinds", s.handleKinds)
 	mux.HandleFunc("GET /v1/status", s.handleStatus)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
@@ -445,22 +441,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	s.mu.Lock()
 	s.pruneLocked(start)
-	if j, ok := s.jobs[key]; ok {
-		if j.state == StateFailed || j.state == StateCancelled {
-			// Re-arm: the recorded failure may be transient (and the
-			// engine never caches errors), so a resubmit retries instead
-			// of serving the stale error until restart. Only the queue
-			// bound applies — the job is already a ledger entry.
-			if !s.admitLocked(w, false) || !s.acceptLocked(w, j, body) {
-				s.mu.Unlock()
-				return
-			}
-			st := s.status(j)
-			s.mu.Unlock()
-			go s.run(j)
-			writeJSON(w, http.StatusAccepted, st)
-			return
-		}
+	j, known := s.jobs[key]
+	if known && j.state != StateFailed && j.state != StateCancelled {
 		st := s.status(j)
 		if j.state == StateDone {
 			st.Cached = true
@@ -469,8 +451,15 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, st)
 		return
 	}
-	j := &job{spec: sp}
-	if !s.admitLocked(w, true) || !s.acceptLocked(w, j, body) {
+	// A new job, or a failed or cancelled one re-armed: the recorded
+	// failure may be transient (and the engine never caches errors), so a
+	// resubmit retries instead of serving the stale error until restart.
+	// A re-armed job is already a ledger entry, so only the queue bound
+	// applies to it.
+	if !known {
+		j = &job{spec: sp}
+	}
+	if !s.admitLocked(w, !known) || !s.acceptLocked(w, j, body) {
 		s.mu.Unlock()
 		return
 	}
@@ -537,22 +526,6 @@ func (s *Server) acceptLocked(w http.ResponseWriter, j *job, raw []byte) bool {
 	return true
 }
 
-// journalLateLocked journals a job acknowledged from the store whose
-// artifact has left the index: its accepted record, fsynced, carries the
-// re-encoded spec (replay decodes it to the same content key). Called
-// with s.mu held, like every other record of a live job.
-func (s *Server) journalLateLocked(j *job) error {
-	body, err := json.Marshal(j.spec)
-	if err == nil {
-		err = s.jrnl.Accepted(j.spec.Key(), body)
-	}
-	if err != nil {
-		return fmt.Errorf("journal submission: %w", err)
-	}
-	j.journaled = true
-	return nil
-}
-
 func (s *Server) run(j *job) {
 	// Queued phase: wait for a worker slot, but leave immediately if the
 	// job is cancelled first — cancellation must abort queued work without
@@ -573,11 +546,17 @@ func (s *Server) run(j *job) {
 	key := j.spec.Key()
 	s.mu.Lock()
 	if j.pinned && !j.journaled && !s.indexed(key) {
-		if err := s.journalLateLocked(j); err != nil {
+		// The re-encoded spec replays to the same content key.
+		body, err := json.Marshal(j.spec)
+		if err == nil {
+			err = s.jrnl.Accepted(key, body)
+		}
+		if err != nil {
 			s.mu.Unlock()
-			s.finish(j, nil, err)
+			s.finish(j, nil, fmt.Errorf("journal submission: %w", err))
 			return
 		}
+		j.journaled = true
 	}
 	s.queued--
 	j.state = StateRunning
@@ -841,11 +820,12 @@ func progressEvent(p runner.Progress) Event {
 // handleArtifact serves the result payload for a key: from the persistent
 // store when available (integrity-checked raw bytes), else re-encoded
 // from the in-memory result of a finished job. With ?envelope=1 it serves
-// the raw artifact envelope instead — the peer-fetch read path
+// the raw artifact envelope instead — the fleet's one peer route
 // (artifact.PeerBlob), which needs the envelope's own integrity metadata
 // to re-verify on receipt. Envelope serving is strictly local (store
 // only, never the peer tier): two nodes must not ping-pong a miss
-// between each other.
+// between each other. No route writes into the store: it is filled only
+// by this node's own executions and its verified peer fetches.
 func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
 	if r.URL.Query().Get("envelope") == "1" {
@@ -893,8 +873,7 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(payload)
 }
 
-// serveEnvelope writes the verified raw envelope for key, with an
-// explicit Content-Length so HEAD probes (Blob.Stat) see the size.
+// serveEnvelope writes the verified raw envelope for key.
 func (s *Server) serveEnvelope(w http.ResponseWriter, key string) {
 	if s.store == nil {
 		writeError(w, http.StatusNotFound, "no artifact store")
@@ -906,78 +885,9 @@ func (s *Server) serveEnvelope(w http.ResponseWriter, key string) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", fmt.Sprintf("%d", len(raw)))
 	w.Header().Set("X-Artifact-Kind", kind)
 	w.Header().Set("X-Artifact-Source", "envelope")
 	_, _ = w.Write(raw)
-}
-
-// The /v1/blobs surface completes the Blob contract over HTTP (GET list,
-// GET/HEAD/PUT/DELETE per key) so artifact.PeerBlob is a full Blob
-// backend, not just a read path: the same conformance suite that runs
-// against DiskBlob runs against a live node through these handlers.
-// Writes re-verify the envelope server-side (Store.PutEnvelope) — a peer
-// can never plant bytes this node would serve or decode wrongly.
-
-func (s *Server) handleBlobList(w http.ResponseWriter, _ *http.Request) {
-	if s.store == nil {
-		writeError(w, http.StatusNotFound, "no artifact store")
-		return
-	}
-	writeJSON(w, http.StatusOK, s.store.Keys())
-}
-
-func (s *Server) handleBlobGet(w http.ResponseWriter, r *http.Request) {
-	s.serveEnvelope(w, r.PathValue("key"))
-}
-
-func (s *Server) handleBlobPut(w http.ResponseWriter, r *http.Request) {
-	if s.store == nil {
-		writeError(w, http.StatusNotFound, "no artifact store")
-		return
-	}
-	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.opts.MaxBody))
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge, "envelope exceeds %d bytes", tooBig.Limit)
-			return
-		}
-		writeError(w, http.StatusBadRequest, "read body: %v", err)
-		return
-	}
-	if err := s.store.PutEnvelope(r.PathValue("key"), raw); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
-}
-
-func (s *Server) handleBlobDelete(w http.ResponseWriter, r *http.Request) {
-	if s.store == nil {
-		writeError(w, http.StatusNotFound, "no artifact store")
-		return
-	}
-	key := r.PathValue("key")
-	// A live job acknowledged from the store has this artifact as its
-	// durability point, so it is journaled before the artifact goes. s.mu
-	// is held through the delete: no resubmit can be acknowledged from the
-	// store in between.
-	s.mu.Lock()
-	var err error
-	if j, ok := s.jobs[key]; ok && j.pinned && !j.journaled {
-		err = s.journalLateLocked(j)
-	}
-	deleted := err == nil && s.store.DeleteKey(key)
-	s.mu.Unlock()
-	switch {
-	case err != nil:
-		writeError(w, http.StatusInternalServerError, "%v", err)
-	case !deleted:
-		writeError(w, http.StatusNotFound, "no artifact for %q", key)
-	default:
-		w.WriteHeader(http.StatusNoContent)
-	}
 }
 
 func (s *Server) handleKinds(w http.ResponseWriter, _ *http.Request) {

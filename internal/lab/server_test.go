@@ -3,13 +3,18 @@ package lab_test
 import (
 	"bufio"
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/artifact"
 	"repro/internal/lab"
 	"repro/internal/spec"
 	"repro/internal/warm"
@@ -267,5 +272,107 @@ func TestServiceEvents(t *testing.T) {
 	}
 	if !found {
 		t.Error("event stream never reported the submitted job")
+	}
+}
+
+// call sends one request and returns the status code and body.
+func call(t *testing.T, method, url string, body []byte) (int, []byte) {
+	t.Helper()
+	req, err := http.NewRequest(method, url, bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, raw
+}
+
+// TestNoRouteWritesTheStore: the store is filled only by the node's own
+// executions and its verified peer fetches. A forged envelope (altered
+// Cycles, recomputed hash) passes the integrity check, so an HTTP route
+// that wrote envelopes into the store would let any client plant results;
+// the /v1/blobs routes that did are refused, and a resubmit is still
+// served from the store with the honest bytes.
+func TestNoRouteWritesTheStore(t *testing.T) {
+	dir := t.TempDir()
+	eng, store, err := lab.NewEngine(2, dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(lab.NewServer(eng, store).Handler())
+	defer ts.Close()
+	body := shortSpec(t)
+	key := postSpec(t, ts, body).Key
+	waitDone(t, ts, key)
+	_, honest := call(t, http.MethodGet, ts.URL+"/v1/artifacts/"+key, nil)
+	code, env := call(t, http.MethodGet, ts.URL+"/v1/artifacts/"+key+"?envelope=1", nil)
+	if code != http.StatusOK {
+		t.Fatalf("GET envelope: status %d", code)
+	}
+
+	var e struct {
+		Schema       string          `json:"schema"`
+		Kind         string          `json:"kind"`
+		Key          string          `json:"key"`
+		CodecVersion int             `json:"codec_version"`
+		SHA256       string          `json:"sha256"`
+		Payload      json.RawMessage `json:"payload"`
+	}
+	if err := json.Unmarshal(env, &e); err != nil {
+		t.Fatal(err)
+	}
+	loc := regexp.MustCompile(`"Cycles":[0-9]`).FindIndex(e.Payload)
+	if loc == nil {
+		t.Fatal("no Cycles field in the sampling artifact")
+	}
+	at := loc[1] - 1 // prefix a digit: the count changes, the JSON stays valid
+	e.Payload = append(append(append(json.RawMessage{}, e.Payload[:at]...), '1'), e.Payload[at:]...)
+	sum := sha256.Sum256(e.Payload)
+	e.SHA256 = hex.EncodeToString(sum[:])
+	forged, err := json.Marshal(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := artifact.CheckEnvelope(key, forged); err != nil {
+		t.Fatalf("the forgery fails the integrity check (%v); it must pass it to test the routes", err)
+	}
+
+	for _, req := range []struct {
+		method, path string
+		body         []byte
+	}{
+		{http.MethodPut, "/v1/blobs/" + key, forged},
+		{http.MethodDelete, "/v1/blobs/" + key, nil},
+		{http.MethodGet, "/v1/blobs", nil},
+	} {
+		if code, _ := call(t, req.method, ts.URL+req.path, req.body); code != http.StatusNotFound && code != http.StatusMethodNotAllowed {
+			t.Errorf("%s %s: status %d, want 404 or 405", req.method, req.path, code)
+		}
+	}
+	if info, ok := store.StatKey(key); !ok || info.Size != int64(len(env)) {
+		t.Fatalf("store after the requests: %+v indexed=%v, want the honest %d-byte envelope", info, ok, len(env))
+	}
+
+	// A restarted node has no ledger entry, so the resubmit must be
+	// served by the stored artifact: the honest one.
+	eng2, store2, err := lab.NewEngine(2, dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts2 := httptest.NewServer(lab.NewServer(eng2, store2).Handler())
+	defer ts2.Close()
+	postSpec(t, ts2, body)
+	if st := waitDone(t, ts2, key); !st.FromStore {
+		t.Errorf("resubmit after restart: %+v, want from_store", st)
+	}
+	if _, got := call(t, http.MethodGet, ts2.URL+"/v1/artifacts/"+key, nil); !bytes.Equal(got, honest) {
+		t.Error("resubmit served bytes other than the honest artifact")
 	}
 }

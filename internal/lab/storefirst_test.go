@@ -369,43 +369,6 @@ func TestJournalRearmFollowsStoreFirstRule(t *testing.T) {
 	}
 }
 
-// TestJournalBlobDeleteJournalsQueuedStoredJob: deleting through
-// /v1/blobs the artifact a queued job was acknowledged on journals that
-// job first, so a crash while it still waits for a worker slot replays
-// it.
-func TestJournalBlobDeleteJournalsQueuedStoredJob(t *testing.T) {
-	r := newStoreFirstRig(t, 0)
-	body, key := probeSpec(t, "blob-deleted")
-	r.store.Save("journalprobe", key, "stored")
-
-	release := r.holdSlots(t)
-	r.submit(t, body)
-	if code, _ := r.call(t, http.MethodDelete, "/v1/blobs/"+key, nil); code != http.StatusNoContent {
-		t.Fatalf("DELETE /v1/blobs: status %d, want 204", code)
-	}
-	if rec, syncs := r.records(); rec != 1 || syncs != 1 {
-		t.Fatalf("after the delete the journal has %d records and %d fsyncs, want 1 (accepted) and 1", rec, syncs)
-	}
-	pending, err := replayJournal(r.jpath)
-	if err != nil || len(pending) != 1 || pending[0].Key != key {
-		t.Fatalf("a crash with the job queued would replay %v (%v), want %.12s", pendingKeys(pending), err, key)
-	}
-	if sp, err := spec.Decode(pending[0].Body); err != nil || sp.Key() != key {
-		t.Fatalf("replayed body does not decode to the submitted spec (%v)", err)
-	}
-	release()
-
-	if st := r.wait(t, key); st.State != StateDone || st.FromStore {
-		t.Fatalf("job after its artifact was deleted: %+v, want done by execution", st)
-	}
-	if rec, syncs := r.records(); rec != 3 || syncs != 1 {
-		t.Errorf("journal has %d records and %d fsyncs, want 3 (accepted, started, done) and 1", rec, syncs)
-	}
-	if p := r.replayPending(t); len(p) != 0 {
-		t.Errorf("replay re-arms %v after completion, want nothing", p)
-	}
-}
-
 // TestJournalStoredJobPinsItsArtifact: the artifact a queued job was
 // acknowledged on is that job's only durability point, so a bounded
 // store must not evict it while the job waits for a worker slot (a crash
