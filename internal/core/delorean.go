@@ -198,7 +198,8 @@ func (d *DeLorean) ScoutRegion(m int) *RegionData {
 // ascending order — every Explorer segment start and the warm point — and
 // captures a Position at each. warm.Config.Validate's rules put every
 // target of a region at or after the previous region's last one, so the
-// tracker only moves forward and the host replays each gap once.
+// tracker only moves forward and the host replays each gap once; a long
+// gap is counted on two CPUs when one is free (vm.Skip).
 func (d *DeLorean) checkpoint(msg *RegionData) {
 	type target struct {
 		at  uint64
@@ -214,7 +215,7 @@ func (d *DeLorean) checkpoint(msg *RegionData) {
 		if t.at < cur {
 			panic("core: checkpoint target behind the tracker (config fails warm.Config.Validate)")
 		}
-		d.tracker.Skip(t.at - cur)
+		vm.Skip(d.tracker, t.at-cur)
 		*t.pos = d.tracker.Position()
 	}
 }

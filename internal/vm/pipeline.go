@@ -10,20 +10,23 @@ import (
 	"repro/internal/workload"
 )
 
-// Walks split across two goroutines (DESIGN.md §9). Two walk kinds run a
-// helper goroutine beside the caller, both through the same ring of
-// hand-off buffers and under the same panic and drain contract:
+// Walks split across two goroutines (DESIGN.md §9). Three walk kinds run a
+// helper goroutine beside the caller, all through the same ring and under
+// the same panic and drain contract:
 //
 //   - a long RunFuncWarm walk is pipelined (runPipelined): the helper
 //     decodes the program (FillBatch) and trains the branch predictor,
 //     one hand-off of handoffInstrs instructions at a time, while the
 //     caller replays the fetch runs and warms the D-side from each
 //     hand-off in program order;
-//   - a long RunVDP walk is split (runVDPSplit): the caller decodes and
-//     profiles the even segments of vdpSegInstrs instructions itself, and
-//     the helper, on a program of its own, Skips each even segment and
-//     decodes the odd one after it into a hand-off, with the position it
-//     ends at.
+//   - a long RunVDP walk is split (runVDPSplit): the caller profiles the
+//     even segments of vdpSegInstrs instructions itself, and the helper,
+//     on a program of its own, Skips ahead to each odd segment it can
+//     still claim and decodes it into a hand-off, with the position it
+//     ends at;
+//   - a long Skip is counted in pieces (Skip): the caller and the helper
+//     take pieces from the front, and the ring is only the helper's
+//     ticket and exit signal.
 //
 // The rings come from one package-level pool shared by every Engine, so a
 // walk allocates nothing per hand-off, and the buffers live once per walk
@@ -53,14 +56,20 @@ const (
 	// for each side, which splits every CoolSim schedule segment and the
 	// Explorer-2..4 windows of the sampling benchmark's configuration.
 	vdpSplitMin = 8 * vdpSegInstrs
+	// skipSplitMin is the shortest Skip counted on two CPUs: about 2 ms
+	// of counting, several times the helper's wake-up, so the helper
+	// mostly finds pieces left. It splits the tracker's first and longest
+	// Skip per region at the sampling benchmark's configuration.
+	skipSplitMin = 1 << 19
 )
 
 // handoff is one ring buffer: a span's data accesses, its branch outcomes
-// when a predictor is trained, and, for a split VDP walk, the position the
-// program reaches at the span's end.
+// when a predictor is trained, and, for a split VDP walk, the segment it
+// holds and the position the program reaches at the segment's end.
 type handoff struct {
 	acc mem.Batch
 	brs []workload.Branch
+	seg int64
 	end workload.Position
 }
 
@@ -83,8 +92,8 @@ type ring struct {
 	exited bool
 
 	// A split VDP walk's hand-over: the program position the helper seeks
-	// to first, and the next odd segment the helper may claim, or -1 once
-	// the caller decodes one itself (runVDPSplit).
+	// to first, and the next odd segment not yet claimed, or -1 once the
+	// helper is to quit (runVDPSplit).
 	start workload.Position
 	claim atomic.Int64
 }
@@ -160,8 +169,21 @@ func (r *ring) release() {
 
 // recv takes the next filled slot for the caller. If the helper panicked
 // instead, the helper has exited, and recv re-panics with its value.
-func (r *ring) recv() *handoff {
-	i := <-r.full
+func (r *ring) recv() *handoff { return r.take(<-r.full) }
+
+// poll is recv that returns nil when no slot is filled yet.
+func (r *ring) poll() *handoff {
+	select {
+	case i := <-r.full:
+		return r.take(i)
+	default:
+		return nil
+	}
+}
+
+// take makes filled slot i the caller's, or re-panics with the helper's
+// panic value when i is its -1.
+func (r *ring) take(i int) *handoff {
 	if i < 0 {
 		r.exited = true
 		fault := r.fault
@@ -188,6 +210,52 @@ func (r *ring) exit(held *int) {
 		r.free <- *held
 	}
 	r.full <- -1
+}
+
+// join waits for a helper that hands over no slot to exit, and re-panics
+// with its panic value if it panicked.
+func (r *ring) join() {
+	for !r.exited {
+		if <-r.full < 0 {
+			r.exited = true
+		}
+	}
+	if fault := r.fault; fault != nil {
+		r.fault = nil
+		panic(fault)
+	}
+}
+
+// Skip advances prog by n instructions exactly as prog.Skip(n) does. A
+// Skip of skipSplitMin or more, when GOMAXPROCS > 1 and a ring is free, is
+// counted on two CPUs (workload.SkipSplit): a helper goroutine and the
+// caller take pieces from the front, so the caller never waits for a
+// helper that has not started, and the caller applies the counts once
+// both are done. On a busy pool it runs serial, as a helper there would
+// mostly have found no CPU.
+func Skip(prog *workload.Program, n uint64) {
+	if n < skipSplitMin || runtime.GOMAXPROCS(0) == 1 {
+		prog.Skip(n)
+		return
+	}
+	r := getRing()
+	if r == nil {
+		prog.Skip(n)
+		return
+	}
+	defer r.release()
+	s := prog.SplitSkip(n)
+	go r.countSkip(s)
+	s.Count(false)
+	r.join()
+	s.Finish()
+}
+
+// countSkip is the split Skip's helper.
+func (r *ring) countSkip(s *workload.SkipSplit) {
+	held := -1
+	defer r.exit(&held)
+	s.Count(true)
 }
 
 // runPipelined warms n instructions through a ring: the program moves on
@@ -239,14 +307,19 @@ func (r *ring) decode(prog *workload.Program, n uint64, bp *cpu.BranchPred) {
 }
 
 // runVDPSplit profiles n instructions in segments of vdpSegInstrs, the
-// last one partial. The caller decodes and profiles the even segments;
-// for an odd one the helper has begun decoding, it profiles the helper's
-// hand-off and seeks its own program to the hand-off's end. An odd
-// segment the helper has not begun when the caller needs it, the caller
-// decodes itself, and the helper stops for the rest of the walk: on a
-// saturated host the helper wastes at most the Skip of one segment. Every
-// callback runs on the caller's goroutine, and a panic on either side
-// re-panics here once the helper has exited.
+// last one partial. The caller profiles the even segments. Whichever side
+// first moves the claim counter from odd segment j to j+2 owns j: the
+// helper to decode it into a hand-off, which the caller profiles before
+// seeking its own program to the hand-off's end; the caller to profile it
+// itself, which it does when the helper has not claimed j yet, or to skip
+// it while no watchpoint is armed. Idle at a segment the helper owns but
+// has not handed over, the caller skips it too and drops the hand-off
+// when it comes. A helper that loses a segment Skips ahead and tries the
+// next one. Saturated-host rule: once the helper has
+// delivered a segment, the caller's decoding a segment the helper did not
+// claim makes the helper quit, so on a full pool it wastes about one
+// segment's Skip. Every callback runs on the caller's goroutine, and a
+// panic on either side re-panics here once the helper has exited.
 func (e *Engine) runVDPSplit(n uint64, v *vdpScan) {
 	r := getRing()
 	if r == nil {
@@ -258,44 +331,97 @@ func (e *Engine) runVDPSplit(n uint64, v *vdpScan) {
 	e.Prog.PositionTo(&r.start)
 	r.claim.Store(1)
 	go r.skipDecode(h, n)
+	delivered := false
 	for j := int64(0); uint64(j)*vdpSegInstrs < n; j++ {
 		m := min(vdpSegInstrs, n-uint64(j)*vdpSegInstrs)
-		if j%2 == 0 || !r.helped(j) {
-			e.runVDPChunked(m, v)
-			continue
+		if j%2 == 1 {
+			idle := v.idle()
+			if r.helped(j, idle || !delivered) {
+				// Idle, the caller skips the segment sooner than the
+				// helper decodes it, so it waits only when armed.
+				if s := r.handOff(j, !idle); s != nil {
+					e.scanVDP(v, s.acc)
+					if err := e.Prog.Seek(s.end); err != nil {
+						panic(err) // the helper runs the same profile and scale: a bug
+					}
+					r.done()
+					delivered = true
+					e.helped++
+					continue
+				}
+			}
 		}
-		s := r.recv()
-		e.scanVDP(v, s.acc)
-		if err := e.Prog.Seek(s.end); err != nil {
-			panic(err) // the helper runs the same profile and scale: a bug
-		}
-		r.done()
+		e.runVDPChunked(m, v)
 	}
 }
 
-// helped reports whether the helper decodes odd segment j. If it has not
-// claimed j yet, the caller takes it, which stops the helper.
-func (r *ring) helped(j int64) bool {
-	if r.claim.CompareAndSwap(j, -1) {
-		return false
+// handOff returns the helper's hand-off of odd segment j, first returning
+// those of segments the caller profiled itself. Without wait it returns
+// nil rather than wait for j's.
+func (r *ring) handOff(j int64, wait bool) *handoff {
+	for {
+		var s *handoff
+		if wait {
+			s = r.recv()
+		} else if s = r.poll(); s == nil {
+			return nil
+		}
+		if s.seg == j {
+			return s
+		}
+		r.done() // a segment the caller profiled itself
 	}
-	return r.claim.Load() > j
 }
+
+// helped reports whether the helper decodes odd segment j. If the helper
+// has not claimed j yet, the caller takes it, and unless keep is set the
+// helper quits.
+func (r *ring) helped(j int64, keep bool) bool {
+	take := int64(-1)
+	if keep {
+		take = j + 2
+	}
+	for {
+		c := r.claim.Load()
+		if c < 0 {
+			return false // the helper has quit
+		}
+		if c > j {
+			return true
+		}
+		if r.claim.CompareAndSwap(j, take) {
+			return false
+		}
+	}
+}
+
+// holdHelper, when non-nil, runs first on a split VDP walk's helper
+// goroutine: a test seam that holds the helper back.
+var holdHelper func(r *ring)
 
 // skipDecode is the split VDP walk's helper: from the walk's start it
-// Skips each even segment of n instructions, claims the odd segment after
-// it, and decodes it with its end position into a slot it sends on full.
-// It exits when the caller has taken a segment it meant to claim.
+// Skips to the next unclaimed odd segment of n instructions, claims it,
+// and decodes it with its end position into a slot it sends on full. It
+// exits when the walk has no segment left or the caller makes it quit.
 func (r *ring) skipDecode(prog *workload.Program, n uint64) {
 	held := -1
 	defer r.exit(&held)
+	if holdHelper != nil {
+		holdHelper(r)
+	}
 	if err := prog.Seek(r.start); err != nil {
 		panic(err)
 	}
-	for j := int64(1); uint64(j)*vdpSegInstrs < n; j += 2 {
-		prog.Skip(vdpSegInstrs)
-		if !r.claim.CompareAndSwap(j, j+2) {
+	at := int64(0) // the segment prog is at the start of
+	for {
+		j := r.claim.Load()
+		if j < 0 || uint64(j)*vdpSegInstrs >= n {
 			return
+		}
+		prog.Skip(uint64(j-at) * vdpSegInstrs)
+		at = j
+		if !r.claim.CompareAndSwap(j, j+2) {
+			continue
 		}
 		held = <-r.free
 		if r.stop.Load() {
@@ -303,8 +429,11 @@ func (r *ring) skipDecode(prog *workload.Program, n uint64) {
 		}
 		s := &r.slots[held]
 		s.acc.Reset()
-		prog.FillBatch(min(vdpSegInstrs, n-uint64(j)*vdpSegInstrs), &s.acc, nil)
+		m := min(vdpSegInstrs, n-uint64(j)*vdpSegInstrs)
+		prog.FillBatch(m, &s.acc, nil)
+		s.seg = j
 		prog.PositionTo(&s.end)
+		at = j + 1
 		r.full <- held
 		held = -1
 	}

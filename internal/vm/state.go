@@ -42,17 +42,20 @@ func (w *Watchpoints) State() WatchpointsState {
 
 // SetState replaces the set's contents with the captured state. The line
 // count is recomputed from the bitmaps, so a hand-built state needs no
-// separate count field to stay consistent.
+// separate count field to stay consistent; entries for one page are ORed
+// together, and a zero bitmap watches nothing.
 func (w *Watchpoints) SetState(s WatchpointsState) {
-	w.pages.Reset()
-	w.n = 0
+	w.Clear()
 	for _, wp := range s {
 		if wp.Bits == 0 {
 			continue
 		}
-		p, _ := w.pages.Upsert(mem.Page(wp.Page))
-		*p = wp.Bits
-		w.n += bits.OnesCount64(wp.Bits)
+		p, added := w.pages.Upsert(mem.Page(wp.Page))
+		if added {
+			w.addPage(mem.Page(wp.Page))
+		}
+		w.n += bits.OnesCount64(wp.Bits &^ *p)
+		*p |= wp.Bits
 	}
 }
 

@@ -107,6 +107,20 @@ func (r *vdpRecorder) config(every uint64, fixed bool) *VDPConfig {
 	}
 }
 
+// vdpCall is one RunVDP call of a reference test: its span and sampling
+// interval, or, with clear, an emptying of both sides' watched sets
+// between calls, as CoolSim's walk clears its set at each region.
+type vdpCall struct {
+	span, every uint64
+	clear       bool
+}
+
+// atChunkStart, as a call's interval, asks for the interval that makes
+// the call's first stop land on an access the idle walk skips straight
+// to, so that the stop is the first instruction of the chunk decoded
+// after the skip.
+const atChunkStart = ^uint64(0)
+
 // TestRunVDPMatchesReference pins the batched RunVDP to the
 // per-instruction oracle over every benchmark: the same ordered callbacks,
 // ledger, program state and sample clock, over back-to-back calls whose
@@ -116,70 +130,127 @@ func (r *vdpRecorder) config(every uint64, fixed bool) *VDPConfig {
 // splits when GOMAXPROCS > 1 (CI runs the test at -cpu 1,2), and past it
 // with an even and an odd segment count, each with a partial last
 // segment, sampling on and off.
+//
+// The keyed walk arms key lines for the whole run, so its set is never
+// empty. The sampler walk arms nothing but its samples, each until its
+// reuse, as CoolSim's sampler does, so its set empties and the walk skips
+// the idle spans: with SampleEvery 0 straight to the walk's end, and
+// otherwise to each stop, one of which lands on the first instruction of
+// a chunk; the clock carries from walk to walk through idle tails, and
+// long walks split with idle stretches on both sides.
 func TestRunVDPMatchesReference(t *testing.T) {
-	calls := []struct{ span, every uint64 }{
-		{0, 100}, {1, 7}, {workload.Chunk - 1, 0}, {workload.Chunk, 100}, {workload.Chunk + 1, 33},
-		{12_345, 1000}, {777, 0}, {3001, 1}, {40_000, 2500}, {5, 3},
-		{workload.Chunk*3 + 17, 0}, {20_011, 400},
-		{vdpSplitMin - 1, 300}, {vdpSplitMin, 0}, {vdpSplitMin + 1, 700},
-		{9*vdpSegInstrs + 123, 1200}, {9*vdpSegInstrs + 5, 0}, // ten segments: the partial one the helper's
-		{10*vdpSegInstrs + 4_567, 0}, {10*vdpSegInstrs + 99, 40}, // eleven: the partial one the caller's
+	keyed := []vdpCall{
+		{0, 100, false}, {1, 7, false}, {workload.Chunk - 1, 0, false}, {workload.Chunk, 100, false},
+		{workload.Chunk + 1, 33, false}, {12_345, 1000, false}, {777, 0, false}, {3001, 1, false},
+		{40_000, 2500, false}, {5, 3, false}, {workload.Chunk*3 + 17, 0, false}, {20_011, 400, false},
+		{vdpSplitMin - 1, 300, false}, {vdpSplitMin, 0, false}, {vdpSplitMin + 1, 700, false},
+		{9*vdpSegInstrs + 123, 1200, false}, {9*vdpSegInstrs + 5, 0, false}, // ten segments: the partial one the helper's
+		{10*vdpSegInstrs + 4_567, 0, false}, {10*vdpSegInstrs + 99, 40, false}, // eleven: the partial one the caller's
+	}
+	sampler := []vdpCall{
+		{vdpSplitMin + 3_001, 0, false}, {2_000, 0, false}, // SampleEvery 0 with an empty set
+		{12_345, 1000, false}, {5_000, 3_000, false}, {7_001, 2_000, false}, {1, 5, false}, {3_333, 700, false},
+		{0, 0, true}, {50_000, atChunkStart, false},
+		{3*vdpSplitMin + 777, 40_000, false}, {2 * vdpSplitMin, 20_000, false}, {vdpSplitMin + 5, 10_000, false},
+		{0, 0, true}, {10*vdpSegInstrs + 99, 4_000, false}, {40_000, 0, false},
+		{0, 0, true}, {50_000, atChunkStart, false}, {vdpSplitMin, 900, false},
 	}
 	for _, prof := range workload.Benchmarks() {
 		prof := prof
 		t.Run(prof.Name, func(t *testing.T) {
-			ref, bat := NewEngine(prof.NewProgram(64)), NewEngine(prof.NewProgram(64))
-			rr := &vdpRecorder{wps: NewWatchpoints(), pending: map[mem.Line]bool{}}
-			br := &vdpRecorder{wps: NewWatchpoints(), pending: map[mem.Line]bool{}}
-			// Key lines armed for the whole run, taken from the stream
-			// ahead, so triggers and false positives both occur.
-			var ahead mem.Batch
-			prof.NewProgram(64).FillBatch(50_000, &ahead, nil)
-			for i := 0; i < len(ahead); i += len(ahead)/16 + 1 {
-				rr.wps.Watch(ahead[i].Line())
-				br.wps.Watch(ahead[i].Line())
-			}
-			for ci, c := range calls {
-				fixed := ci%2 == 1
-				ref.Prop, bat.Prop = ci%3 != 0, ci%3 != 0
-				ref.refRunVDP(c.span, rr.config(c.every, fixed))
-				bat.RunVDP(c.span, br.config(c.every, fixed))
-				where := fmt.Sprintf("call %d (span %d, every %d)", ci, c.span, c.every)
-				if len(br.events) != len(rr.events) {
-					t.Fatalf("%s: %d callbacks, want %d", where, len(br.events), len(rr.events))
-				}
-				for i := range rr.events {
-					if br.events[i] != rr.events[i] {
-						t.Fatalf("%s: callback %d is %c %+v, want %c %+v", where, i,
-							br.events[i].kind, br.events[i].a, rr.events[i].kind, rr.events[i].a)
-					}
-				}
-				if bat.sampleCount != ref.sampleCount {
-					t.Fatalf("%s: sample clock %d, want %d", where, bat.sampleCount, ref.sampleCount)
-				}
-				if bat.Prog.InstrIndex() != ref.Prog.InstrIndex() || bat.Prog.MemIndex() != ref.Prog.MemIndex() {
-					t.Fatalf("%s: program at (%d,%d), want (%d,%d)", where,
-						bat.Prog.InstrIndex(), bat.Prog.MemIndex(), ref.Prog.InstrIndex(), ref.Prog.MemIndex())
-				}
-			}
-			if n := len(rr.events); n < 100 {
-				t.Fatalf("only %d callbacks delivered; the run exercises too little", n)
-			}
-			if !reflect.DeepEqual(bat.Counters, ref.Counters) {
-				t.Fatalf("ledger differs:\nbatched:\n%s\nreference:\n%s", bat.Counters, ref.Counters)
-			}
-			if !reflect.DeepEqual(br.wps.State(), rr.wps.State()) {
-				t.Fatal("watchpoint sets diverged")
-			}
-			for i := 0; i < 1000; i++ {
-				var a, b workload.Instr
-				ref.Prog.Next(&a)
-				bat.Prog.Next(&b)
-				if a != b {
-					t.Fatalf("continuation instruction %d is %+v, want %+v", i, b, a)
-				}
-			}
+			checkVDPCalls(t, prof, keyed, true)
+			checkVDPCalls(t, prof, sampler, false)
 		})
+	}
+}
+
+// checkVDPCalls runs calls on a batched engine and on the per-instruction
+// oracle side by side, with key lines armed for the whole run when keys
+// is set, and compares them after every call.
+func checkVDPCalls(t *testing.T, prof *workload.Profile, calls []vdpCall, keys bool) {
+	t.Helper()
+	ref, bat := NewEngine(prof.NewProgram(64)), NewEngine(prof.NewProgram(64))
+	rr := &vdpRecorder{wps: NewWatchpoints(), pending: map[mem.Line]bool{}}
+	br := &vdpRecorder{wps: NewWatchpoints(), pending: map[mem.Line]bool{}}
+	if keys {
+		// Key lines taken from the stream ahead, so triggers and false
+		// positives both occur.
+		var ahead mem.Batch
+		prof.NewProgram(64).FillBatch(50_000, &ahead, nil)
+		for i := 0; i < len(ahead); i += len(ahead)/16 + 1 {
+			rr.wps.Watch(ahead[i].Line())
+			br.wps.Watch(ahead[i].Line())
+		}
+	}
+	for ci, c := range calls {
+		if c.clear {
+			for _, r := range []*vdpRecorder{rr, br} {
+				r.wps.Clear()
+				clear(r.pending)
+			}
+			continue
+		}
+		every, stopAt := c.every, uint64(0)
+		if every == atChunkStart {
+			// The first access at least 500 instructions ahead; the
+			// clock reaches the interval exactly there.
+			var ahead mem.Batch
+			peek := prof.NewProgram(64)
+			if err := peek.Seek(ref.Prog.Position()); err != nil {
+				t.Fatal(err)
+			}
+			peek.FillBatch(2_000, &ahead, nil)
+			start := ref.Prog.InstrIndex()
+			for _, a := range ahead {
+				if a.InstrIdx >= start+500 {
+					stopAt = a.InstrIdx
+					break
+				}
+			}
+			every = stopAt - start + ref.sampleCount + 1
+		}
+		fixed := ci%2 == 1
+		ref.Prop, bat.Prop = ci%3 != 0, ci%3 != 0
+		n0 := len(br.events)
+		ref.refRunVDP(c.span, rr.config(every, fixed))
+		bat.RunVDP(c.span, br.config(every, fixed))
+		where := fmt.Sprintf("keys %v, call %d (span %d, every %d)", keys, ci, c.span, every)
+		if len(br.events) != len(rr.events) {
+			t.Fatalf("%s: %d callbacks, want %d", where, len(br.events), len(rr.events))
+		}
+		for i := range rr.events {
+			if br.events[i] != rr.events[i] {
+				t.Fatalf("%s: callback %d is %c %+v, want %c %+v", where, i,
+					br.events[i].kind, br.events[i].a, rr.events[i].kind, rr.events[i].a)
+			}
+		}
+		if stopAt > 0 && (len(br.events) == n0 || br.events[n0].kind != 'S' || br.events[n0].a.InstrIdx != stopAt) {
+			t.Fatalf("%s: the first stop is not at instruction %d", where, stopAt)
+		}
+		if bat.sampleCount != ref.sampleCount {
+			t.Fatalf("%s: sample clock %d, want %d", where, bat.sampleCount, ref.sampleCount)
+		}
+		if bat.Prog.InstrIndex() != ref.Prog.InstrIndex() || bat.Prog.MemIndex() != ref.Prog.MemIndex() {
+			t.Fatalf("%s: program at (%d,%d), want (%d,%d)", where,
+				bat.Prog.InstrIndex(), bat.Prog.MemIndex(), ref.Prog.InstrIndex(), ref.Prog.MemIndex())
+		}
+	}
+	if n := len(rr.events); n < 100 {
+		t.Fatalf("keys %v: only %d callbacks delivered; the run exercises too little", keys, n)
+	}
+	if !reflect.DeepEqual(bat.Counters, ref.Counters) {
+		t.Fatalf("keys %v: ledger differs:\nbatched:\n%s\nreference:\n%s", keys, bat.Counters, ref.Counters)
+	}
+	if !reflect.DeepEqual(br.wps.State(), rr.wps.State()) {
+		t.Fatalf("keys %v: watchpoint sets diverged", keys)
+	}
+	for i := 0; i < 1000; i++ {
+		var a, b workload.Instr
+		ref.Prog.Next(&a)
+		bat.Prog.Next(&b)
+		if a != b {
+			t.Fatalf("keys %v: continuation instruction %d is %+v, want %+v", keys, i, b, a)
+		}
 	}
 }
 
@@ -330,5 +401,83 @@ func TestSplitVDPWalkAllocs(t *testing.T) {
 	}
 	if calls == 0 {
 		t.Fatal("no callback delivered")
+	}
+}
+
+// TestSplitVDPHelperJoinsLate: a helper held back until the caller has
+// passed three odd segments, which the caller takes and decodes itself,
+// still decodes later odd segments once it runs, and the walk matches the
+// per-instruction oracle. Without a second P nothing splits, so there is
+// nothing to hold back.
+func TestSplitVDPHelperJoinsLate(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		t.Skip("a walk splits only when GOMAXPROCS > 1")
+	}
+	defer func() { holdHelper = nil }()
+	holdHelper = func(r *ring) {
+		for c := r.claim.Load(); c >= 0 && c < 7; c = r.claim.Load() {
+			runtime.Gosched()
+		}
+	}
+	prof := workload.Mcf()
+	ref, bat := NewEngine(prof.NewProgram(64)), NewEngine(prof.NewProgram(64))
+	rr := &vdpRecorder{wps: NewWatchpoints(), pending: map[mem.Line]bool{}}
+	br := &vdpRecorder{wps: NewWatchpoints(), pending: map[mem.Line]bool{}}
+	// Key lines armed for the whole walk: the caller decodes every segment
+	// it takes, so the helper, once it runs, catches up.
+	var ahead mem.Batch
+	prof.NewProgram(64).FillBatch(50_000, &ahead, nil)
+	for i := 0; i < len(ahead); i += 97 {
+		rr.wps.Watch(ahead[i].Line())
+		br.wps.Watch(ahead[i].Line())
+	}
+	const n = 4 * vdpSplitMin
+	ref.refRunVDP(n, rr.config(500, false))
+	bat.RunVDP(n, br.config(500, false))
+	if !reflect.DeepEqual(br.events, rr.events) || bat.sampleCount != ref.sampleCount ||
+		!reflect.DeepEqual(bat.Counters, ref.Counters) || !reflect.DeepEqual(bat.Prog.Position(), ref.Prog.Position()) {
+		t.Fatalf("late-helper walk differs from the oracle: %d callbacks, clock %d; oracle %d callbacks, clock %d",
+			len(br.events), bat.sampleCount, len(rr.events), ref.sampleCount)
+	}
+	if bat.helped == 0 {
+		t.Fatalf("the helper decoded none of the %d odd segments after the first three", n/vdpSegInstrs/2-3)
+	}
+}
+
+// TestSkipConcurrent: long Skips through vm.Skip on several programs at
+// once, more than the ring pool has helpers for, so some count on two
+// CPUs and some serial, each end where a serial Skip puts its twin, and
+// leave no goroutine behind.
+func TestSkipConcurrent(t *testing.T) {
+	base := runtime.NumGoroutine()
+	profs := []*workload.Profile{workload.Mcf(), workload.Calculix(), workload.Bwaves(), workload.Leslie3d()}
+	spans := []uint64{skipSplitMin, 3*skipSplitMin + 12_345, 777, skipSplitMin - 1, 2*skipSplitMin + 1}
+	got := make([]workload.Position, len(profs))
+	var wg sync.WaitGroup
+	for i, prof := range profs {
+		wg.Add(1)
+		go func(i int, prof *workload.Profile) {
+			defer wg.Done()
+			prog := prof.NewProgram(64)
+			for _, n := range spans {
+				Skip(prog, n)
+			}
+			got[i] = prog.Position()
+		}(i, prof)
+	}
+	wg.Wait()
+	for i, prof := range profs {
+		prog := prof.NewProgram(64)
+		for _, n := range spans {
+			prog.Skip(n)
+		}
+		if want := prog.Position(); !reflect.DeepEqual(got[i], want) {
+			t.Errorf("%s: concurrent Skips end at\n%+v\nserial Skips at\n%+v", prof.Name, got[i], want)
+		}
+	}
+	for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the Skips, %d before", runtime.NumGoroutine(), base)
+		}
 	}
 }

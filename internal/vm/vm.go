@@ -107,12 +107,49 @@ const (
 // The page index is an open-addressing flat table mapping each watched
 // page to a 64-bit bitmap of its watched lines, so the per-access
 // WatchedPage check on the VDP hot path is a single probe and the
-// per-window Clear retains all backing storage. The old map-of-maps
-// representation survives as the reference oracle in the tests.
+// per-window Clear retains all backing storage. In front of it, a count of
+// watched pages per bucket of a page hash answers most checks of an
+// unwatched page with one load, without the probe loop: a VDP walk's
+// accesses mostly miss the watched pages (DESIGN.md §9, "Unwatched
+// pages"). The old map-of-maps representation survives as the reference
+// oracle in the tests.
 type Watchpoints struct {
 	pages mem.FlatMap[mem.Page, uint64]
 	n     int
+	// inBkt counts the watched pages per bucket of a page hash
+	// (wpBucket). A count that reaches 255 stays there until Clear: a
+	// bucket may then read occupied with no page in it, never empty with
+	// one.
+	inBkt [wpBuckets]uint8
 }
+
+// wpBucketBits sizes the watched-page filter: a few hundred watched
+// pages, a CoolSim walk's or an Explorer's, leave most of its 4 096
+// buckets empty, and its 4 KiB stay in L1 beside a walk's chunk.
+const (
+	wpBucketBits = 12
+	wpBuckets    = 1 << wpBucketBits
+)
+
+// wpBucket returns page p's bucket: the top bits of a Fibonacci hash.
+func wpBucket(p mem.Page) uint64 { return uint64(p) * 0x9E3779B97F4A7C15 >> (64 - wpBucketBits) }
+
+// addPage and dropPage count a page into and out of its bucket.
+func (w *Watchpoints) addPage(p mem.Page) {
+	if c := &w.inBkt[wpBucket(p)]; *c < 255 {
+		*c++
+	}
+}
+
+func (w *Watchpoints) dropPage(p mem.Page) {
+	if c := &w.inBkt[wpBucket(p)]; *c < 255 {
+		*c--
+	}
+}
+
+// mayWatch reports whether page p's bucket holds a watched page: false
+// proves p unwatched without probing the page index.
+func (w *Watchpoints) mayWatch(p mem.Page) bool { return w.inBkt[wpBucket(p)] != 0 }
 
 // NewWatchpoints returns an empty set.
 func NewWatchpoints() *Watchpoints {
@@ -125,7 +162,11 @@ func lineBit(l mem.Line) uint64 {
 
 // Watch protects line l.
 func (w *Watchpoints) Watch(l mem.Line) {
-	p, _ := w.pages.Upsert(mem.PageOfLine(l))
+	pg := mem.PageOfLine(l)
+	p, added := w.pages.Upsert(pg)
+	if added {
+		w.addPage(pg)
+	}
 	if bit := lineBit(l); *p&bit == 0 {
 		*p |= bit
 		w.n++
@@ -147,12 +188,13 @@ func (w *Watchpoints) Unwatch(l mem.Line) {
 	w.n--
 	if *p == 0 {
 		w.pages.Delete(pg)
+		w.dropPage(pg)
 	}
 }
 
 // WatchedPage reports whether any line of page p is watched.
 func (w *Watchpoints) WatchedPage(p mem.Page) bool {
-	return w.pages.Ptr(p) != nil
+	return w.mayWatch(p) && w.pages.Ptr(p) != nil
 }
 
 // WatchedLine reports whether l itself is watched.
@@ -164,11 +206,15 @@ func (w *Watchpoints) WatchedLine(l mem.Line) bool {
 // Count returns the number of watched lines.
 func (w *Watchpoints) Count() int { return w.n }
 
+// empty reports whether no line is watched, from the page index itself.
+func (w *Watchpoints) empty() bool { return w.pages.Len() == 0 }
+
 // Clear removes all watchpoints, retaining the backing storage so the
 // Explorer's per-window re-arming never reallocates.
 func (w *Watchpoints) Clear() {
 	w.pages.Reset()
 	w.n = 0
+	clear(w.inBkt[:])
 }
 
 // AccessHandler observes one memory access during functional execution.
@@ -212,6 +258,7 @@ type Engine struct {
 	chunk       mem.Batch         // chunk buffer of RunVDP and the serial RunFuncWarm, allocated on first use
 	branches    []workload.Branch // the serial RunFuncWarm's branch outcomes per chunk, likewise
 	helper      *workload.Program // the split RunVDP's helper program, likewise
+	helped      uint64            // odd segments the split RunVDP walks' helper decoded
 }
 
 // NewEngine wraps prog with a fresh ledger.
@@ -384,15 +431,20 @@ func fetchRun(h *cache.Hierarchy, walk *workload.FetchWalk, next, end uint64) ui
 // after the last access are credited when the call returns, so the clock
 // carries across calls exactly as a per-instruction count would.
 //
+// While no watchpoint is armed, nothing before the next sampling stop is
+// observed: the walk Skips to the instruction before it (to the walk's end
+// when SampleEvery is 0) and advances the clock by the skipped span
+// (skipIdle). No trigger can occur and the callbacks run only at stops,
+// so every counter and callback is what decoding the span would give.
+//
 // A walk of vdpSplitMin or more instructions, when the process may run
 // more than one goroutine at once (GOMAXPROCS > 1) and a hand-off ring is
 // free, is split (runVDPSplit): a helper goroutine on a program of its own
-// decodes every other segment of the walk while the caller decodes the
-// rest. Every callback runs on
-// the caller's goroutine, in program order, either way. The callbacks
-// follow OnData's rule: they must not touch e.Prog, which a split walk
-// moves segment by segment, so they take positions from the access
-// record, and copy what they keep of it.
+// decodes odd segments of the walk while the caller profiles the rest.
+// Every callback runs on the caller's goroutine, in program order, either
+// way. The callbacks follow OnData's rule: they must not touch e.Prog,
+// which a split walk moves segment by segment, so they take positions from
+// the access record, and copy what they keep of it.
 func (e *Engine) RunVDP(n uint64, cfg *VDPConfig) {
 	v := vdpScan{cfg: cfg, next: e.Prog.InstrIndex()}
 	end := v.next + n
@@ -425,18 +477,53 @@ type vdpScan struct {
 	triggers, falsePos, sampleStops float64
 }
 
-// runVDPChunked is the serial walk: decode a chunk, profile it.
+// idle reports whether no watchpoint is armed.
+func (v *vdpScan) idle() bool { return v.cfg.WPs == nil || v.cfg.WPs.empty() }
+
+// runVDPChunked is the serial walk: decode a chunk, profile it, and skip
+// what nobody watches.
 func (e *Engine) runVDPChunked(n uint64, v *vdpScan) {
 	if e.chunk == nil {
 		// Once per engine: most engines never profile.
 		e.chunk = make(mem.Batch, 0, workload.Chunk)
 	}
-	for left := n; left > 0; {
-		m := min(left, workload.Chunk)
-		left -= m
+	end := e.Prog.InstrIndex() + n
+	for {
+		if v.idle() {
+			e.skipIdle(v, end)
+		}
+		at := e.Prog.InstrIndex()
+		if at == end {
+			return
+		}
 		e.chunk.Reset()
-		e.Prog.FillBatch(m, &e.chunk, nil)
+		e.Prog.FillBatch(min(end-at, workload.Chunk), &e.chunk, nil)
 		e.scanVDP(v, e.chunk)
+	}
+}
+
+// skipIdle Skips an idle walk to the first instruction a sampling stop may
+// land on, or to end if that comes first. The clock has counted up to
+// v.next; a stop lands on the first access whose instruction brings the
+// count to SampleEvery, which no access before instruction
+// v.next+SampleEvery−sampleCount−1 does. The clock is a telescoping sum of
+// instruction deltas, so it advances by the skipped span.
+func (e *Engine) skipIdle(v *vdpScan, end uint64) {
+	to := end
+	if every := v.cfg.SampleEvery; every > 0 {
+		if e.sampleCount+1 >= every {
+			return // the next access stops
+		}
+		to = min(to, v.next+every-e.sampleCount-1)
+	}
+	at := e.Prog.InstrIndex()
+	if to <= at {
+		return
+	}
+	e.Prog.Skip(to - at)
+	if v.cfg.SampleEvery > 0 {
+		e.sampleCount += to - v.next
+		v.next = to
 	}
 }
 
@@ -458,7 +545,10 @@ func (e *Engine) scanVDP(v *vdpScan, b mem.Batch) {
 				isSample = true
 			}
 		}
-		watchedPage := cfg.WPs != nil && cfg.WPs.WatchedPage(mem.PageOf(a.Addr))
+		// mayWatch first, spelled out: WatchedPage itself is too large to
+		// inline, and most accesses touch no watched page.
+		pg := mem.PageOf(a.Addr)
+		watchedPage := cfg.WPs != nil && cfg.WPs.mayWatch(pg) && cfg.WPs.pages.Ptr(pg) != nil
 		if isSample {
 			sampleStops++
 			if cfg.OnSample != nil {

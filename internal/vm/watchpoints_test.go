@@ -120,3 +120,41 @@ func TestWatchpointsClearReusesStorage(t *testing.T) {
 		t.Fatalf("re-arming after Clear allocated %.2f times per window", allocs)
 	}
 }
+
+// TestWatchpointsBucketSaturates: pages beyond what one bucket of the
+// watched-page filter counts (255) stay exact: every watched page reads
+// watched through a bucket stuck at its limit, and unwatching them leaves
+// the set exactly as the reference says, until Clear empties the bucket.
+func TestWatchpointsBucketSaturates(t *testing.T) {
+	var pages []mem.Page
+	for p := mem.Page(0); len(pages) < 300; p++ {
+		if wpBucket(p) == wpBucket(0) {
+			pages = append(pages, p)
+		}
+	}
+	wp := NewWatchpoints()
+	lineOf := func(p mem.Page) mem.Line { return mem.Line(uint64(p) * mem.LinesPerPage) }
+	for _, p := range pages {
+		wp.Watch(lineOf(p))
+	}
+	for i, p := range pages {
+		if !wp.WatchedPage(p) {
+			t.Fatalf("page %d (%d of %d in one bucket) not watched", p, i, len(pages))
+		}
+	}
+	for _, p := range pages[1:] {
+		wp.Unwatch(lineOf(p))
+	}
+	if !wp.WatchedPage(pages[0]) || wp.WatchedPage(pages[1]) || wp.Count() != 1 {
+		t.Fatalf("after unwatching all but one: first watched %v, second %v, Count %d",
+			wp.WatchedPage(pages[0]), wp.WatchedPage(pages[1]), wp.Count())
+	}
+	wp.Unwatch(lineOf(pages[0]))
+	if wp.WatchedPage(pages[0]) || !wp.empty() {
+		t.Fatal("the last page still watched")
+	}
+	wp.Clear()
+	if wp.mayWatch(pages[0]) {
+		t.Fatal("Clear left the bucket occupied")
+	}
+}

@@ -1,6 +1,10 @@
 package workload
 
-import "math/bits"
+import (
+	"math/bits"
+
+	"repro/internal/stats"
+)
 
 // Closed-form fast-forward. Skip observes nothing, and every piece of
 // program state but the stream pick is either a counter or a generator
@@ -56,31 +60,56 @@ func (pr *Program) Skip(n uint64) {
 	pr.advanceCode(n)
 	cnt := pr.skipCnt
 	clear(cnt)
-	rands := pr.rands
-	for i := range rands {
-		rands[i].seen, rands[i].m = 0, 0
-	}
+	pr.resetMarks()
 	randStart := pr.randRng
 	var brCnt [nBranchSlots]uint64
-	var draws uint64 // the Skip's Rand draws so far
+	draws := pr.countSpan(n, cnt, &brCnt, 0, true)
+	pr.applySkip(&brCnt, randStart, draws)
+}
+
+// resetMarks forgets every Rand stream's last advance before a Skip.
+func (pr *Program) resetMarks() {
+	for i := range pr.rands {
+		pr.rands[i].seen, pr.rands[i].m = 0, 0
+	}
+}
+
+// countSpan counts the next n instructions block by block: the accesses
+// per stream into cnt and the loop-branch executions per slot into br.
+// With marks it also advances the Rand streams' bursts over each block and
+// marks each stream's last advance (markRand), the Skip's Rand draws
+// starting at draws, and returns the draws after the span; without, it
+// touches no stream and returns draws unchanged.
+func (pr *Program) countSpan(n uint64, cnt []uint64, br *[nBranchSlots]uint64, draws uint64, marks bool) uint64 {
 	var blk block
+	randBr := pr.randBrBits
 	for n > 0 {
 		rng, at := pr.rng.State(), pr.instrIdx
 		m, nm, nb := pr.drawBlock(n, &blk)
 		n -= m
 		pr.countMem(blk.memRB[:nm], cnt)
-		randBr := pr.randBrBits
 		for _, rb := range blk.brRB[:nb] {
 			// A data-dependent branch leaves its slot's counter alone.
 			var loop uint64
 			if rb>>16 >= randBr {
 				loop = 1
 			}
-			brCnt[rb%nBranchSlots] += loop
+			br[rb%nBranchSlots] += loop
 		}
-		draws = pr.markRand(draws, rng, at, m)
+		if marks {
+			draws = pr.markRand(cnt, draws, rng, at, m)
+		}
 	}
+	return draws
+}
 
+// applySkip applies a Skip's counts (pr.skipCnt, br) once the Rand
+// streams' bursts are advanced and their last advances marked: it jumps
+// every Seq and Chase stream, the memory index, each Rand stream's lastOff,
+// the Rand generator (randStart was its state at the Skip's start, draws
+// the Skip's Rand draws) and the loop-branch counters.
+func (pr *Program) applySkip(br *[nBranchSlots]uint64, randStart stats.RNG, draws uint64) {
+	cnt := pr.skipCnt
 	var memN uint64
 	for i := range pr.streams {
 		st := &pr.streams[i]
@@ -101,6 +130,7 @@ func (pr *Program) Skip(n uint64) {
 		st.lastOff = st.pos
 	}
 	pr.memIdx += memN
+	rands := pr.rands
 	for i := range rands {
 		r := &rands[i]
 		if r.m == 0 {
@@ -119,7 +149,7 @@ func (pr *Program) Skip(n uint64) {
 	pr.randRng.Jump(draws)
 	for i := range pr.branchSlots {
 		c := &pr.branchSlots[i].ctr
-		*c = uint32((uint64(*c) + brCnt[i]) % uint64(pr.loopDuty))
+		*c = uint32((uint64(*c) + br[i]) % uint64(pr.loopDuty))
 	}
 }
 
@@ -146,15 +176,15 @@ func (pr *Program) countMem(memRB []uint32, cnt []uint64) {
 }
 
 // markRand advances every Rand stream's burst over the block just counted
-// (rng and at are the main generator and instruction index at its start,
-// m its length), records the block as the last advance of each stream
-// that advanced in it, and returns the Skip's Rand draws after it.
-func (pr *Program) markRand(draws, rng, at, m uint64) uint64 {
+// into cnt (rng and at are the main generator and instruction index at its
+// start, m its length), records the block as the last advance of each
+// stream that advanced in it, and returns the Skip's Rand draws after it.
+func (pr *Program) markRand(cnt []uint64, draws, rng, at, m uint64) uint64 {
 	rands := pr.rands
 	advancers := 0
 	for i := range rands {
 		r := &rands[i]
-		c := pr.skipCnt[r.si] - r.seen
+		c := cnt[r.si] - r.seen
 		r.seen += c
 		st := &pr.streams[r.si]
 		r.blkAdv, r.blkEnd = burstSteps(st.burstLeft, st.burstLen, c)

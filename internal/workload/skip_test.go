@@ -2,6 +2,7 @@ package workload
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 )
 
@@ -68,30 +69,60 @@ func fuzzProfile(shape []byte) (*Profile, uint64) {
 // FuzzSkipMatchesNext is the closed-form Skip's oracle over arbitrary
 // profiles: after each Skip(n), the Position equals that of a twin
 // program advanced by n calls of Next, and a fresh program accepts it
-// (a reached position is a reachable one).
+// (a reached position is a reachable one). A third program takes the
+// piece path of a split Skip, in pieces as short as the input asks (a
+// split of one piece when it asks for none), counted serially.
 func FuzzSkipMatchesNext(f *testing.F) {
 	f.Add([]byte{3, 100, 40, 9, 7, 200, 4, 20, 1, 2, 4, 1, 80, 30, 100, 7, 3, 255, 1, 0, 128, 60, 0, 0}, []byte{0, 1, 1, 0, 40, 0, 0, 0})
 	f.Add([]byte{1, 200, 10, 0, 2, 0, 1, 1, 5, 5, 2, 1, 0, 10, 9, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 9, 9, 4, 3, 1, 2, 3, 4, 5}, []byte{2, 1, 0, 255, 1, 0})
 	f.Fuzz(func(t *testing.T, shape, skips []byte) {
 		prof, scale := fuzzProfile(shape)
-		a, b := prof.NewProgram(scale), prof.NewProgram(scale)
+		a, b, c := prof.NewProgram(scale), prof.NewProgram(scale), prof.NewProgram(scale)
 		var ins Instr
 		total := 0
 		for i := 0; i+1 < len(skips) && total < 200_000; i += 2 {
 			n := int(skips[i])<<8 | int(skips[i+1])
 			total += n
 			a.Skip(uint64(n))
+			piece := uint64(n)
+			if i+2 < len(skips) {
+				piece = 1 + uint64(skips[i+2])*16
+			}
+			splitSkip(c, uint64(n), piece, false)
 			for j := 0; j < n; j++ {
 				b.Next(&ins)
 			}
-			if got, want := a.Position(), b.Position(); !reflect.DeepEqual(got, want) {
+			want := b.Position()
+			if got := a.Position(); !reflect.DeepEqual(got, want) {
 				t.Fatalf("after Skip(%d) at %d: position\n%+v\nwant (%d Next calls)\n%+v", n, total-n, got, n, want)
+			}
+			if got := c.Position(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("after a split Skip(%d) in pieces of %d at %d: position\n%+v\nwant (%d Next calls)\n%+v",
+					n, piece, total-n, got, n, want)
 			}
 		}
 		if err := prof.NewProgram(scale).Seek(a.Position()); err != nil {
 			t.Fatalf("seek refused a position a run reached: %v", err)
 		}
 	})
+}
+
+// splitSkip skips n instructions through the piece path in pieces of
+// piece instructions, counting them on the caller alone or, with helper,
+// on a second goroutine too.
+func splitSkip(pr *Program, n, piece uint64, helper bool) {
+	s := pr.splitSkip(n, piece)
+	var wg sync.WaitGroup
+	if helper {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s.Count(true)
+		}()
+	}
+	s.Count(false)
+	wg.Wait()
+	s.Finish()
 }
 
 // TestSeqJumpMatchesSteps pins seqJump to genMem's Seq step, one advance

@@ -222,6 +222,9 @@ type Program struct {
 	depSpan   uint32
 	depMagic  uint64 // floor(2^64/depSpan)+1: Lemire fastmod magic
 	noDepTh   uint32 // of 16: instructions with no input dependence
+	// the split Skip's state, built on first use (skipsplit.go); last, so
+	// the generator's fields keep their offsets
+	split *SkipSplit
 }
 
 // nBranchSlots is the number of static branch PCs: 16 is enough to
@@ -913,11 +916,4 @@ func floorPow2(v uint64) uint64 {
 		p <<= 1
 	}
 	return p
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

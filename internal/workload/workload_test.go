@@ -45,29 +45,41 @@ func TestDeterministicReplay(t *testing.T) {
 }
 
 // TestSkipEquivalence: Skip(n) must leave the program in exactly the state
-// of n Next calls (fast-forwarding must not perturb the timeline).
+// of n Next calls (fast-forwarding must not perturb the timeline), and so
+// must the piece path of a split Skip, here counted serially in pieces of
+// 1 000 instructions and on two goroutines in pieces of 4 096.
 func TestSkipEquivalence(t *testing.T) {
 	// Odd offsets, repeated so each program skips several times from
 	// mid-burst and mid-phase states.
 	offsets := []uint64{0, 1, 7, 12345, 100_003}
+	skips := []struct {
+		name string
+		skip func(pr *Program, n uint64)
+	}{
+		{"Skip", (*Program).Skip},
+		{"pieces", func(pr *Program, n uint64) { splitSkip(pr, n, 1000, false) }},
+		{"pieces2", func(pr *Program, n uint64) { splitSkip(pr, n, 4096, true) }},
+	}
 	check := func(t *testing.T, p *Profile, scale uint64, offsets []uint64) {
 		t.Helper()
-		a := p.NewProgram(scale)
-		b := p.NewProgram(scale)
-		var ia, ib Instr
-		for _, off := range offsets {
-			a.Skip(off)
-			for i := uint64(0); i < off; i++ {
-				b.Next(&ib)
-			}
-			if !reflect.DeepEqual(a.Position(), b.Position()) {
-				t.Fatalf("%s: Position after Skip(%d) differs from %d Next calls", p.Name, off, off)
-			}
-			for i := 0; i < 1000; i++ {
-				a.Next(&ia)
-				b.Next(&ib)
-				if ia != ib {
-					t.Fatalf("%s: diverged at %d after Skip(%d)", p.Name, i, off)
+		for _, sk := range skips {
+			a := p.NewProgram(scale)
+			b := p.NewProgram(scale)
+			var ia, ib Instr
+			for _, off := range offsets {
+				sk.skip(a, off)
+				for i := uint64(0); i < off; i++ {
+					b.Next(&ib)
+				}
+				if !reflect.DeepEqual(a.Position(), b.Position()) {
+					t.Fatalf("%s: Position after %s(%d) differs from %d Next calls", p.Name, sk.name, off, off)
+				}
+				for i := 0; i < 1000; i++ {
+					a.Next(&ia)
+					b.Next(&ib)
+					if ia != ib {
+						t.Fatalf("%s: diverged at %d after %s(%d)", p.Name, i, sk.name, off)
+					}
 				}
 			}
 		}
@@ -306,13 +318,28 @@ func BenchmarkProgramNext(b *testing.B) {
 // BenchmarkProgramSkip reports the fast-forward cost per skipped
 // instruction (ns/op is ns per instruction): mcf (one Rand stream, two
 // Chase), omnetpp, bwaves (Rand and Seq) and calculix, whose two Rand
-// streams make Skip re-walk the block of each one's last advance.
+// streams make Skip re-walk the block of each one's last advance. The
+// split cases skip spans of 3.5 M instructions, the tracker's longest per
+// region at Scale 256, through the piece path on two goroutines, the
+// caller and a helper, as vm.Skip counts a long Skip when a CPU is free.
 func BenchmarkProgramSkip(b *testing.B) {
 	for _, prof := range []*Profile{Mcf(), Omnetpp(), Bwaves(), Calculix()} {
 		b.Run(prof.Name, func(b *testing.B) {
 			pr := prof.NewProgram(256)
 			b.ResetTimer()
 			pr.Skip(uint64(b.N))
+		})
+	}
+	const span = 3_500_000
+	for _, prof := range []*Profile{Mcf(), Omnetpp(), Bwaves()} {
+		b.Run(prof.Name+"/split", func(b *testing.B) {
+			pr := prof.NewProgram(256)
+			b.ResetTimer()
+			for left := uint64(b.N); left > 0; {
+				n := min(left, span)
+				left -= n
+				splitSkip(pr, n, skipPieceInstrs, true)
+			}
 		})
 	}
 }
