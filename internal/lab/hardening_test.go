@@ -340,7 +340,7 @@ func TestPolledJobIsNotAutoCancelled(t *testing.T) {
 // queue drains.
 func TestSubmitBackpressure(t *testing.T) {
 	blockStarted, _ := blockingBehavior("bp-blocker")
-	ts, _ := newHardenedServer(t, 1, lab.Options{MaxQueue: 1, RetryAfter: 2 * time.Second})
+	ts, _ := newHardenedServer(t, 1, lab.Options{MaxQueue: 1})
 
 	_, blocker := postRaw(t, ts, testBody(t, "bp-blocker"))
 	<-blockStarted
@@ -354,8 +354,8 @@ func TestSubmitBackpressure(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("over-queue submit: status %d, want 429", resp.StatusCode)
 	}
-	if ra := resp.Header.Get("Retry-After"); ra != "2" {
-		t.Errorf("Retry-After = %q, want \"2\"", ra)
+	if ra := resp.Header.Get("Retry-After"); ra != "1" {
+		t.Errorf("Retry-After = %q, want \"1\"", ra)
 	}
 
 	// Drain: cancel the blocker, let the queued job run, then the

@@ -1,16 +1,9 @@
 // Durable job journal (DESIGN.md §14): an append-only, checksummed WAL of
 // job lifecycle transitions that makes accepted work survive a labd crash.
-// The durability contract is at most one fsync wide: an accepted
-// submission is durable at its `accepted` record, synced to disk before
-// the client sees 202, or, when the store indexes its artifact at
-// acceptance, at that artifact — such a submission gets no record at
-// all, its job pins the artifact against eviction until it finishes,
-// and the server journals it (with the fsync) only if the artifact is
-// deleted or found missing before it runs. `started` and terminal
-// records are appended without syncing — losing them costs a redundant
-// re-execution on replay (at-least-once), never a lost job, because
-// execution itself is idempotent (specs are content-keyed and results
-// content-addressed).
+// Which transition appends which record, and which one is fsynced, is
+// the ledger's table. Replay is at-least-once: a lost unsynced record
+// costs a redundant re-execution, never a job, because execution is
+// idempotent (specs are content-keyed and results content-addressed).
 package lab
 
 import (
@@ -30,13 +23,14 @@ import (
 
 // Journal record operations, in lifecycle order. `accepted` is the only
 // record that carries the raw spec body (replay needs it to resubmit) and
-// the only one that is fsynced (it is the durability point).
+// the only one that is fsynced (it is the durability point). A terminal
+// record's op is the job's final state.
 const (
 	opAccepted  = "accepted"
 	opStarted   = "started"
-	opDone      = "done"
-	opFailed    = "failed"
-	opCancelled = "cancelled"
+	opDone      = StateDone
+	opFailed    = StateFailed
+	opCancelled = StateCancelled
 )
 
 // journalRecord is one WAL line's payload. The on-disk form is
@@ -234,18 +228,11 @@ func (jl *Journal) Started(key string) error {
 	return jl.append(journalRecord{Op: opStarted, Key: key}, false)
 }
 
-// Done / Failed / Cancelled mark terminal states (best-effort, unsynced):
-// losing one re-runs an idempotent job on replay, nothing worse.
-func (jl *Journal) Done(key string) error {
-	return jl.append(journalRecord{Op: opDone, Key: key}, false)
-}
-
-func (jl *Journal) Failed(key string) error {
-	return jl.append(journalRecord{Op: opFailed, Key: key}, false)
-}
-
-func (jl *Journal) Cancelled(key string) error {
-	return jl.append(journalRecord{Op: opCancelled, Key: key}, false)
+// Finished marks the job's terminal state (done, failed or cancelled;
+// best-effort, unsynced): losing it re-runs an idempotent job on replay,
+// nothing worse.
+func (jl *Journal) Finished(key, state string) error {
+	return jl.append(journalRecord{Op: state, Key: key}, false)
 }
 
 // JournalStats is the journal's observability snapshot (for /metrics and

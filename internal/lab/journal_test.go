@@ -116,7 +116,7 @@ func TestJournalTruncatedTail(t *testing.T) {
 	}
 	// The journal must be healthy after compaction: append a record,
 	// reopen, and get a byte-exact replay.
-	if err := jl.Done("a"); err != nil {
+	if err := jl.Finished("a", StateDone); err != nil {
 		t.Fatal(err)
 	}
 	jl.Close()
