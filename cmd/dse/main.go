@@ -1,6 +1,7 @@
 // Command dse runs a design-space exploration: one benchmark evaluated
 // across many LLC sizes from a single Scout/Explorer warm-up feeding
-// parallel Analysts (Fig. 14, §6.4.2).
+// parallel Analysts (Fig. 14, §6.4.2). Its MPKI column is the benchmark's
+// working-set curve (Fig. 13); -ref adds a SMARTS reference per size.
 package main
 
 import (
@@ -12,8 +13,6 @@ import (
 	"repro/internal/figures"
 	"repro/internal/lab"
 	"repro/internal/runner"
-	"repro/internal/spec"
-	"repro/internal/textplot"
 	"repro/internal/warm"
 	"repro/internal/workload"
 )
@@ -23,6 +22,7 @@ func main() {
 		bench    = flag.String("bench", "cactusADM", "benchmark name")
 		regions  = flag.Int("regions", 10, "number of detailed regions")
 		short    = flag.Bool("short", false, "fewer LLC sizes")
+		withRef  = flag.Bool("ref", false, "also run the SMARTS reference per size (slow)")
 		workers  = flag.Int("workers", 0, "experiment worker pool size (0 = GOMAXPROCS)")
 		storeDir = flag.String("store", "", "artifact store directory (persists results across runs)")
 		storeMax = flag.Int64("store-max-mb", 0, "artifact store size budget in MiB (0 = unbounded)")
@@ -36,34 +36,16 @@ func main() {
 	}
 	cfg := warm.DefaultConfig()
 	cfg.Regions = *regions
-	sizes := figures.WSSizes(*short)
 
 	eng, _, err := lab.NewEngine(*workers, *storeDir, *storeMax<<20)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	// The single-job matrix leaves the pool idle, so the DSE spec gets the
-	// whole worker budget for its inner Analyst fan-out (resolved
+	// Without -ref the one-job matrix leaves the pool idle, so the DSE
+	// spec's Analyst fan-out gets the whole worker budget (resolved
 	// explicitly: a zero Workers hint means serial in spec executors).
-	res := eng.RunMatrix([]runner.Job{spec.Job(spec.DSESweepParams{
-		Bench: spec.Ref(prof), Sizes: sizes, Cfg: cfg, Workers: runner.PoolSize(*workers),
-	})})[0].(*dse.Result)
-	tbl := textplot.NewTable(
-		fmt.Sprintf("DSE: %s, %d LLC configurations from one warm-up", prof.Name, len(sizes)),
-		"LLC (paper MiB)", "CPI", "LLC MPKI")
-	var xs, ys []float64
-	for i, s := range sizes {
-		tbl.AddRowf("%d", s>>20, "%.3f", res.PerSize[i].CPI(), "%.2f", res.PerSize[i].LLCMPKI())
-		xs = append(xs, float64(s>>20))
-		ys = append(ys, res.PerSize[i].CPI())
-	}
-	fmt.Print(tbl.String())
-	plot := textplot.NewLinePlot("CPI vs LLC size", "MiB", "CPI", true)
-	plot.AddSeries(prof.Name, xs, ys)
-	fmt.Print(plot.String())
-	fmt.Printf("avg Explorers engaged: %.2f\n", res.AvgExplorers)
-	fmt.Printf("warming:detail cost ratio: %.0fx (paper ~235x)\n", res.WarmingToDetailRatio(cfg.Cost))
-	fmt.Printf("marginal cost of %d parallel Analysts: %.2fx of a single run (paper <1.05x for 10)\n",
-		len(sizes), res.MarginalCost(cfg.Cost))
+	results := eng.RunMatrix(figures.WSJobs(prof, cfg, figures.WSSizes(*short), *withRef, runner.PoolSize(*workers)))
+	fmt.Print(figures.WorkingSet(results, cfg.Cost))
+	fmt.Printf("avg Explorers engaged: %.2f\n", results[0].(*dse.Result).AvgExplorers)
 }

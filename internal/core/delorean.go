@@ -340,20 +340,28 @@ func explorerName(k int) string {
 // AnalyzeRegion runs the Analyst: detailed warming plus the detailed
 // region under the DSW classifier built from the Explorers' findings.
 func (d *DeLorean) AnalyzeRegion(msg *RegionData) {
-	cfg := d.Cfg
-	eng := d.analyst
+	d.res.Regions = append(d.res.Regions, msg.Analyze(d.Cfg, d.analyst))
+	d.engagedRegions = append(d.engagedRegions, msg.Engaged)
+	d.analyst.Counters.Add("fix/keys_unresolved", float64(len(msg.Keys)))
+}
+
+// Analyze is one Analyst's work on the region: eng seeks to the warm
+// point and simulates detailed warming plus the detailed region on a
+// fresh hierarchy of cfg's geometry, under the DSW classifier built from
+// the Explorers' findings. AnalyzeRegion runs it on the pipeline's own
+// Analyst; design-space exploration runs it once per LLC size, each with
+// its own engine, so concurrent calls on one RegionData are safe.
+func (rd *RegionData) Analyze(cfg warm.Config, eng *vm.Engine) warm.RegionResult {
 	hier := cache.NewHierarchy(cfg.HierConfig(), nil)
 	core := cpu.NewCore(cfg.CPU, hier, nil)
 	// Unresolved keys become not-found records (cold misses).
-	oracle := warm.NewDSWOracle(msg.AllRecords(), msg.Vicinity, msg.Assoc, hier)
+	oracle := warm.NewDSWOracle(rd.AllRecords(), rd.Vicinity, rd.Assoc, hier)
 	eng.Prop = true
-	rr, err := warm.EvalRegionAt(cfg, eng, msg.WarmPos, core, oracle)
+	rr, err := warm.EvalRegionAt(cfg, eng, rd.WarmPos, core, oracle)
 	if err != nil {
 		panic(err) // see seek
 	}
-	d.res.Regions = append(d.res.Regions, rr)
-	d.engagedRegions = append(d.engagedRegions, msg.Engaged)
-	eng.Counters.Add("fix/keys_unresolved", float64(len(msg.Keys)))
+	return rr
 }
 
 // finish merges the per-pass ledgers and computes the Explorer metrics.

@@ -3,9 +3,7 @@ package dse
 import (
 	"testing"
 
-	"repro/internal/cache"
 	"repro/internal/core"
-	"repro/internal/cpu"
 	"repro/internal/vm"
 	"repro/internal/warm"
 	"repro/internal/workload"
@@ -44,15 +42,8 @@ func BenchmarkDSEFanout(b *testing.B) {
 		for k := range cfg.ExplorerWindows {
 			d.ExploreRegion(k, rd)
 		}
-		records := rd.AllRecords()
 		for i, eng := range analysts {
-			eng.Prop = true
-			hier := cache.NewHierarchy(cfgs[i].HierConfig(), nil)
-			cr := cpu.NewCore(cfgs[i].CPU, hier, nil)
-			oracle := warm.NewDSWOracle(records, rd.Vicinity, rd.Assoc, hier)
-			if _, err := warm.EvalRegionAt(cfgs[i], eng, rd.WarmPos, cr, oracle); err != nil {
-				b.Fatal(err)
-			}
+			rd.Analyze(cfgs[i], eng)
 		}
 		m++
 	}

@@ -7,9 +7,7 @@
 package dse
 
 import (
-	"repro/internal/cache"
 	"repro/internal/core"
-	"repro/internal/cpu"
 	"repro/internal/runner"
 	"repro/internal/stats"
 	"repro/internal/vm"
@@ -112,25 +110,12 @@ func RunParallel(prof *workload.Profile, cfg warm.Config, llcPaperSizes []uint64
 			d.ExploreRegion(k, rd)
 		}
 		engagedSum += rd.Engaged
-		records := rd.AllRecords()
 		// Every Analyst seeks to the warm point the Scout's tracker captured:
 		// DetailWarm is size-independent (the sizes vary only the LLC), so
 		// one checkpoint serves all of them and the gap is replayed once
 		// per region, not once per LLC size.
 		runner.ForEach(len(analysts), workers, func(i int) {
-			sizeCfg := analystCfgs[i]
-			eng := analysts[i]
-			eng.Prop = true
-			hier := cache.NewHierarchy(sizeCfg.HierConfig(), nil)
-			cr := cpu.NewCore(sizeCfg.CPU, hier, nil)
-			oracle := warm.NewDSWOracle(records, rd.Vicinity, rd.Assoc, hier)
-			rr, err := warm.EvalRegionAt(sizeCfg, eng, rd.WarmPos, cr, oracle)
-			if err != nil {
-				// Tracker and Analysts run the same program at the same
-				// scale; a seek failure is a programming bug.
-				panic(err)
-			}
-			res.PerSize[i].Regions = append(res.PerSize[i].Regions, rr)
+			res.PerSize[i].Regions = append(res.PerSize[i].Regions, rd.Analyze(analystCfgs[i], analysts[i]))
 		})
 	}
 	if cfg.Regions > 0 {

@@ -16,6 +16,7 @@ import (
 	"repro/internal/spec"
 	"repro/internal/stats"
 	"repro/internal/textplot"
+	"repro/internal/vm"
 	"repro/internal/warm"
 	"repro/internal/workload"
 )
@@ -252,62 +253,89 @@ func WSSizes(short bool) []uint64 {
 	return out
 }
 
+// WSJobs returns one benchmark's working-set sweep as runner jobs: the
+// shared-warm-up DSE spec over sizes, then, when refs is set, one SMARTS
+// reference spec per size. Without references the DSE spec's inner Analyst
+// fan-out gets workers; with them the per-size SMARTS jobs already fill
+// the matrix pool, so the fan-out runs serially.
+func WSJobs(prof *workload.Profile, cfg warm.Config, sizes []uint64, refs bool, workers int) []runner.Job {
+	ref := spec.Ref(prof)
+	var smarts []runner.Job
+	if refs {
+		workers = 1
+		for _, s := range sizes {
+			c := cfg
+			c.LLCPaperBytes = s
+			smarts = append(smarts, spec.Job(spec.SamplingParams{Bench: ref, Method: spec.MethodSMARTS, Cfg: c}))
+		}
+	}
+	return append([]runner.Job{spec.Job(spec.DSESweepParams{Bench: ref, Sizes: sizes, Cfg: cfg, Workers: workers})}, smarts...)
+}
+
+// WorkingSet renders one benchmark's working-set block from the results of
+// its WSJobs: the per-size table, the MPKI (Fig. 13) and CPI (Fig. 14)
+// plots and the §6.4.2 amortization line. SMARTS columns and series appear
+// only when the references were run.
+func WorkingSet(results []any, cm vm.CostModel) string {
+	res := results[0].(*dse.Result)
+	refs := results[1:]
+	curves := func(rs []*warm.Result) (mpki, cpi []float64) {
+		for _, r := range rs {
+			mpki = append(mpki, r.LLCMPKI())
+			cpi = append(cpi, r.CPI())
+		}
+		return mpki, cpi
+	}
+	var xs []float64
+	for _, s := range res.Sizes {
+		xs = append(xs, float64(s>>20))
+	}
+	dMPKI, dCPI := curves(res.PerSize)
+	mpkiPlot := textplot.NewLinePlot("Fig 13 "+res.Bench+": MPKI vs LLC size", "MiB", "MPKI", true)
+	cpiPlot := textplot.NewLinePlot("Fig 14 "+res.Bench+": CPI vs LLC size", "MiB", "CPI", true)
+	var tbl *textplot.Table
+	if len(refs) == 0 {
+		tbl = textplot.NewTable(res.Bench, "LLC (paper MiB)", "DeLorean MPKI", "DeLorean CPI")
+		for i, s := range res.Sizes {
+			tbl.AddRowf("%d", s>>20, "%.2f", dMPKI[i], "%.3f", dCPI[i])
+		}
+	} else {
+		rs := make([]*warm.Result, len(refs))
+		for i, r := range refs {
+			rs[i] = r.(*warm.Result)
+		}
+		rMPKI, rCPI := curves(rs)
+		tbl = textplot.NewTable(res.Bench, "LLC (paper MiB)", "ref MPKI", "DeLorean MPKI", "ref CPI", "DeLorean CPI")
+		for i, s := range res.Sizes {
+			tbl.AddRowf("%d", s>>20, "%.2f", rMPKI[i], "%.2f", dMPKI[i], "%.3f", rCPI[i], "%.3f", dCPI[i])
+		}
+		mpkiPlot.AddSeries("SMARTS", xs, rMPKI)
+		cpiPlot.AddSeries("SMARTS", xs, rCPI)
+	}
+	mpkiPlot.AddSeries("DeLorean", xs, dMPKI)
+	cpiPlot.AddSeries("DeLorean", xs, dCPI)
+	return tbl.String() + mpkiPlot.String() + cpiPlot.String() + fmt.Sprintf(
+		"%s amortization: warming/detail ratio %.0fx (paper ~235x), marginal cost of %d analysts %.2fx (paper <1.05x for 10)\n",
+		res.Bench, res.WarmingToDetailRatio(cm), len(res.Sizes), res.MarginalCost(cm))
+}
+
 // Fig13and14 renders the working-set curves (MPKI vs size) and the
 // CPI-vs-size DSE curves, all DeLorean points from a single warm-up, plus
-// the amortization statistics of §6.4.2.
+// the amortization statistics of §6.4.2. All three benchmarks' sweeps and
+// references run as one matrix.
 func Fig13and14(opt Options) string {
 	sizes := WSSizes(opt.Short)
-	benches := WSBenchmarks()
 	var b strings.Builder
 	b.WriteString("Figure 13 (working-set curves) and Figure 14 (CPI vs LLC size)\n")
 	b.WriteString("Reference = SMARTS per size; DeLorean points all come from ONE shared warm-up per benchmark (§3.3).\n\n")
-
-	// One matrix: a DSE sweep per benchmark plus a SMARTS reference per
-	// (benchmark, size), all sharded together on the runner.
 	var jobs []runner.Job
-	for _, prof := range benches {
-		ref := spec.Ref(prof)
-		// The matrix pool is the unit of parallelism here, so the DSE
-		// spec's inner Analyst fan-out runs serially — the per-size SMARTS
-		// jobs already saturate the workers.
-		jobs = append(jobs, spec.Job(spec.DSESweepParams{Bench: ref, Sizes: sizes, Cfg: opt.Cfg, Workers: 1}))
-		for _, s := range sizes {
-			cfg := opt.Cfg
-			cfg.LLCPaperBytes = s
-			jobs = append(jobs, spec.Job(spec.SamplingParams{Bench: ref, Method: spec.MethodSMARTS, Cfg: cfg}))
-		}
+	for _, prof := range WSBenchmarks() {
+		jobs = append(jobs, WSJobs(prof, opt.Cfg, sizes, true, 1)...)
 	}
 	results := opt.engine().RunMatrix(jobs)
-
-	perBench := 1 + len(sizes) // one DSE job, then the per-size references
-	for bi, prof := range benches {
-		dseRes := results[bi*perBench].(*dse.Result)
-		refs := make([]*warm.Result, len(sizes))
-		for i := range sizes {
-			refs[i] = results[bi*perBench+1+i].(*warm.Result)
-		}
-		var xs, refMPKI, dseMPKI, refCPI, dseCPI []float64
-		tbl := textplot.NewTable(prof.Name, "LLC (paper MiB)", "ref MPKI", "DeLorean MPKI", "ref CPI", "DeLorean CPI")
-		for i, s := range sizes {
-			xs = append(xs, float64(s>>20))
-			refMPKI = append(refMPKI, refs[i].LLCMPKI())
-			dseMPKI = append(dseMPKI, dseRes.PerSize[i].LLCMPKI())
-			refCPI = append(refCPI, refs[i].CPI())
-			dseCPI = append(dseCPI, dseRes.PerSize[i].CPI())
-			tbl.AddRowf("%d", s>>20, "%.2f", refMPKI[i], "%.2f", dseMPKI[i],
-				"%.3f", refCPI[i], "%.3f", dseCPI[i])
-		}
-		mpkiPlot := textplot.NewLinePlot("Fig 13 "+prof.Name+": MPKI vs LLC size", "MiB", "MPKI", true)
-		mpkiPlot.AddSeries("SMARTS", xs, refMPKI)
-		mpkiPlot.AddSeries("DeLorean", xs, dseMPKI)
-		cpiPlot := textplot.NewLinePlot("Fig 14 "+prof.Name+": CPI vs LLC size", "MiB", "CPI", true)
-		cpiPlot.AddSeries("SMARTS", xs, refCPI)
-		cpiPlot.AddSeries("DeLorean", xs, dseCPI)
-		b.WriteString(tbl.String())
-		b.WriteString(mpkiPlot.String())
-		b.WriteString(cpiPlot.String())
-		fmt.Fprintf(&b, "%s amortization: warming/detail ratio %.0fx (paper ~235x), marginal cost of %d analysts %.2fx (paper <1.05x for 10)\n\n",
-			prof.Name, dseRes.WarmingToDetailRatio(opt.Cfg.Cost), len(sizes), dseRes.MarginalCost(opt.Cfg.Cost))
+	for per := 1 + len(sizes); len(results) > 0; results = results[per:] {
+		b.WriteString(WorkingSet(results[:per], opt.Cfg.Cost))
+		b.WriteString("\n")
 	}
 	return b.String()
 }

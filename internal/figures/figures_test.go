@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/runner"
 	"repro/internal/sampling"
 	"repro/internal/warm"
 	"repro/internal/workload"
@@ -89,6 +90,46 @@ func TestFig13and14Tiny(t *testing.T) {
 	for _, want := range []string{"cactusADM", "leslie3d", "lbm", "amortization"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("Fig13/14 missing %q", want)
+		}
+	}
+}
+
+// TestWorkingSetWithoutRefs pins the block cmd/dse prints without -ref:
+// DeLorean columns and series only (no ref/SMARTS column, series or
+// legend), the amortization line, and the same DeLorean cells as the
+// block rendered with SMARTS references.
+func TestWorkingSetWithoutRefs(t *testing.T) {
+	cfg := warm.DefaultConfig()
+	cfg.Regions = 2
+	cfg.PaperGap = 8_000_000
+	eng := runner.New(1)
+	prof, sizes := workload.Lbm(), WSSizes(true)
+	bare := eng.RunMatrix(WSJobs(prof, cfg, sizes, false, 2))
+	if len(bare) != 1 {
+		t.Fatalf("WSJobs without refs built %d jobs, want 1", len(bare))
+	}
+	got := WorkingSet(bare, cfg.Cost)
+	lines := strings.Split(got, "\n")
+	if h := strings.Fields(lines[1]); strings.Join(h, " ") != "LLC (paper MiB) DeLorean MPKI DeLorean CPI" {
+		t.Errorf("header = %q, want LLC, DeLorean MPKI, DeLorean CPI", lines[1])
+	}
+	for _, bad := range []string{"ref", "SMARTS"} {
+		if strings.Contains(got, bad) {
+			t.Errorf("block without references mentions %q:\n%s", bad, got)
+		}
+	}
+	if n := strings.Count(got, "* = DeLorean\n"); n != 2 || strings.Count(got, " = ") != 2 {
+		t.Errorf("want one DeLorean series in each of the two plots:\n%s", got)
+	}
+	if !strings.Contains(got, "lbm amortization: ") {
+		t.Errorf("amortization line missing:\n%s", got)
+	}
+
+	with := strings.Split(WorkingSet(eng.RunMatrix(WSJobs(prof, cfg, sizes, true, 2)), cfg.Cost), "\n")
+	for i := range sizes {
+		b, w := strings.Fields(lines[3+i]), strings.Fields(with[3+i])
+		if b[1] != w[2] || b[2] != w[4] {
+			t.Errorf("row %d: DeLorean cells %v without refs, %v with", i, b[1:], []string{w[2], w[4]})
 		}
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"repro/internal/lab"
 	"repro/internal/spec"
 	"repro/internal/warm"
+	"repro/internal/workload"
 )
 
 // TestSubmitIsJournaledDurably: with a journal attached, a submission's
@@ -91,7 +92,9 @@ func TestInvalidCPURejectedBeforeJournal(t *testing.T) {
 // TestHugeLLCRejectedBeforeJournal: an LLC request above warm.MaxLLCBytes
 // once scaled would size the cache's tag and age arrays into an
 // out-of-memory kill, which the journal would re-arm on every restart.
-// Every kind must refuse it at the boundary.
+// Every kind must refuse it at the boundary. So must the DSE and co-run
+// kinds a size or app list longer than spec.MaxListLen: every entry costs
+// an engine (a size) or a co-run core (an app) before any work starts.
 func TestHugeLLCRejectedBeforeJournal(t *testing.T) {
 	cfg := warm.DefaultConfig()
 	cfg.Regions = 1
@@ -101,6 +104,15 @@ func TestHugeLLCRejectedBeforeJournal(t *testing.T) {
 	mcf := spec.BenchRef{Name: "mcf"}
 	mix := []spec.BenchRef{{Name: "omnetpp"}, {Name: "hmmer"}}
 	hugeLLC := func(p map[string]any) { cfgOf(p)["LLCPaperBytes"] = uint64(4 << 30) }
+	tooMany := func(key string, entry any) func(map[string]any) {
+		return func(p map[string]any) {
+			list := make([]any, spec.MaxListLen+1)
+			for i := range list {
+				list[i] = entry
+			}
+			p[key] = list
+		}
+	}
 	cases := []struct {
 		params spec.Params
 		edit   func(map[string]any)
@@ -113,6 +125,9 @@ func TestHugeLLCRejectedBeforeJournal(t *testing.T) {
 		{spec.CoRunCalParams{Bench: mcf, Cfg: cfg}, hugeLLC, "LLCPaperBytes"},
 		{spec.CoRunWarmParams{Mix: "omnetpp+hmmer", Apps: mix, Cfg: cfg}, hugeLLC, "LLCPaperBytes"},
 		{spec.CoRunSimParams{Mix: "omnetpp+hmmer", Apps: mix, Cfg: cfg}, hugeLLC, "LLCPaperBytes"},
+		{spec.DSESweepParams{Bench: mcf, Sizes: []uint64{1 << 20, 4 << 20}, Cfg: cfg}, tooMany("sizes", 1<<20), "sizes"},
+		{spec.CoRunWarmParams{Mix: "omnetpp+hmmer", Apps: mix, Cfg: cfg}, tooMany("apps", mcf), "apps"},
+		{spec.CoRunSimParams{Mix: "omnetpp+hmmer", Apps: mix, Cfg: cfg}, tooMany("apps", mcf), "apps"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.params.Kind(), func(t *testing.T) {
@@ -121,6 +136,38 @@ func TestHugeLLCRejectedBeforeJournal(t *testing.T) {
 				t.Fatal(err)
 			}
 			assertRejectedBeforeJournal(t, body, tc.edit, tc.field)
+		})
+	}
+}
+
+// TestInvalidProfileRejectedBeforeJournal: an inline profile the
+// generator cannot build or run reached the executor before
+// workload.Profile.Validate ran at decode. An overlay of a later stream
+// and an empty stream list panicked there; n Rand streams cost n² words
+// per program, which a 16 MiB body could push to an out-of-memory kill
+// that no panic containment catches. The journal would re-arm each on
+// every restart, so each must be a 400 that leaves nothing in it.
+func TestInvalidProfileRejectedBeforeJournal(t *testing.T) {
+	overlay, empty, rands := workload.Mcf(), workload.Mcf(), workload.Mcf()
+	overlay.Streams = append([]workload.StreamSpec(nil), overlay.Streams...)
+	overlay.Streams[0].OverlayOf = 2
+	empty.Streams = nil
+	rands.Streams = make([]workload.StreamSpec, 65)
+	for i := range rands.Streams {
+		rands.Streams[i] = workload.StreamSpec{Kind: workload.Rand, Weight: 1, PaperBytes: 1 << 20}
+	}
+	for _, tc := range []struct {
+		name, field string
+		prof        *workload.Profile
+	}{
+		{"overlay-of-later-stream", "OverlayOf", overlay},
+		{"no-streams", "Streams", empty},
+		{"rand-streams-65", "Streams", rands},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			assertRejectedBeforeJournal(t, shortSpec(t), func(p map[string]any) {
+				p["bench"] = spec.BenchRef{Name: "custom", Profile: tc.prof}
+			}, tc.field)
 		})
 	}
 }

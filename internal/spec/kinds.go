@@ -9,9 +9,9 @@ package spec
 //                   sweep cell (a sweep cell is a sampling run with a
 //                   varied config);
 //   dse-sweep       one benchmark explored across many LLC sizes from a
-//                   single shared warm-up (Fig. 13/14, cmd/dse,
-//                   cmd/wscurve — a working-set curve is the MPKI view of
-//                   this kind's result);
+//                   single shared warm-up (Fig. 13/14 and cmd/dse — a
+//                   working-set curve is the MPKI view of this kind's
+//                   result);
 //   corun-profile   the size-independent solo profile of one app (exact
 //                   reuse histogram, base CPI, penalty fit);
 //   corun-calibrate the per-(app, LLC size) calibration completion; runs
@@ -275,9 +275,13 @@ func runCoRunCalibrate(p Params, sub runner.Sub) (any, error) {
 
 // CoRunWarmParams produces the warmed+aligned co-run engine state for one
 // mix: a *multiprog.CoSimCheckpoint. Its identity is the warm point — mix,
-// apps, machine config — and nothing else: the measured-window horizon
-// lives in CoSimConfig, not warm.Config, so every measured variant of a
-// cell shares one checkpoint by construction.
+// apps, machine config. CoRunSimParams carries the same fields and
+// multiprog.CoSimFromWarm takes the measured window from
+// DefaultCoSimConfig, so each corun-sim cell has exactly one warm key and
+// no two cells share a checkpoint. What the fork buys is a re-run of a
+// cell whose corun-sim artifact is gone, and a resume after a crash that
+// comes before the cell's first progress checkpoint: both fork the stored
+// checkpoint instead of warming up again.
 type CoRunWarmParams struct {
 	Mix  string      `json:"mix"`
 	Apps []BenchRef  `json:"apps"`
@@ -365,9 +369,8 @@ func runCoRunSim(p Params, sub runner.Sub) (any, error) {
 	if cs == nil {
 		// Not resumed: the warm-up runs (or is served from cache/store) as
 		// a nested corun-warm spec, then this cell forks its measured
-		// window from the checkpoint. Repeated cells of one mix — different
-		// measured variants, re-runs against a persistent store — pay the
-		// warm-up once.
+		// window from the checkpoint, so a re-run of the cell pays the
+		// warm-up only when its checkpoint is gone too.
 		wsp, err := New(CoRunWarmParams{Mix: sp.Mix, Apps: sp.Apps, Cfg: sp.Cfg})
 		if err != nil {
 			return nil, err
@@ -419,12 +422,20 @@ func resolveAll(refs []BenchRef) ([]*workload.Profile, error) {
 	return out, nil
 }
 
-// validateCoRun is the co-run kinds' shared check: a non-empty app mix, a
-// CPU the timing core can build (cpu.Config.Validate), a scaled LLC within
-// warm.MaxLLCBytes (warm.ValidateLLC) and resolvable benchmarks.
+// MaxListLen bounds a spec's per-entry lists, the DSE sweep's LLC sizes
+// and a co-run mix's apps: each entry costs an engine, a program and
+// detailed regions (a size) or a co-run core and its state (an app), and
+// none of it is counted by warm.MaxRunInstr. The paper's sweep has 10
+// sizes and the figures' mixes at most 3 apps.
+const MaxListLen = 64
+
+// validateCoRun is the co-run kinds' shared check: an app mix of 1 to
+// MaxListLen apps, a CPU the timing core can build (cpu.Config.Validate),
+// a scaled LLC within warm.MaxLLCBytes (warm.ValidateLLC) and valid
+// benchmarks.
 func validateCoRun(cfg warm.Config, apps []BenchRef) error {
-	if len(apps) == 0 {
-		return fmt.Errorf("empty app mix")
+	if n := len(apps); n == 0 || n > MaxListLen {
+		return fmt.Errorf("apps: %d apps, want 1 to %d", n, MaxListLen)
 	}
 	if err := cfg.CPU.Validate(); err != nil {
 		return fmt.Errorf("cfg: %w", err)
@@ -492,8 +503,8 @@ func init() {
 		New:   func() any { return new(DSESweepParams) },
 		Validate: func(p Params) error {
 			sp := p.(DSESweepParams)
-			if len(sp.Sizes) == 0 {
-				return fmt.Errorf("empty LLC size list")
+			if n := len(sp.Sizes); n == 0 || n > MaxListLen {
+				return fmt.Errorf("sizes: %d LLC sizes, want 1 to %d", n, MaxListLen)
 			}
 			if err := sp.Cfg.Validate(); err != nil {
 				return fmt.Errorf("cfg: %w", err)

@@ -245,3 +245,88 @@ func TestConfigRoundTrip(t *testing.T) {
 		t.Error("DecodeConfig accepted an unknown field")
 	}
 }
+
+// badProfiles are inline profiles the generator cannot build or run, each
+// with the field the rejection must name: an overlay of a later stream
+// and an empty stream list panicked in the executor, and n Rand streams
+// cost n² words of generator bookkeeping per program.
+func badProfiles() map[string]*workload.Profile {
+	overlay, empty, rands := workload.Mcf(), workload.Mcf(), workload.Mcf()
+	overlay.Streams = append([]workload.StreamSpec(nil), overlay.Streams...)
+	overlay.Streams[0].OverlayOf = 2
+	empty.Streams = nil
+	rands.Streams = make([]workload.StreamSpec, 65)
+	for i := range rands.Streams {
+		rands.Streams[i] = workload.StreamSpec{Kind: workload.Rand, Weight: 1, PaperBytes: 1 << 20}
+	}
+	return map[string]*workload.Profile{"Streams[0].OverlayOf": overlay, "Streams: 0": empty, "Streams: 65": rands}
+}
+
+// TestDecodeRejectsBadInlineProfile: every kind refuses an inline profile
+// that fails workload.Profile.Validate, naming the field, and so does
+// decode.
+func TestDecodeRejectsBadInlineProfile(t *testing.T) {
+	cfg := warm.DefaultConfig()
+	for field, prof := range badProfiles() {
+		ref := spec.BenchRef{Name: "custom", Profile: prof}
+		for _, p := range []spec.Params{
+			spec.SamplingParams{Bench: ref, Method: spec.MethodDeLorean, Cfg: cfg},
+			spec.DSESweepParams{Bench: ref, Sizes: []uint64{1 << 20}, Cfg: cfg},
+			spec.CoRunProfileParams{Bench: ref, Cfg: cfg},
+			spec.CoRunCalParams{Bench: ref, Cfg: cfg},
+			spec.CoRunWarmParams{Mix: "m", Apps: []spec.BenchRef{{Name: "mcf"}, ref}, Cfg: cfg},
+			spec.CoRunSimParams{Mix: "m", Apps: []spec.BenchRef{ref}, Cfg: cfg},
+		} {
+			if _, err := spec.New(p); err == nil || !strings.Contains(err.Error(), field) {
+				t.Errorf("%s with %s: New() = %v, want an error naming it", p.Kind(), field, err)
+			}
+		}
+		body, err := json.Marshal(map[string]any{"kind": spec.KindSampling,
+			"params": spec.SamplingParams{Bench: ref, Method: spec.MethodDeLorean, Cfg: cfg}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := spec.Decode(body); err == nil {
+			t.Errorf("decode accepted an inline profile with %s", field)
+		}
+	}
+}
+
+// TestListsBounded: a DSE sweep of more than spec.MaxListLen sizes and a
+// co-run mix of more than spec.MaxListLen apps are refused; the bound
+// itself is accepted.
+func TestListsBounded(t *testing.T) {
+	cfg := warm.DefaultConfig()
+	sizes := func(n int) []uint64 {
+		out := make([]uint64, n)
+		for i := range out {
+			out[i] = 1 << 20
+		}
+		return out
+	}
+	apps := func(n int) []spec.BenchRef {
+		out := make([]spec.BenchRef, n)
+		for i := range out {
+			out[i] = spec.BenchRef{Name: "mcf"}
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		field string
+		mk    func(n int) spec.Params
+	}{
+		{"sizes", func(n int) spec.Params {
+			return spec.DSESweepParams{Bench: spec.BenchRef{Name: "lbm"}, Sizes: sizes(n), Cfg: cfg}
+		}},
+		{"apps", func(n int) spec.Params { return spec.CoRunWarmParams{Mix: "m", Apps: apps(n), Cfg: cfg} }},
+		{"apps", func(n int) spec.Params { return spec.CoRunSimParams{Mix: "m", Apps: apps(n), Cfg: cfg} }},
+	} {
+		if _, err := spec.New(tc.mk(spec.MaxListLen)); err != nil {
+			t.Errorf("%s: %d entries rejected: %v", tc.field, spec.MaxListLen, err)
+		}
+		p := tc.mk(spec.MaxListLen + 1)
+		if _, err := spec.New(p); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s with %d %s: New() = %v, want an error naming %s", p.Kind(), spec.MaxListLen+1, tc.field, err, tc.field)
+		}
+	}
+}
