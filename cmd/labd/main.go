@@ -101,7 +101,7 @@ func main() {
 		fetchTimeout = flag.Duration("peer-fetch-timeout", 0, "per-attempt peer artifact fetch timeout (0 = default 5s)")
 
 		journalPath   = flag.String("journal", "auto", "durable job journal WAL path (auto = <store>/journal.wal when -store is set, off = disable)")
-		progressEvery = flag.Uint64("progress-every", spec.ProgressEveryQuanta, "co-run mid-run checkpoint cadence in measured quanta (0 = disable)")
+		progressEvery = flag.Uint64("progress-every", spec.ProgressEveryQuanta, "co-run mid-run checkpoint cadence in measured quanta (0 = write none; a trail in the store is still resumed)")
 		faultpoints   = flag.String("faultpoints", "", "deterministic crash schedule for chaos testing, e.g. journal.accept=2,artifact.put=1 (SIGKILLs the process at the Nth hit)")
 	)
 	flag.Parse()

@@ -137,6 +137,22 @@ func (c *Core) SetState(s CoreState) error {
 	if len(s.MSHRFree) > c.mshrs {
 		return fmt.Errorf("core: state has %d occupied MSHRs, core has %d", len(s.MSHRFree), c.mshrs)
 	}
+	if s.RobSlot < 0 || s.RobSlot >= len(c.completion) {
+		return fmt.Errorf("core: state ROB slot %d outside the core's %d", s.RobSlot, len(c.completion))
+	}
+	for i := 1; i < len(s.MSHRFree); i++ {
+		if s.MSHRFree[i] < s.MSHRFree[i-1] {
+			return fmt.Errorf("core: state MSHR completion %d out of order", i)
+		}
+	}
+	// The in-flight table has no geometric bound (a store-miss burst grows
+	// it), so its one check is the canonical order State writes: strictly
+	// ascending lines, which also refuses a line listed twice.
+	for i := 1; i < len(s.Outstanding); i++ {
+		if s.Outstanding[i].Line <= s.Outstanding[i-1].Line {
+			return fmt.Errorf("core: state in-flight miss %d (line %#x) out of order", i, s.Outstanding[i].Line)
+		}
+	}
 	if err := c.BP.SetState(s.BP); err != nil {
 		return err
 	}

@@ -42,8 +42,9 @@ func TestCoreStateRoundTrip(t *testing.T) {
 }
 
 // TestCoreStateRejectsShapeMismatch: a state captured from a differently
-// shaped machine (ROB size, MSHR count, predictor tables) must be
-// rejected on restore.
+// shaped machine (ROB size, MSHR count, predictor tables), or one no run
+// reaches (a ROB slot past the ring, an in-flight line listed twice),
+// must be rejected on restore.
 func TestCoreStateRejectsShapeMismatch(t *testing.T) {
 	hcfg := cache.DefaultHierarchy(8<<20, 64)
 	core := NewCore(DefaultConfig(), cache.NewHierarchy(hcfg, nil), NewBranchPred(DefaultBPConfig()))
@@ -60,6 +61,20 @@ func TestCoreStateRejectsShapeMismatch(t *testing.T) {
 	bpc.LocalEntries /= 2
 	if err := NewCore(DefaultConfig(), cache.NewHierarchy(hcfg, nil), NewBranchPred(bpc)).SetState(s); err == nil {
 		t.Error("restore accepted a wrong-predictor-geometry state")
+	}
+
+	fresh := func() *Core {
+		return NewCore(DefaultConfig(), cache.NewHierarchy(hcfg, nil), NewBranchPred(DefaultBPConfig()))
+	}
+	bad := s
+	bad.RobSlot = len(s.Completion)
+	if err := fresh().SetState(bad); err == nil {
+		t.Error("restore accepted a ROB slot past the ring")
+	}
+	bad = s
+	bad.Outstanding = []OutstandingMiss{{Line: 7, Complete: 1}, {Line: 7, Complete: 2}}
+	if err := fresh().SetState(bad); err == nil {
+		t.Error("restore accepted an in-flight line listed twice")
 	}
 }
 

@@ -145,7 +145,8 @@ func TestHugeLLCRejectedBeforeJournal(t *testing.T) {
 // workload.Profile.Validate ran at decode. An overlay of a later stream
 // and an empty stream list panicked there; n Rand streams cost n² words
 // per program, which a 16 MiB body could push to an out-of-memory kill
-// that no panic containment catches. The journal would re-arm each on
+// that no panic containment catches, and phase edges at nearly every
+// instruction held a worker for hours. The journal would re-arm each on
 // every restart, so each must be a 400 that leaves nothing in it.
 func TestInvalidProfileRejectedBeforeJournal(t *testing.T) {
 	overlay, empty, rands := workload.Mcf(), workload.Mcf(), workload.Mcf()
@@ -156,6 +157,18 @@ func TestInvalidProfileRejectedBeforeJournal(t *testing.T) {
 	for i := range rands.Streams {
 		rands.Streams[i] = workload.StreamSpec{Kind: workload.Rand, Weight: 1, PaperBytes: 1 << 20}
 	}
+	// Phase edges at nearly every instruction: Skip(2^20) of this profile
+	// took seconds at Scale 1 (shortSpec's), against milliseconds for mcf.
+	phases := workload.Mcf()
+	phases.Streams = make([]workload.StreamSpec, 64)
+	for i := range phases.Streams {
+		offs := make([]float64, 64)
+		for j := range offs {
+			offs[j] = float64(j) / 64
+		}
+		phases.Streams[i] = workload.StreamSpec{Kind: workload.Seq, Weight: 1, PaperBytes: 1 << 20, StrideLines: 1,
+			PhasePeriod: 64, PhaseOffsets: offs}
+	}
 	for _, tc := range []struct {
 		name, field string
 		prof        *workload.Profile
@@ -163,6 +176,7 @@ func TestInvalidProfileRejectedBeforeJournal(t *testing.T) {
 		{"overlay-of-later-stream", "OverlayOf", overlay},
 		{"no-streams", "Streams", empty},
 		{"rand-streams-65", "Streams", rands},
+		{"phase-edges-per-instruction", "PhasePeriod", phases},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			assertRejectedBeforeJournal(t, shortSpec(t), func(p map[string]any) {

@@ -58,17 +58,20 @@ var forkedCellCheckpoint = sync.OnceValues(func() (*CoSimCheckpoint, error) {
 })
 
 // BenchmarkCorunCellForked is BenchmarkCorunCell on the checkpoint/fork
-// path: each op forks a fresh engine from the decoded warm checkpoint and
-// runs only the measured window — the amortized per-cell cost
-// figures.CoRunMatrix pays for every cell of a mix after the first.
-// Forking must stay decisively cheaper than warming.
+// path: each op restores a fresh engine from the decoded warm checkpoint
+// and runs only the measured window — what a corun-sim cell pays when it
+// re-runs after its own artifact is gone but its warm checkpoint is not,
+// or resumes before its first progress checkpoint. No two matrix cells
+// share a warm checkpoint, so nothing is amortized across cells. Forking
+// must stay decisively cheaper than warming.
 func BenchmarkCorunCellForked(b *testing.B) {
 	ck, err := forkedCellCheckpoint()
 	if err != nil {
 		b.Fatal(err)
 	}
+	profs, cfg := benchCell()
 	fork := func() uint64 {
-		forked, err := NewCoSimFromCheckpoint(ck)
+		forked, err := NewCoSimFromCheckpoint(profs, cfg, ck)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -20,10 +20,10 @@ func ckTestConfig(llcKiB uint64) CoSimConfig {
 	return cfg
 }
 
-// forkThroughJSON round-trips a checkpoint through its JSON encoding — the
-// exact path a store-persisted checkpoint takes — and forks from the
-// decoded copy.
-func forkThroughJSON(t *testing.T, ck *CoSimCheckpoint) *CoSim {
+// restoreThroughJSON round-trips a checkpoint through its JSON encoding —
+// the exact path a store-persisted checkpoint takes — and restores the
+// decoded copy onto a fresh engine for profs on cfg.
+func restoreThroughJSON(t *testing.T, profs []*workload.Profile, cfg CoSimConfig, ck *CoSimCheckpoint) *CoSim {
 	t.Helper()
 	b, err := json.Marshal(ck)
 	if err != nil {
@@ -33,11 +33,11 @@ func forkThroughJSON(t *testing.T, ck *CoSimCheckpoint) *CoSim {
 	if err := json.Unmarshal(b, &back); err != nil {
 		t.Fatalf("decode checkpoint: %v", err)
 	}
-	forked, err := NewCoSimFromCheckpoint(&back)
+	cs, err := NewCoSimFromCheckpoint(profs, cfg, &back)
 	if err != nil {
-		t.Fatalf("fork: %v", err)
+		t.Fatalf("restore: %v", err)
 	}
-	return forked
+	return cs
 }
 
 // TestForkedRunMatchesStraight is the checkpoint layer's bit-exactness
@@ -49,9 +49,10 @@ func forkThroughJSON(t *testing.T, ck *CoSimCheckpoint) *CoSim {
 func TestForkedRunMatchesStraight(t *testing.T) {
 	cfg := ckTestConfig(128)
 	for _, prof := range workload.Benchmarks() {
-		straight := NewCoSim([]*workload.Profile{prof}, cfg)
+		profs := []*workload.Profile{prof}
+		straight := NewCoSim(profs, cfg)
 		straight.WarmAlign()
-		forked := forkThroughJSON(t, straight.Checkpoint())
+		forked := restoreThroughJSON(t, profs, cfg, straight.Checkpoint())
 
 		wantRes := straight.RunMeasured()
 		gotRes := forked.RunMeasured()
@@ -59,7 +60,7 @@ func TestForkedRunMatchesStraight(t *testing.T) {
 			t.Errorf("%s: forked result diverged:\n got  %+v\n want %+v", prof.Name, gotRes, wantRes)
 			continue
 		}
-		if got, want := forked.Snapshot(), straight.Snapshot(); !reflect.DeepEqual(got, want) {
+		if got, want := forked.Checkpoint(), straight.Checkpoint(); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: forked final deep state diverged from straight run", prof.Name)
 		}
 	}
@@ -77,8 +78,8 @@ func TestForkedMixMatchesStraight(t *testing.T) {
 	straight := NewCoSim(profs, cfg)
 	straight.WarmAlign()
 	ck := straight.Checkpoint()
-	forkedA := forkThroughJSON(t, ck)
-	forkedB, err := NewCoSimFromCheckpoint(ck)
+	forkedA := restoreThroughJSON(t, profs, cfg, ck)
+	forkedB, err := NewCoSimFromCheckpoint(profs, cfg, ck)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +90,7 @@ func TestForkedMixMatchesStraight(t *testing.T) {
 		if !reflect.DeepEqual(gotRes, wantRes) {
 			t.Errorf("%s: result diverged:\n got  %+v\n want %+v", name, gotRes, wantRes)
 		}
-		if got, want := forked.Snapshot(), straight.Snapshot(); !reflect.DeepEqual(got, want) {
+		if got, want := forked.Checkpoint(), straight.Checkpoint(); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: final deep state diverged from straight run", name)
 		}
 	}
@@ -98,29 +99,32 @@ func TestForkedMixMatchesStraight(t *testing.T) {
 // TestCheckpointRejectsBadShape: version and shape mismatches fail loudly.
 func TestCheckpointRejectsBadShape(t *testing.T) {
 	cfg := ckTestConfig(64)
-	cs := NewCoSim([]*workload.Profile{workload.Mcf()}, cfg)
+	profs := []*workload.Profile{workload.Mcf()}
+	cs := NewCoSim(profs, cfg)
 	cs.WarmAlign()
 	ck := cs.Checkpoint()
 
-	bad := *ck
-	bad.Version = CheckpointVersion + 1
-	if _, err := NewCoSimFromCheckpoint(&bad); err == nil {
-		t.Error("fork accepted an unknown checkpoint version")
+	restore := func(edit func(ck *CoSimCheckpoint)) error {
+		bad := *ck
+		bad.Apps = slices.Clone(ck.Apps)
+		edit(&bad)
+		_, err := NewCoSimFromCheckpoint(profs, cfg, &bad)
+		return err
 	}
-	bad = *ck
-	bad.Profiles = nil
-	if _, err := NewCoSimFromCheckpoint(&bad); err == nil {
-		t.Error("fork accepted a checkpoint with mismatched profile count")
-	}
-	bad = *ck
-	bad.LLC.Tags = bad.LLC.Tags[:1]
-	if _, err := NewCoSimFromCheckpoint(&bad); err == nil {
-		t.Error("fork accepted a checkpoint with a wrong-geometry LLC")
-	}
-	bad = *ck
-	bad.Apps = slices.Clone(ck.Apps)
-	bad.Apps[0].Prog.CodePos = 1 << 40
-	if _, err := NewCoSimFromCheckpoint(&bad); err == nil {
-		t.Error("fork accepted a checkpoint whose program position no run reaches")
+	for _, tc := range []struct {
+		name string
+		edit func(ck *CoSimCheckpoint)
+	}{
+		{"an unknown checkpoint version", func(ck *CoSimCheckpoint) { ck.Version = CheckpointVersion + 1 }},
+		{"a checkpoint missing an app", func(ck *CoSimCheckpoint) { ck.Apps = nil }},
+		{"a checkpoint of another app", func(ck *CoSimCheckpoint) { ck.Apps[0].Name = "lbm" }},
+		{"a checkpoint with a wrong-geometry LLC", func(ck *CoSimCheckpoint) { ck.LLC.Tags = ck.LLC.Tags[:1] }},
+		{"an app carrying its own copy of the shared LLC", func(ck *CoSimCheckpoint) { ck.Apps[0].Hier.LLC = &ck.LLC }},
+		{"an app clock behind the aligned cycle", func(ck *CoSimCheckpoint) { ck.Apps[0].Cycles = ck.AlignCycles - 1 }},
+		{"a program position no run reaches", func(ck *CoSimCheckpoint) { ck.Apps[0].Prog.CodePos = 1 << 40 }},
+	} {
+		if err := restore(tc.edit); err == nil {
+			t.Errorf("restore accepted %s", tc.name)
+		}
 	}
 }

@@ -140,11 +140,11 @@ type CoSim struct {
 	alignStart uint64
 	// progressEvery/onProgress arm periodic mid-measured-window capture
 	// (SetProgress): every progressEvery measured quanta the engine hands
-	// onProgress a fresh ProgressCheckpoint. Execution hints like
-	// Cfg.Cancel — never part of state, identity or serialization.
+	// onProgress a fresh Checkpoint. Execution hints like Cfg.Cancel —
+	// never part of state, identity or serialization.
 	progressEvery uint64
 	progressCount uint64
-	onProgress    func(*ProgressCheckpoint)
+	onProgress    func(*CoSimCheckpoint)
 }
 
 // NewCoSim builds the co-run engine for the given app mix.
@@ -237,7 +237,7 @@ func (cs *CoSim) runWindow(horizon, q uint64, measure bool) {
 			if cs.onProgress != nil {
 				if cs.progressCount++; cs.progressCount >= cs.progressEvery {
 					cs.progressCount = 0
-					cs.onProgress(cs.Progress())
+					cs.onProgress(cs.Checkpoint())
 				}
 			}
 		}
@@ -288,9 +288,24 @@ func (cs *CoSim) WarmAlign() {
 	cs.alignStart = start
 }
 
+// SetProgress arms periodic capture inside the measured window: fn gets a
+// fresh Checkpoint every `every` measured quanta (0 disarms), from which
+// NewCoSimFromCheckpoint resumes the window. Like CoSimConfig.Cancel this
+// is an execution hint — it never enters serialization or spec identity,
+// and the capture happens at a quantum boundary so the checkpoint is
+// always resumable.
+func (cs *CoSim) SetProgress(every uint64, fn func(*CoSimCheckpoint)) {
+	if every == 0 || fn == nil {
+		cs.progressEvery, cs.onProgress = 0, nil
+		return
+	}
+	cs.progressEvery, cs.onProgress = every, fn
+}
+
 // RunMeasured executes the measured co-run window from the aligned state
 // (produced by WarmAlign on this instance, or restored by
-// NewCoSimFromCheckpoint) and returns the per-app results. Single-shot.
+// NewCoSimFromCheckpoint, possibly mid-window) and returns the per-app
+// results. Single-shot.
 func (cs *CoSim) RunMeasured() *CoRunResult {
 	cfg := cs.Cfg
 

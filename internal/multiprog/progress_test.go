@@ -1,32 +1,11 @@
 package multiprog
 
 import (
-	"encoding/json"
 	"reflect"
 	"testing"
 
 	"repro/internal/workload"
 )
-
-// resumeThroughJSON round-trips a progress checkpoint through its JSON
-// encoding — the exact path a store-persisted checkpoint takes — and
-// resumes from the decoded copy.
-func resumeThroughJSON(t *testing.T, pc *ProgressCheckpoint) *CoSim {
-	t.Helper()
-	b, err := json.Marshal(pc)
-	if err != nil {
-		t.Fatalf("encode progress: %v", err)
-	}
-	var back ProgressCheckpoint
-	if err := json.Unmarshal(b, &back); err != nil {
-		t.Fatalf("decode progress: %v", err)
-	}
-	resumed, err := NewCoSimFromProgress(&back)
-	if err != nil {
-		t.Fatalf("resume: %v", err)
-	}
-	return resumed
-}
 
 // TestResumedRunMatchesStraight is the mid-run checkpoint layer's
 // bit-exactness oracle, asserted across the full 24-profile suite: run a
@@ -38,15 +17,16 @@ func resumeThroughJSON(t *testing.T, pc *ProgressCheckpoint) *CoSim {
 func TestResumedRunMatchesStraight(t *testing.T) {
 	cfg := ckTestConfig(128)
 	for _, prof := range workload.Benchmarks() {
-		straight := NewCoSim([]*workload.Profile{prof}, cfg)
+		profs := []*workload.Profile{prof}
+		straight := NewCoSim(profs, cfg)
 		straight.WarmAlign()
 		wantRes := straight.RunMeasured()
 
-		probe := NewCoSim([]*workload.Profile{prof}, cfg)
+		probe := NewCoSim(profs, cfg)
 		probe.WarmAlign()
-		var mid *ProgressCheckpoint
+		var mid *CoSimCheckpoint
 		fires := 0
-		probe.SetProgress(50, func(pc *ProgressCheckpoint) {
+		probe.SetProgress(50, func(pc *CoSimCheckpoint) {
 			if fires++; fires == 3 {
 				mid = pc
 			}
@@ -59,12 +39,12 @@ func TestResumedRunMatchesStraight(t *testing.T) {
 			t.Fatalf("%s: progress hook fired %d times, never reached the mid-window capture", prof.Name, fires)
 		}
 
-		resumed := resumeThroughJSON(t, mid)
+		resumed := restoreThroughJSON(t, profs, cfg, mid)
 		if gotRes := resumed.RunMeasured(); !reflect.DeepEqual(gotRes, wantRes) {
 			t.Errorf("%s: resumed result diverged:\n got  %+v\n want %+v", prof.Name, gotRes, wantRes)
 			continue
 		}
-		if got, want := resumed.Snapshot(), straight.Snapshot(); !reflect.DeepEqual(got, want) {
+		if got, want := resumed.Checkpoint(), straight.Checkpoint(); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: resumed final deep state diverged from straight run", prof.Name)
 		}
 	}
@@ -87,9 +67,9 @@ func TestCancelledMixResumesFromProgress(t *testing.T) {
 
 	interrupted := NewCoSim(profs, cfg)
 	interrupted.WarmAlign()
-	var last *ProgressCheckpoint
+	var last *CoSimCheckpoint
 	saves := 0
-	interrupted.SetProgress(40, func(pc *ProgressCheckpoint) {
+	interrupted.SetProgress(40, func(pc *CoSimCheckpoint) {
 		last = pc
 		saves++
 	})
@@ -105,35 +85,50 @@ func TestCancelledMixResumesFromProgress(t *testing.T) {
 		t.Fatalf("cancel never landed mid-window (saves=%d)", saves)
 	}
 
-	resumed := resumeThroughJSON(t, last)
+	resumed := restoreThroughJSON(t, profs, cfg, last)
 	if gotRes := resumed.RunMeasured(); !reflect.DeepEqual(gotRes, wantRes) {
 		t.Errorf("resumed-after-cancel result diverged:\n got  %+v\n want %+v", gotRes, wantRes)
 	}
-	if got, want := resumed.Snapshot(), straight.Snapshot(); !reflect.DeepEqual(got, want) {
+	if got, want := resumed.Checkpoint(), straight.Checkpoint(); !reflect.DeepEqual(got, want) {
 		t.Error("resumed-after-cancel final deep state diverged from straight run")
 	}
 }
 
-// TestProgressRejectsBadShape: version and shape mismatches fail loudly.
+// TestProgressRejectsBadShape: a mid-window checkpoint names no machine,
+// so a restore onto one it does not fit — another LLC size, the
+// prefetcher toggled, another mix — must fail on the state's geometry
+// instead of continuing on the wrong machine.
 func TestProgressRejectsBadShape(t *testing.T) {
 	cfg := ckTestConfig(64)
-	cs := NewCoSim([]*workload.Profile{workload.Mcf()}, cfg)
+	profs := []*workload.Profile{workload.Mcf(), workload.Lbm()}
+	cs := NewCoSim(profs, cfg)
 	cs.WarmAlign()
-	pc := cs.Progress()
+	var mid *CoSimCheckpoint
+	cs.SetProgress(40, func(ck *CoSimCheckpoint) {
+		if mid == nil {
+			mid = ck
+		}
+	})
+	cs.RunMeasured()
+	if mid == nil || mid.Apps[0].Meas.Instructions == 0 {
+		t.Fatal("no mid-window capture")
+	}
 
-	bad := *pc
-	bad.Version = ProgressVersion + 1
-	if _, err := NewCoSimFromProgress(&bad); err == nil {
-		t.Error("resume accepted an unknown progress version")
-	}
-	bad = *pc
-	bad.State = nil
-	if _, err := NewCoSimFromProgress(&bad); err == nil {
-		t.Error("resume accepted a progress checkpoint without state")
-	}
-	bad = *pc
-	bad.Meas = bad.Meas[:0]
-	if _, err := NewCoSimFromProgress(&bad); err == nil {
-		t.Error("resume accepted mismatched measured-stat count")
+	bigger := ckTestConfig(256)
+	prefetch := cfg
+	prefetch.Prefetch = true
+	for _, tc := range []struct {
+		name  string
+		profs []*workload.Profile
+		cfg   CoSimConfig
+	}{
+		{"a 4x larger LLC", profs, bigger},
+		{"the prefetcher on", profs, prefetch},
+		{"one app of the mix", profs[:1], cfg},
+		{"the mix reversed", []*workload.Profile{profs[1], profs[0]}, cfg},
+	} {
+		if _, err := NewCoSimFromCheckpoint(tc.profs, tc.cfg, mid); err == nil {
+			t.Errorf("resume onto %s accepted the checkpoint", tc.name)
+		}
 	}
 }

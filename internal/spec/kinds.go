@@ -17,14 +17,15 @@ package spec
 //   corun-calibrate the per-(app, LLC size) calibration completion; runs
 //                   the app's corun-profile as a nested spec so the
 //                   expensive profile is shared across sizes;
-//   corun-warm      the warmed+aligned co-run engine state of one mix — a
-//                   content-addressed checkpoint keyed by (mix, warm
-//                   point) that corun-sim cells fork instead of
-//                   re-executing the warm-up;
+//   corun-warm      the warmed+aligned co-run engine state of one cell's
+//                   mix and machine — a content-addressed checkpoint a
+//                   re-run of the cell restores instead of re-executing
+//                   the warm-up;
 //   corun-sim       one simulated shared-LLC co-run matrix cell; nests its
-//                   mix's corun-warm checkpoint and forks the measured
-//                   window from it (bit-identical to the straight-
-//                   through multiprog.CoSim.Run, the tests' oracle).
+//                   corun-warm checkpoint (or resumes its own progress
+//                   checkpoint) and runs the measured window from it
+//                   (bit-identical to the straight-through
+//                   multiprog.CoSim.Run, the tests' oracle).
 
 import (
 	"context"
@@ -333,44 +334,30 @@ func (p CoRunSimParams) benchRefs() []BenchRef { return append([]BenchRef(nil), 
 
 func runCoRunSim(p Params, sub runner.Sub) (any, error) {
 	sp := p.(CoRunSimParams)
+	profs, err := resolveAll(sp.Apps)
+	if err != nil {
+		return nil, err
+	}
 	cfg := multiprog.CoSimFromWarm(sp.Cfg, sp.Cfg.LLCPaperBytes)
 	cfg.Cancel = cancelPoll(sub.Context())
 
-	// Mid-run resume (DESIGN.md §14): with a store attached, the measured
-	// window periodically persists a progress checkpoint under a key
-	// derived from this cell's identity, and a previous execution's
-	// checkpoint — crashed, cancelled, or written by another fleet node
-	// that ran the same cell — seeds the engine here instead of re-running
-	// the paid-for window prefix. A resumed engine matches a forked one
-	// because the checkpoint carries the complete engine state.
+	// One state seeds the engine (DESIGN.md §14): the progress trail a
+	// previous execution of this cell left — crashed, cancelled, or on
+	// another fleet node — else the nested corun-warm checkpoint, run (or
+	// served from cache/store) on demand. The cadence decides only when
+	// this execution writes a trail; any trail is looked up, and deleted
+	// once the cell is done, whenever a store is attached.
 	st := subStore(sub)
 	var pkey string
-	if st != nil && ProgressEveryQuanta > 0 {
+	var ck *multiprog.CoSimCheckpoint
+	if st != nil {
 		if k, err := canonicalKey(sp); err == nil {
 			pkey = ProgressKey(k)
+			v, _ := st.Load(KindCoRunProgress, pkey)
+			ck, _ = v.(*multiprog.CoSimCheckpoint)
 		}
 	}
-	var cs *multiprog.CoSim
-	if pkey != "" {
-		if v, ok := st.Load(KindCoRunProgress, pkey); ok {
-			if pc, ok := v.(*multiprog.ProgressCheckpoint); ok {
-				if resumed, err := multiprog.NewCoSimFromProgress(pc); err == nil {
-					// The checkpoint pins state; the measured horizon and
-					// the Cancel hook belong to this execution (same rule
-					// as the fork below).
-					resumed.Cfg.MeasureCycles = cfg.MeasureCycles
-					resumed.Cfg.Cancel = cfg.Cancel
-					cs = resumed
-				}
-			}
-		}
-	}
-
-	if cs == nil {
-		// Not resumed: the warm-up runs (or is served from cache/store) as
-		// a nested corun-warm spec, then this cell forks its measured
-		// window from the checkpoint, so a re-run of the cell pays the
-		// warm-up only when its checkpoint is gone too.
+	if ck == nil {
 		wsp, err := New(CoRunWarmParams{Mix: sp.Mix, Apps: sp.Apps, Cfg: sp.Cfg})
 		if err != nil {
 			return nil, err
@@ -379,22 +366,20 @@ func runCoRunSim(p Params, sub runner.Sub) (any, error) {
 		if err != nil {
 			return nil, err
 		}
-		cs, err = multiprog.NewCoSimFromCheckpoint(v.(*multiprog.CoSimCheckpoint))
-		if err != nil {
-			return nil, err
-		}
-		// The checkpoint pins the warmed state; the measured horizon
-		// belongs to this cell (today they always agree — both derive from
-		// the same warm.Config — but the checkpoint's key is the warm
-		// point, so the horizon must come from the consumer). Cancel rides
-		// along the same way: a decoded checkpoint never carries one.
-		cs.Cfg.MeasureCycles = cfg.MeasureCycles
-		cs.Cfg.Cancel = cfg.Cancel
+		ck = v.(*multiprog.CoSimCheckpoint)
+	}
+	// The spec names the machine and the mix; the checkpoint brings state
+	// only. State that does not fit them (an artifact stored under the
+	// wrong key) is a miss, not a result: warm up here instead.
+	cs, err := multiprog.NewCoSimFromCheckpoint(profs, cfg, ck)
+	if err != nil {
+		cs = multiprog.NewCoSim(profs, cfg)
+		cs.WarmAlign()
 	}
 
-	if pkey != "" {
-		cs.SetProgress(ProgressEveryQuanta, func(pc *multiprog.ProgressCheckpoint) {
-			st.Save(KindCoRunProgress, pkey, pc)
+	if pkey != "" && ProgressEveryQuanta > 0 {
+		cs.SetProgress(ProgressEveryQuanta, func(ck *multiprog.CoSimCheckpoint) {
+			st.Save(KindCoRunProgress, pkey, ck)
 			faultpoint.Hit("spec.progress") // chaos: crash mid-measured-run, after a durable checkpoint
 		})
 	}
@@ -444,7 +429,7 @@ func validateCoRun(cfg warm.Config, apps []BenchRef) error {
 		return fmt.Errorf("cfg: LLCPaperBytes: %w", err)
 	}
 	for _, a := range apps {
-		if err := a.validate(); err != nil {
+		if err := a.validate(cfg.Scale); err != nil {
 			return err
 		}
 	}
@@ -468,7 +453,7 @@ func init() {
 			if err := sp.Cfg.Validate(); err != nil {
 				return fmt.Errorf("cfg: %w", err)
 			}
-			return sp.Bench.validate()
+			return sp.Bench.validate(sp.Cfg.Scale)
 		},
 		Run: runSampling,
 		Codec: artifact.Codec{
@@ -514,7 +499,7 @@ func init() {
 					return fmt.Errorf("sizes[%d]: %w", i, err)
 				}
 			}
-			return sp.Bench.validate()
+			return sp.Bench.validate(sp.Cfg.Scale)
 		},
 		Run:   runDSESweep,
 		Codec: jsonCodec[*dse.Result](1),
@@ -543,14 +528,14 @@ func init() {
 	})
 	register(KindInfo{
 		Name:  KindCoRunWarm,
-		About: "warmed+aligned co-run engine checkpoint for one mix (forked by corun-sim cells)",
+		About: "warmed+aligned co-run engine state of one corun-sim cell (restored when the cell re-runs)",
 		New:   func() any { return new(CoRunWarmParams) },
 		Validate: func(p Params) error {
 			sp := p.(CoRunWarmParams)
 			return validateCoRun(sp.Cfg, sp.Apps)
 		},
 		Run:   runCoRunWarm,
-		Codec: jsonCodec[*multiprog.CoSimCheckpoint](1),
+		Codec: jsonCodec[*multiprog.CoSimCheckpoint](2),
 	})
 	register(KindInfo{
 		Name:  KindCoRunSim,

@@ -1,14 +1,14 @@
 // Mid-run progress persistence for co-run cells (DESIGN.md §14): while a
 // corun-sim measured window executes with a store attached, the engine
-// periodically persists a multiprog.ProgressCheckpoint under a key derived
-// from the cell's canonical identity. A crashed or cancelled run's
-// checkpoint is found by the cell's next execution — locally, or on
-// another fleet node through the peer read-through tier — which resumes
-// from the last paid-for quantum boundary instead of re-running the
-// window. Resumption is
-// bit-identical to a straight run (multiprog's TestResumedRunMatchesStraight
-// and the spec-level resume tests pin this), so progress is purely an
-// execution shortcut, never part of a spec's identity or its result.
+// periodically persists a multiprog.CoSimCheckpoint — the state type of
+// the corun-warm cut — under a key derived from the cell's canonical
+// identity. The cell's next execution finds a crashed or cancelled run's
+// checkpoint — locally, or on another fleet node through the peer
+// read-through tier — and resumes from the last paid-for quantum boundary
+// instead of re-running the window. Resumption is bit-identical to a
+// straight run (multiprog's TestResumedRunMatchesStraight and the
+// spec-level resume tests pin this), so progress is purely an execution
+// shortcut, never part of a spec's identity or its result.
 package spec
 
 import (
@@ -26,7 +26,8 @@ import (
 const KindCoRunProgress = "corun-progress"
 
 // ProgressEveryQuanta is the checkpoint cadence in measured scheduling
-// quanta; 0 disables mid-run persistence. The default is sized so the
+// quanta; 0 stops this process writing progress checkpoints (it still
+// resumes from, and deletes, a trail it finds). The default is sized so the
 // capture + store write overhead stays under 2% of the corun-cell bench
 // (see DESIGN.md §14); it is a tuning knob, never identity — cmd/labd
 // exposes it as -progress-every.
@@ -52,5 +53,5 @@ func subStore(sub runner.Sub) *artifact.Store {
 }
 
 func init() {
-	registerAuxCodec(KindCoRunProgress, jsonCodec[*multiprog.ProgressCheckpoint](1))
+	registerAuxCodec(KindCoRunProgress, jsonCodec[*multiprog.CoSimCheckpoint](2))
 }

@@ -187,3 +187,139 @@ func TestProgressDisabledWithoutStore(t *testing.T) {
 		t.Fatal("no result")
 	}
 }
+
+// leaveProgressTrail runs cell over the store in dir and cancels it right
+// after its 2nd progress checkpoint, leaving the trail a crashed run
+// leaves. It returns the trail's key.
+func leaveProgressTrail(t *testing.T, dir string, cell CoRunSimParams) string {
+	t.Helper()
+	defer func(v uint64) { ProgressEveryQuanta = v }(ProgressEveryQuanta)
+	ProgressEveryQuanta = 256
+	pkey := ProgressKey(MustNew(cell).Key())
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	inner, err := artifact.NewDiskBlob(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := artifact.OpenBlob(&cancelOnPut{Blob: inner, key: pkey, after: 2, cancel: cancel}, 0, Codecs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := runner.New(1)
+	eng.Store = st
+	if _, err := eng.RunSpecCtx(ctx, MustNew(cell)); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled run returned %v, want context.Canceled", err)
+	}
+	if _, ok := st.StatKey(pkey); !ok {
+		t.Fatal("no progress checkpoint survived the cancelled run")
+	}
+	return pkey
+}
+
+// TestProgressResumesAtCadenceZero: the cadence decides only when a run
+// writes progress. A node running with it at 0 must still resume from a
+// trail another node (or an earlier incarnation) left in its store — the
+// deleted warm checkpoint is not re-created — and must delete that trail
+// once the cell is done, or it holds store budget until evicted.
+func TestProgressResumesAtCadenceZero(t *testing.T) {
+	dir := t.TempDir()
+	cfg := warm.DefaultConfig()
+	apps := []BenchRef{{Name: "mcf"}, {Name: "lbm"}}
+	cell := CoRunSimParams{Mix: "mcf-lbm", Apps: apps, Cfg: cfg}
+	warmKey := MustNew(CoRunWarmParams{Mix: cell.Mix, Apps: apps, Cfg: cfg}).Key()
+	want, err := runner.New(1).RunSpec(MustNew(cell))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkey := leaveProgressTrail(t, dir, cell)
+
+	defer func(v uint64) { ProgressEveryQuanta = v }(ProgressEveryQuanta)
+	ProgressEveryQuanta = 0
+	st, err := OpenStore(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.DeleteKey(warmKey)
+	eng := runner.New(1)
+	eng.Store = st
+	got, err := eng.RunSpec(MustNew(cell))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("resumed result diverged from straight run:\n got  %+v\n want %+v", got, want)
+	}
+	if _, ok := st.StatKey(warmKey); ok {
+		t.Error("cadence 0 re-ran the warm-up instead of resuming from the trail")
+	}
+	if _, ok := st.StatKey(pkey); ok {
+		t.Error("cadence 0 left the progress trail behind")
+	}
+}
+
+// TestCheckpointOfAnotherMachineIgnored: a checkpoint holds state, never
+// the machine. A progress trail and a warm checkpoint taken at a 32 MiB
+// LLC, each stored under the key of the same cell at 8 MiB, must not
+// move the cell off its own machine: it returns the straight run's
+// result either way.
+func TestCheckpointOfAnotherMachineIgnored(t *testing.T) {
+	cfg := warm.DefaultConfig()
+	apps := []BenchRef{{Name: "mcf"}, {Name: "lbm"}}
+	cell := CoRunSimParams{Mix: "mcf-lbm", Apps: apps, Cfg: cfg}
+	cfg.LLCPaperBytes = 32 << 20
+	other := CoRunSimParams{Mix: "mcf-lbm", Apps: apps, Cfg: cfg}
+	want, err := runner.New(1).RunSpec(MustNew(cell))
+	if err != nil {
+		t.Fatal(err)
+	}
+	warmKey := func(c CoRunSimParams) string {
+		return MustNew(CoRunWarmParams{Mix: c.Mix, Apps: c.Apps, Cfg: c.Cfg}).Key()
+	}
+
+	for _, tc := range []struct {
+		name, kind string
+		// plant leaves the other machine's artifact in dir and returns
+		// its key and the key the cell looks it up under.
+		plant func(t *testing.T, dir string) (from, to string)
+	}{
+		{"progress", KindCoRunProgress, func(t *testing.T, dir string) (string, string) {
+			return leaveProgressTrail(t, dir, other), ProgressKey(MustNew(cell).Key())
+		}},
+		{"warm", KindCoRunWarm, func(t *testing.T, dir string) (string, string) {
+			st, err := OpenStore(dir, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng := runner.New(1)
+			eng.Store = st
+			if _, err := eng.RunSpec(MustNew(CoRunWarmParams{Mix: other.Mix, Apps: other.Apps, Cfg: other.Cfg})); err != nil {
+				t.Fatal(err)
+			}
+			return warmKey(other), warmKey(cell)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			from, to := tc.plant(t, dir)
+			st, err := OpenStore(dir, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			v, ok := st.Load(tc.kind, from)
+			if !ok {
+				t.Fatalf("no %s artifact to misplace", tc.kind)
+			}
+			st.Save(tc.kind, to, v)
+			eng := runner.New(1)
+			eng.Store = st
+			got, err := eng.RunSpec(MustNew(cell))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("cell ran on the misplaced %s checkpoint's machine:\n got  %+v\n want %+v", tc.kind, got, want)
+			}
+		})
+	}
+}

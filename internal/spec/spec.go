@@ -352,15 +352,16 @@ func (r BenchRef) Resolve() (*workload.Profile, error) {
 	return nil, fmt.Errorf("unknown benchmark %q (and no inline profile)", r.Name)
 }
 
-// validate resolves the reference and checks the profile it names
-// (workload.Profile.Validate), so an inline profile the generator cannot
-// build or run is refused at decode instead of failing in the executor.
-func (r BenchRef) validate() error {
+// validate resolves the reference and checks the profile it names at the
+// spec's scale (workload.Profile.Validate), so an inline profile the
+// generator cannot build or run cheaply is refused at decode instead of
+// failing, or holding a worker, in the executor.
+func (r BenchRef) validate(scale uint64) error {
 	p, err := r.Resolve()
 	if err != nil {
 		return err
 	}
-	if err := p.Validate(); err != nil {
+	if err := p.Validate(scale); err != nil {
 		return fmt.Errorf("bench %q: profile: %w", r.Name, err)
 	}
 	return nil

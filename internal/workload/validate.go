@@ -15,16 +15,26 @@ const (
 	// maxBurst keeps a stream's burst length positive once NewProgram
 	// narrows it to 32 bits (Skip divides by it).
 	maxBurst = math.MaxInt32
+	// maxPhaseWork bounds the table work phase gating adds per
+	// instruction: every phase edge rebuilds the stream-selection tables
+	// (rebuildWeights), one step per stream and per burst plus the
+	// 256-entry selector LUT, and edges per instruction times steps per
+	// rebuild must stay at or below it. The suite's one phased profile,
+	// calculix, costs 2.1e-4 at Scale 1024; 64 streams of 64 offsets with
+	// PhasePeriod 64 at Scale 1 cost 5.7e5 and ran Skip 1,000x slower
+	// than the suite.
+	maxPhaseWork = 1.0
 )
 
-// Validate reports whether NewProgram can build the profile and run it:
-// 1..maxStreams streams of known kinds, overlays of earlier streams only,
-// finite fractions in [0, 1] with MemRatio+BranchRatio <= 1, finite
-// non-negative stream weights with a positive sum, at most
-// maxPhaseOffsets phase offsets per stream and bursts up to maxBurst.
-// Profiles arriving from outside (inline spec profiles) must pass it
-// before anything instantiates them.
-func (p *Profile) Validate() error {
+// Validate reports whether NewProgram can build the profile at scale and
+// run it: 1..maxStreams streams of known kinds, overlays of earlier
+// streams only, finite fractions in [0, 1] with MemRatio+BranchRatio <= 1,
+// finite non-negative stream weights with a positive sum, at most
+// maxPhaseOffsets phase offsets per stream, bursts up to maxBurst, and
+// phase edges no denser than maxPhaseWork allows at scale. Profiles
+// arriving from outside (inline spec profiles) must pass it before
+// anything instantiates them.
+func (p *Profile) Validate(scale uint64) error {
 	notFrac := func(v float64) bool { return math.IsNaN(v) || v < 0 || v > 1 }
 	fracErr := func(name string, v float64) error {
 		return fmt.Errorf("%s = %v, want a fraction in [0, 1]", name, v)
@@ -75,5 +85,28 @@ func (p *Profile) Validate() error {
 	if !(weights > 0) || math.IsInf(weights, 0) {
 		return fmt.Errorf("Streams: weights sum to %v, want a positive finite sum", weights)
 	}
+	if w := p.phaseWork(scale); w > maxPhaseWork {
+		return fmt.Errorf("PhasePeriod: phase edges cost %.3g table steps per instruction at scale %d, want at most %v",
+			w, scale, maxPhaseWork)
+	}
 	return nil
+}
+
+// phaseWork returns the rebuild work phase gating costs per instruction
+// at scale: every stream's scaled burst edges (a start and an end per
+// burst per period, as NewProgram lays them out) times the steps of one
+// rebuild. Coinciding edges share a rebuild, so this is an upper bound.
+func (p *Profile) phaseWork(scale uint64) float64 {
+	scale = max(1, scale)
+	steps := float64(256 + len(p.Streams))
+	var edges float64
+	for _, s := range p.Streams {
+		if s.PhasePeriod == 0 {
+			continue
+		}
+		bursts := float64(max(1, len(s.PhaseOffsets)))
+		steps += bursts
+		edges += 2 * bursts / float64(max(1, s.PhasePeriod/scale))
+	}
+	return edges * steps
 }
