@@ -3,8 +3,9 @@
 // verification, codecs, LRU accounting — so a backend only has to move
 // bytes, and any S3-style remote can plug in by implementing these five
 // methods. DiskBlob (the local-disk layout) is the backend that ships;
-// FaultBlob (fault.go) wraps any backend for the chaos tests. The fleet's
-// peer tier (peer.go) is not a Blob: it only reads, after a local miss.
+// the tests' FaultBlob (faultblob_test.go) wraps any backend to inject
+// storage faults. The fleet's peer tier (peer.go) is not a Blob: it only
+// reads, after a local miss.
 package artifact
 
 import (

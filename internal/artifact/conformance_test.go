@@ -43,7 +43,7 @@ func confBackends() []confBackend {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return artifact.NewFaultBlob(inner, artifact.FaultConfig{Seed: 1}), dir
+			return NewFaultBlob(inner, FaultConfig{Seed: 1}), dir
 		}},
 	}
 }

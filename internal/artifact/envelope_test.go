@@ -113,3 +113,57 @@ func FuzzCheckEnvelope(f *testing.F) {
 		}
 	})
 }
+
+// FuzzStoreRaw fuzzes the lab service's read path: the bytes a blob holds
+// under a valid key, served through Store.Raw. Raw must never panic, and
+// either misses or returns exactly the payload and kind of an envelope
+// that names the key, hashes to its sha256 field and belongs to a
+// registered kind at that kind's codec version. A blob that fails those
+// checks is dropped and counted as corrupt; an intact envelope of an
+// unregistered kind is a plain miss and stays on disk. The seed corpus
+// (testdata/fuzz) holds a valid envelope, a wrong schema, a key mismatch,
+// a hash mismatch, an unregistered kind, a codec-version skew, truncated
+// JSON and an empty file.
+func FuzzStoreRaw(f *testing.F) {
+	const key = "0123456789abcdef0123456789abcdef0123456789abcdef0123456789abcdef"
+	codecs := map[string]Codec{"test": {Version: 1}}
+	b, err := NewDiskBlob(f.TempDir())
+	if err != nil {
+		f.Fatal(err)
+	}
+	st, err := OpenBlob(b, 0, codecs)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		var env envelope
+		parsed := json.Unmarshal(raw, &env) == nil
+		sum := sha256.Sum256(env.Payload)
+		intact := parsed && env.Schema == Schema && env.Key == key && hex.EncodeToString(sum[:]) == env.SHA256
+		codec, registered := codecs[env.Kind]
+		if !b.Put(key, raw) {
+			t.Fatal("blob put failed")
+		}
+		corrupt := st.Stats().Corrupt
+		payload, kind, ok := st.Raw(key)
+		_, kept := b.Get(key)
+		dropped := st.Stats().Corrupt - corrupt
+		switch {
+		case intact && registered && env.CodecVersion == codec.Version:
+			if !ok || !bytes.Equal(payload, env.Payload) || kind != env.Kind {
+				t.Fatalf("Raw = (%d bytes, kind %q, %v) for a valid envelope of kind %q with %d payload bytes", len(payload), kind, ok, env.Kind, len(env.Payload))
+			}
+			if dropped != 0 || !kept {
+				t.Fatalf("valid envelope counted corrupt %d times, still stored %v", dropped, kept)
+			}
+		case intact && !registered:
+			if ok || dropped != 0 || !kept {
+				t.Fatalf("envelope of unregistered kind %q: served %v, counted corrupt %d times, still stored %v", env.Kind, ok, dropped, kept)
+			}
+		default:
+			if ok || dropped != 1 || kept {
+				t.Fatalf("bad blob: served %v, counted corrupt %d times, still stored %v", ok, dropped, kept)
+			}
+		}
+	})
+}

@@ -14,13 +14,13 @@ import (
 )
 
 // faultStore builds a Store over a FaultBlob-wrapped disk backend.
-func faultStore(t *testing.T, cfg artifact.FaultConfig) (*artifact.Store, *artifact.FaultBlob) {
+func faultStore(t *testing.T, cfg FaultConfig) (*artifact.Store, *FaultBlob) {
 	t.Helper()
 	inner, err := artifact.NewDiskBlob(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	fb := artifact.NewFaultBlob(inner, cfg)
+	fb := NewFaultBlob(inner, cfg)
 	st, err := artifact.OpenBlob(fb, 0, codecs())
 	if err != nil {
 		t.Fatal(err)
@@ -32,7 +32,7 @@ func faultStore(t *testing.T, cfg artifact.FaultConfig) (*artifact.Store, *artif
 // about success must read back as an integrity miss — never as decoded
 // junk — and a fresh Save must heal the key.
 func TestTornWriteReadsAsMiss(t *testing.T) {
-	st, fb := faultStore(t, artifact.FaultConfig{Seed: 7, TornWriteEvery: 1})
+	st, fb := faultStore(t, FaultConfig{Seed: 7, TornWriteEvery: 1})
 	st.Save("test", key("aa"), payload{Name: "torn", Pad: strings.Repeat("p", 256)})
 	if fb.Stats().TornWrites != 1 {
 		t.Fatalf("torn writes = %d, want 1", fb.Stats().TornWrites)
@@ -45,7 +45,7 @@ func TestTornWriteReadsAsMiss(t *testing.T) {
 	}
 
 	// Heal: with the write fault quiet, the same key round-trips again.
-	healed, _ := faultStore(t, artifact.FaultConfig{Seed: 7})
+	healed, _ := faultStore(t, FaultConfig{Seed: 7})
 	healed.Save("test", key("aa"), payload{Name: "healed"})
 	if got, ok := healed.Load("test", key("aa")); !ok || got.(payload).Name != "healed" {
 		t.Error("store unusable after torn-write recovery")
@@ -55,7 +55,7 @@ func TestTornWriteReadsAsMiss(t *testing.T) {
 // TestCorruptedReadIsMiss: a single flipped byte on the read path trips
 // the SHA-256 gate; the store reports a miss and counts the corruption.
 func TestCorruptedReadIsMiss(t *testing.T) {
-	st, fb := faultStore(t, artifact.FaultConfig{Seed: 42, CorruptEvery: 1})
+	st, fb := faultStore(t, FaultConfig{Seed: 42, CorruptEvery: 1})
 	st.Save("test", key("ab"), payload{Name: "x", Pad: strings.Repeat("p", 128)})
 	if _, ok := st.Load("test", key("ab")); ok {
 		t.Fatal("corrupted read served as valid")
@@ -71,7 +71,7 @@ func TestCorruptedReadIsMiss(t *testing.T) {
 // TestErrorAfterN: reads fail hard after the scheduled count; the store
 // degrades to misses, never errors.
 func TestErrorAfterN(t *testing.T) {
-	st, fb := faultStore(t, artifact.FaultConfig{Seed: 3, FailGetsAfter: 1})
+	st, fb := faultStore(t, FaultConfig{Seed: 3, FailGetsAfter: 1})
 	st.Save("test", key("ac"), payload{Name: "n"})
 	if _, ok := st.Load("test", key("ac")); !ok {
 		t.Fatal("first read should succeed")
@@ -87,7 +87,7 @@ func TestErrorAfterN(t *testing.T) {
 // TestInjectedLatency: the latency schedule actually delays operations
 // (the knob the chaos harness uses to widen race windows).
 func TestInjectedLatency(t *testing.T) {
-	st, _ := faultStore(t, artifact.FaultConfig{Latency: 30 * time.Millisecond})
+	st, _ := faultStore(t, FaultConfig{Latency: 30 * time.Millisecond})
 	start := time.Now()
 	st.Save("test", key("ad"), payload{Name: "slow"})
 	st.Load("test", key("ad"))
@@ -113,7 +113,7 @@ func TestPeerTransportFaults(t *testing.T) {
 	ts := httptest.NewServer(lab.NewServer(eng, srvStore).Handler())
 	defer ts.Close()
 
-	ft := &artifact.FaultTransport{FailAfter: 1}
+	ft := &FaultTransport{FailAfter: 1}
 	pb := artifact.NewPeerBlob([]string{ts.URL}, artifact.PeerOptions{
 		Timeout: 2 * time.Second, RetryBackoff: time.Millisecond,
 		Client: &http.Client{Transport: ft},

@@ -6,13 +6,15 @@
 // must be fully transparent) and by the chaos tests, which assert the
 // Store's integrity machinery turns every injected storage lie into a
 // recomputable miss — never into wrong data.
-package artifact
+package artifact_test
 
 import (
 	"math/rand"
 	"net/http"
 	"sync"
 	"time"
+
+	"repro/internal/artifact"
 )
 
 // FaultConfig is a deterministic fault schedule. Every threshold counts
@@ -48,7 +50,7 @@ type FaultStats struct {
 // FaultBlob wraps an inner Blob with a FaultConfig. Safe for concurrent
 // use; the fault sequence is deterministic for a serialized op sequence.
 type FaultBlob struct {
-	inner Blob
+	inner artifact.Blob
 	cfg   FaultConfig
 
 	mu    sync.Mutex
@@ -57,7 +59,7 @@ type FaultBlob struct {
 }
 
 // NewFaultBlob wraps inner with the given fault schedule.
-func NewFaultBlob(inner Blob, cfg FaultConfig) *FaultBlob {
+func NewFaultBlob(inner artifact.Blob, cfg FaultConfig) *FaultBlob {
 	return &FaultBlob{inner: inner, cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
 }
 
@@ -127,23 +129,23 @@ func (f *FaultBlob) Put(key string, data []byte) bool {
 }
 
 // Stat passes through; metadata is not on the fault schedule.
-func (f *FaultBlob) Stat(key string) (BlobInfo, bool) { return f.inner.Stat(key) }
+func (f *FaultBlob) Stat(key string) (artifact.BlobInfo, bool) { return f.inner.Stat(key) }
 
 // Delete passes through.
 func (f *FaultBlob) Delete(key string) bool { return f.inner.Delete(key) }
 
 // List passes through.
-func (f *FaultBlob) List() []BlobInfo { return f.inner.List() }
+func (f *FaultBlob) List() []artifact.BlobInfo { return f.inner.List() }
 
 // Touch forwards recency stamps when the inner blob keeps them.
 func (f *FaultBlob) Touch(key string) {
-	if t, ok := f.inner.(Toucher); ok {
+	if t, ok := f.inner.(artifact.Toucher); ok {
 		t.Touch(key)
 	}
 }
 
 // FaultTransport injects deterministic transport faults into the peer-HTTP
-// tier: plug it into PeerOptions.Client to make a PeerBlob's wire flaky.
+// tier: plug it into artifact.PeerOptions.Client to make a PeerBlob's wire flaky.
 type FaultTransport struct {
 	// Inner handles the requests that are allowed through; nil means
 	// http.DefaultTransport.

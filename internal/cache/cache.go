@@ -1,5 +1,5 @@
 // Package cache implements the memory-hierarchy substrate: set-associative
-// caches with true-LRU (and random) replacement, miss status holding
+// caches with true-LRU replacement, miss status holding
 // registers (MSHRs), a three-level hierarchy matching the paper's Table 1,
 // and an LLC stride prefetcher for the Fig. 12 experiment.
 package cache
@@ -10,23 +10,12 @@ import (
 	"repro/internal/mem"
 )
 
-// ReplPolicy selects the replacement policy of a cache.
-type ReplPolicy uint8
-
-// Replacement policies. The paper evaluates LRU; Random exists to exercise
-// the StatCache generality argument (§4.1).
-const (
-	LRU ReplPolicy = iota
-	Random
-)
-
 // Config describes one cache level.
 type Config struct {
 	Name   string
 	SizeB  uint64 // total capacity in bytes
 	Assoc  int
 	MSHRs  int
-	Policy ReplPolicy
 	HitLat uint32 // cycles
 }
 
@@ -97,7 +86,6 @@ type Cache struct {
 	tags    []uint64 // sets*assoc entries
 	ages    []uint64 // sets*assoc entries; 0 = invalid
 	tick    uint64
-	rngSt   uint64 // for Random replacement
 
 	// Statistics.
 	NHits, NMisses, NMSHRHits uint64
@@ -117,7 +105,6 @@ func New(cfg Config) *Cache {
 		assoc: assoc,
 		tags:  make([]uint64, sets*uint64(assoc)),
 		ages:  make([]uint64, sets*uint64(assoc)),
-		rngSt: 0x2545f4914f6cdd1d,
 	}
 	if sets&(sets-1) == 0 {
 		c.setMask = sets - 1
@@ -174,14 +161,7 @@ func (c *Cache) lookup2(l mem.Line) (out Outcome, victim mem.Line, evicted bool)
 	case a[1] == 0:
 		w = 1
 	default:
-		if c.cfg.Policy == Random {
-			c.rngSt ^= c.rngSt << 13
-			c.rngSt ^= c.rngSt >> 7
-			c.rngSt ^= c.rngSt << 17
-			if c.rngSt&1 != 0 {
-				w = 1
-			}
-		} else if a[1] < a[0] {
+		if a[1] < a[0] {
 			w = 1
 		}
 		victim, evicted = mem.Line(t[w]), true
@@ -221,14 +201,7 @@ func (c *Cache) lookupN(l mem.Line) (out Outcome, victim mem.Line, evicted bool)
 	c.NMisses++
 	w := emptyWay
 	if w < 0 {
-		if c.cfg.Policy == Random {
-			c.rngSt ^= c.rngSt << 13
-			c.rngSt ^= c.rngSt >> 7
-			c.rngSt ^= c.rngSt << 17
-			w = int(c.rngSt % assoc)
-		} else {
-			w = lruWay
-		}
+		w = lruWay
 		victim, evicted = mem.Line(t[w]), true
 	}
 	t[w] = uint64(l)

@@ -158,20 +158,6 @@ func TestCyclicSweep(t *testing.T) {
 	}
 }
 
-func TestRandomPolicyStillBounded(t *testing.T) {
-	c := New(Config{SizeB: 32 * mem.LineSize, Assoc: 8, Policy: Random, HitLat: 1})
-	r := stats.NewRNG(3)
-	for i := 0; i < 10000; i++ {
-		c.Lookup(mem.Line(r.Uint64n(500)))
-	}
-	if c.Occupancy() > 32 {
-		t.Fatalf("occupancy %d exceeds capacity 32", c.Occupancy())
-	}
-	if c.NHits == 0 {
-		t.Fatal("random-policy cache never hit")
-	}
-}
-
 func TestReset(t *testing.T) {
 	c := smallCache(8, 2)
 	c.Lookup(1)

@@ -17,13 +17,11 @@ import (
 
 // CacheState is the serializable state of one Cache: the tag/recency
 // arrays (parallel, one entry per way; age 0 marks an invalid way), the
-// recency tick, the random-replacement generator state and the access
-// counters.
+// recency tick and the access counters.
 type CacheState struct {
 	Tags      []uint64 `json:"tags"`
 	Ages      []uint64 `json:"ages"`
 	Tick      uint64   `json:"tick"`
-	RNG       uint64   `json:"rng"`
 	NHits     uint64   `json:"hits"`
 	NMisses   uint64   `json:"misses"`
 	NMSHRHits uint64   `json:"mshr_hits"`
@@ -39,7 +37,6 @@ func (c *Cache) State() CacheState {
 		Tags:      make([]uint64, len(c.tags)),
 		Ages:      make([]uint64, len(c.ages)),
 		Tick:      c.tick,
-		RNG:       c.rngSt,
 		NHits:     c.NHits,
 		NMisses:   c.NMisses,
 		NMSHRHits: c.NMSHRHits,
@@ -60,7 +57,6 @@ func (c *Cache) SetState(s CacheState) error {
 	copy(c.tags, s.Tags)
 	copy(c.ages, s.Ages)
 	c.tick = s.Tick
-	c.rngSt = s.RNG
 	c.NHits, c.NMisses, c.NMSHRHits = s.NHits, s.NMisses, s.NMSHRHits
 	return nil
 }

@@ -405,13 +405,7 @@ func (c *Core) Run(prog *workload.Program, n uint64) Stats {
 							}
 							complete = issue + uint64(r.Latency)
 							c.mshrFree.push(complete)
-							c.outstanding.Put(line, complete)
-							if complete < c.outMin {
-								c.outMin = complete
-							}
-							if c.outstanding.Len() > c.pruneLen && c.outMin <= ready {
-								c.pruneOutstanding(ready)
-							}
+							c.track(line, complete, ready)
 						} else {
 							complete = issue + uint64(r.Latency)
 						}
@@ -558,13 +552,7 @@ func (c *Core) RunReference(prog *workload.Program, n uint64) Stats {
 					}
 					complete = issue + uint64(r.Latency)
 					c.mshrFree.push(complete)
-					c.outstanding.Put(line, complete)
-					if complete < c.outMin {
-						c.outMin = complete
-					}
-					if c.outstanding.Len() > c.pruneLen && c.outMin <= ready {
-						c.pruneOutstanding(ready)
-					}
+					c.track(line, complete, ready)
 				} else {
 					complete = issue + uint64(r.Latency)
 				}
@@ -608,6 +596,32 @@ func (c *Core) RunReference(prog *workload.Program, n uint64) Stats {
 	return st
 }
 
+// inFlightPerMSHR sizes the in-flight table's cap per L1D MSHR. A store
+// retires at ready+1, so an MSHR-full stall delays its issue but never
+// dispatch: a run of store misses keeps adding entries whose completion
+// lies beyond every later ready cycle, which no prune can drop. Loads cannot
+// do that (each holds its ROB slot until it completes), and the suite peaks
+// at 37 entries against the cap of 512 at the default 8 MSHRs, so the cap
+// binds only on store-miss storms.
+const inFlightPerMSHR = 64
+
+// track records the miss on line, completing at complete, in the
+// in-flight table, then prunes it when it is over its prune threshold. A
+// miss that finds the table at its cap is not recorded: a later access to
+// its line finds the line in the L1D, where the miss installed it, rather
+// than coalescing onto the miss. Run and RunReference share this policy.
+func (c *Core) track(line mem.Line, complete, ready uint64) {
+	if c.outstanding.Len() < inFlightPerMSHR*c.mshrs {
+		c.outstanding.Put(line, complete)
+		if complete < c.outMin {
+			c.outMin = complete
+		}
+	}
+	if c.outstanding.Len() > c.pruneLen && c.outMin <= ready {
+		c.pruneOutstanding(ready)
+	}
+}
+
 // pruneOutstanding drops completed in-flight entries (bounded table size).
 // The trigger threshold and the t <= ready predicate are part of observable
 // behavior, not just capacity management: an entry with completion time in
@@ -626,10 +640,10 @@ func (c *Core) RunReference(prog *workload.Program, n uint64) Stats {
 // rescanned all of them on every miss; the guard turns that quadratic edge
 // into one comparison while leaving the sequence of effective prunes —
 // and therefore every result bit — untouched.
-// The collect-then-delete shape (rather than DeleteIf) is a cost choice
-// with the identical outcome — every entry with t <= now is removed — that
-// avoids DeleteIf's whole-table rescan after a deleting pass; the survivor
-// scan doubles as the exact recomputation of outMin.
+// The collect-then-delete shape is a cost choice: deleting inside the scan
+// would need a whole-table rescan after every deleting pass, because a
+// backward shift can move a survivor behind the scan position. The
+// survivor scan doubles as the exact recomputation of outMin.
 func (c *Core) pruneOutstanding(now uint64) {
 	dead := c.pruneScratch[:0]
 	min := ^uint64(0)

@@ -134,6 +134,42 @@ func TestRunBatchMatchesRunInterleaved(t *testing.T) {
 	}
 }
 
+// TestInFlightTableBounded: a store retires at ready+1, so an MSHR-full
+// stall delays its issue but never dispatch, and a run of store misses
+// leaves entries whose completion keeps moving ahead of every later ready
+// cycle. An all-stores mcf at MemRatio 0.6, a profile Validate accepts,
+// must still keep the in-flight table within its cap under Run and
+// RunReference alike (uncapped, it held 173,106 entries after 1 M
+// instructions; the suite peaks at 37).
+func TestInFlightTableBounded(t *testing.T) {
+	const scale = 64
+	prof := workload.Mcf()
+	prof.MemRatio = 0.6
+	prof.Streams = append([]workload.StreamSpec(nil), prof.Streams...)
+	for i := range prof.Streams {
+		prof.Streams[i].WriteFrac = 1
+	}
+	if err := prof.Validate(scale); err != nil {
+		t.Fatal(err)
+	}
+	for _, reference := range []bool{false, true} {
+		core := NewCore(DefaultConfig(), cache.NewHierarchy(cache.DefaultHierarchy(8<<20, scale), nil), nil)
+		prog := prof.NewProgram(scale)
+		peak := 0
+		for i := 0; i < 100; i++ {
+			if reference {
+				core.RunReference(prog, 10_000)
+			} else {
+				core.Run(prog, 10_000)
+			}
+			peak = max(peak, core.outstanding.Len())
+		}
+		if limit := inFlightPerMSHR * core.mshrs; peak > limit {
+			t.Errorf("reference %v: in-flight table reached %d entries, cap %d", reference, peak, limit)
+		}
+	}
+}
+
 // TestCoreUsesConfiguredMSHRs: the MSHR table (ring capacity, occupancy
 // bound, in-flight sizing) must come from the hierarchy configuration, not
 // a hardcoded 8 — the regression this pins was Config.L1DMSHRs() ignoring

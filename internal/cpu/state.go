@@ -145,9 +145,12 @@ func (c *Core) SetState(s CoreState) error {
 			return fmt.Errorf("core: state MSHR completion %d out of order", i)
 		}
 	}
-	// The in-flight table has no geometric bound (a store-miss burst grows
-	// it), so its one check is the canonical order State writes: strictly
-	// ascending lines, which also refuses a line listed twice.
+	// The in-flight table is bounded by the MSHR geometry
+	// (inFlightPerMSHR) and kept in the canonical order State writes:
+	// strictly ascending lines, which also refuses a line listed twice.
+	if limit := inFlightPerMSHR * c.mshrs; len(s.Outstanding) > limit {
+		return fmt.Errorf("core: state has %d in-flight misses, core holds at most %d", len(s.Outstanding), limit)
+	}
 	for i := 1; i < len(s.Outstanding); i++ {
 		if s.Outstanding[i].Line <= s.Outstanding[i-1].Line {
 			return fmt.Errorf("core: state in-flight miss %d (line %#x) out of order", i, s.Outstanding[i].Line)

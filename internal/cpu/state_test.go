@@ -43,8 +43,8 @@ func TestCoreStateRoundTrip(t *testing.T) {
 
 // TestCoreStateRejectsShapeMismatch: a state captured from a differently
 // shaped machine (ROB size, MSHR count, predictor tables), or one no run
-// reaches (a ROB slot past the ring, an in-flight line listed twice),
-// must be rejected on restore.
+// reaches (a ROB slot past the ring, an in-flight line listed twice, an
+// in-flight table over its cap), must be rejected on restore.
 func TestCoreStateRejectsShapeMismatch(t *testing.T) {
 	hcfg := cache.DefaultHierarchy(8<<20, 64)
 	core := NewCore(DefaultConfig(), cache.NewHierarchy(hcfg, nil), NewBranchPred(DefaultBPConfig()))
@@ -75,6 +75,14 @@ func TestCoreStateRejectsShapeMismatch(t *testing.T) {
 	bad.Outstanding = []OutstandingMiss{{Line: 7, Complete: 1}, {Line: 7, Complete: 2}}
 	if err := fresh().SetState(bad); err == nil {
 		t.Error("restore accepted an in-flight line listed twice")
+	}
+	bad = s
+	bad.Outstanding = make([]OutstandingMiss, inFlightPerMSHR*hcfg.L1D.MSHRs+1)
+	for i := range bad.Outstanding {
+		bad.Outstanding[i] = OutstandingMiss{Line: uint64(i), Complete: 1}
+	}
+	if err := fresh().SetState(bad); err == nil {
+		t.Error("restore accepted an in-flight table longer than the MSHR geometry allows")
 	}
 }
 

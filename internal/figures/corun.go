@@ -48,14 +48,6 @@ func CoRunSizes(short bool) []uint64 {
 	return []uint64{4 << 20, 16 << 20}
 }
 
-// CoSimConfig derives the co-run simulation setup from the sampled-
-// simulation configuration: same scale, same Table 1 machine. It is the
-// spec layer's multiprog.CoSimFromWarm, re-exported where the figure
-// drivers historically found it.
-func CoSimConfig(cfg warm.Config, llcPaperBytes uint64) multiprog.CoSimConfig {
-	return multiprog.CoSimFromWarm(cfg, llcPaperBytes)
-}
-
 // CoRunCell is one (scenario, LLC size) comparison.
 type CoRunCell struct {
 	Scenario      string
@@ -156,7 +148,7 @@ func CoRunMatrix(eng *runner.Engine, scenarios []CoRunScenario, llcPaperSizes []
 			for j, app := range sc.Apps {
 				cals[j] = results[calIdx[calKey{app.Name, size}]].(multiprog.SoloCalibration)
 			}
-			cs := CoSimConfig(base, size)
+			cs := multiprog.CoSimFromWarm(base, size)
 			pred := multiprog.Predict(cals, cs)
 			out = append(out, CoRunCell{
 				Scenario:      sc.Name,

@@ -89,8 +89,8 @@ func TestCoRunMatrixDeterministicAcrossWorkers(t *testing.T) {
 // cell's size, the StatCC prediction, and a co-run simulated straight
 // through, warm-up and all.
 func coRunOracle(sc CoRunScenario, size uint64, base warm.Config) CoRunCell {
-	profCfg := CoSimConfig(base, warm.DefaultConfig().LLCPaperBytes)
-	cfg := CoSimConfig(base, size)
+	profCfg := multiprog.CoSimFromWarm(base, warm.DefaultConfig().LLCPaperBytes)
+	cfg := multiprog.CoSimFromWarm(base, size)
 	cals := make([]multiprog.SoloCalibration, len(sc.Apps))
 	for i, app := range sc.Apps {
 		cals[i] = multiprog.ProfileSolo(app, profCfg).Calibrate(cfg)

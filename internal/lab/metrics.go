@@ -3,7 +3,6 @@ package lab
 import (
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"strconv"
 	"sync"
@@ -50,32 +49,6 @@ func (h *latHist) Observe(seconds float64) {
 	h.sum += seconds
 	h.count++
 	h.mu.Unlock()
-}
-
-// Quantile returns an upper bound for quantile q (0 < q <= 1): the bound
-// of the first bucket at which the cumulative count reaches q·count
-// (+Inf when the tail bucket is hit). The load harness gates p99 on it.
-func (h *latHist) Quantile(q float64) float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
-		return 0
-	}
-	need := uint64(q * float64(h.count))
-	if need == 0 {
-		need = 1
-	}
-	var cum uint64
-	for i, b := range h.buckets {
-		cum += b
-		if cum >= need {
-			if i < len(latBounds) {
-				return latBounds[i]
-			}
-			break
-		}
-	}
-	return math.Inf(1) // tail bucket: above every finite bound
 }
 
 // writeProm emits the histogram as a Prometheus histogram metric.

@@ -134,23 +134,6 @@ func (t *FlatMap[K, V]) deleteSlot(i, mask uint64) {
 	t.n--
 }
 
-// DeleteIf removes every entry the predicate accepts. It rescans until a
-// full pass deletes nothing, because a backward shift can move a surviving
-// entry behind the scan position; the predicate must therefore be stable
-// for the duration of the call.
-func (t *FlatMap[K, V]) DeleteIf(pred func(K, V) bool) {
-	mask := uint64(len(t.keys)) - 1
-	for deleted := true; deleted; {
-		deleted = false
-		for i := range t.keys {
-			if t.live[i] && pred(t.keys[i], t.vals[i]) {
-				t.deleteSlot(uint64(i), mask)
-				deleted = true
-			}
-		}
-	}
-}
-
 // Range calls f for every entry until f returns false. Iteration order is
 // unspecified; the table must not be modified during iteration.
 func (t *FlatMap[K, V]) Range(f func(K, V) bool) {

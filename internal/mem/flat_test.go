@@ -103,23 +103,6 @@ func TestFlatMapBackwardShiftWraparound(t *testing.T) {
 	}
 }
 
-func TestFlatMapDeleteIf(t *testing.T) {
-	var ft FlatMap[Line, uint64]
-	for k := Line(0); k < 1000; k++ {
-		ft.Put(k, uint64(k))
-	}
-	ft.DeleteIf(func(_ Line, v uint64) bool { return v%3 == 0 })
-	if want := 1000 - 334; ft.Len() != want {
-		t.Fatalf("Len=%d after DeleteIf, want %d", ft.Len(), want)
-	}
-	for k := Line(0); k < 1000; k++ {
-		_, ok := ft.Get(k)
-		if want := k%3 != 0; ok != want {
-			t.Fatalf("Get(%d)=%v after DeleteIf, want %v", k, ok, want)
-		}
-	}
-}
-
 func TestFlatMapResetReusesStorage(t *testing.T) {
 	var ft FlatMap[Line, uint64]
 	for k := Line(0); k < 300; k++ {

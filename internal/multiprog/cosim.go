@@ -511,15 +511,3 @@ func BuildComparison(cals []SoloCalibration, sim *CoRunResult, pred []AppResult)
 	}
 	return out
 }
-
-// CompareCoRun is the one-call validation pipeline: calibrate every app
-// solo, predict the mix with StatCC, simulate the shared-LLC co-run, and
-// return the per-app comparison.
-func CompareCoRun(profs []*workload.Profile, cfg CoSimConfig) []CoRunApp {
-	cals := make([]SoloCalibration, len(profs))
-	for i, p := range profs {
-		cals[i] = Calibrate(p, cfg)
-	}
-	sim := SimulateCoRun(profs, cfg)
-	return BuildComparison(cals, sim, Predict(cals, cfg))
-}

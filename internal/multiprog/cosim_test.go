@@ -83,7 +83,11 @@ func TestStatCCMatchesCoSim(t *testing.T) {
 	for _, llcKiB := range []uint64{64, 256} {
 		for mixName, profs := range validationMixes() {
 			cfg := coTestConfig(llcKiB)
-			cmp := CompareCoRun(profs, cfg)
+			cals := make([]SoloCalibration, len(profs))
+			for i, p := range profs {
+				cals[i] = Calibrate(p, cfg)
+			}
+			cmp := BuildComparison(cals, SimulateCoRun(profs, cfg), Predict(cals, cfg))
 			for _, a := range cmp {
 				t.Logf("%s/%dKiB %-6s sim miss %.4f pred %.4f (err %.4f) | sim CPI %.3f pred %.3f (err %.1f%%) | dil sim %.2f pred %.2f",
 					mixName, llcKiB, a.Name, a.SimMissRatio, a.PredMissRatio, a.MissError(),

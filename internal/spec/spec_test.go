@@ -225,24 +225,29 @@ func TestSeedConfig(t *testing.T) {
 	}
 }
 
-// TestConfigRoundTrip: warm.Config and the co-run/DSE parameter structs
-// are durable — they survive JSON with full equality and reject unknown
-// fields on strict decode.
+// TestConfigRoundTrip: warm.Config is durable — a spec carrying it
+// survives JSON through spec.Decode with full equality and the same key.
+// Strict decoding of unknown fields, nested ones included, is
+// TestDecodeStrict's.
 func TestConfigRoundTrip(t *testing.T) {
 	cfg := warm.DefaultConfig()
-	b, err := json.Marshal(cfg)
+	s, err := spec.New(spec.SamplingParams{Bench: spec.BenchRef{Name: "mcf"}, Method: spec.MethodSMARTS, Cfg: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := warm.DecodeConfig(b)
+	b, err := json.Marshal(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(back, cfg) {
-		t.Errorf("warm.Config did not round-trip:\n got  %+v\n want %+v", back, cfg)
+	back, err := spec.Decode(b)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := warm.DecodeConfig([]byte(`{"Regions": 1, "NotAField": 2}`)); err == nil {
-		t.Error("DecodeConfig accepted an unknown field")
+	if got := back.Params().(spec.SamplingParams).Cfg; !reflect.DeepEqual(got, cfg) {
+		t.Errorf("warm.Config did not round-trip:\n got  %+v\n want %+v", got, cfg)
+	}
+	if back.Key() != s.Key() {
+		t.Errorf("round-tripped spec key %s, want %s", back.Key(), s.Key())
 	}
 }
 

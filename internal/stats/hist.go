@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
 )
 
 // SubBuckets is the number of histogram buckets per power of two. Four
@@ -290,18 +289,4 @@ func GeoMean(xs []float64) float64 {
 		return 0
 	}
 	return math.Exp(s / float64(n))
-}
-
-// Median returns the median of xs (0 for empty input).
-func Median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	c := append([]float64(nil), xs...)
-	sort.Float64s(c)
-	m := len(c) / 2
-	if len(c)%2 == 1 {
-		return c[m]
-	}
-	return (c[m-1] + c[m]) / 2
 }

@@ -122,17 +122,11 @@ func TestSummaryStats(t *testing.T) {
 	if m := Mean(xs); m != 2.5 {
 		t.Errorf("Mean = %f, want 2.5", m)
 	}
-	if m := Median(xs); m != 2.5 {
-		t.Errorf("Median = %f, want 2.5", m)
-	}
-	if m := Median([]float64{3, 1, 2}); m != 2 {
-		t.Errorf("Median odd = %f, want 2", m)
-	}
 	g := GeoMean([]float64{1, 4})
 	if math.Abs(g-2) > 1e-9 {
 		t.Errorf("GeoMean = %f, want 2", g)
 	}
-	if Mean(nil) != 0 || GeoMean(nil) != 0 || Median(nil) != 0 {
+	if Mean(nil) != 0 || GeoMean(nil) != 0 {
 		t.Error("empty-input summaries should be 0")
 	}
 }

@@ -110,76 +110,3 @@ func FuzzMissRatioModel(f *testing.F) {
 		}
 	})
 }
-
-// FuzzStatCacheFixedPoint: the StatCache random-replacement fixed point
-// must converge to a miss ratio in [0,1] that is non-increasing in cache
-// size and at least the cold fraction.
-func FuzzStatCacheFixedPoint(f *testing.F) {
-	f.Add(uint64(3), uint64(2000), uint16(800), uint8(8), uint64(256), uint64(8192))
-	f.Add(uint64(21), uint64(1<<16), uint16(1500), uint8(0), uint64(16), uint64(1<<18))
-	f.Add(uint64(8), uint64(1), uint16(100), uint8(100), uint64(1), uint64(2))
-	f.Fuzz(func(t *testing.T, seed, spread uint64, n uint16, coldN uint8, small, big uint64) {
-		if small == 0 {
-			small = 1
-		}
-		if big > 1<<32 {
-			big %= 1 << 32
-		}
-		if small > 1<<32 {
-			small %= 1 << 32
-		}
-		if small == 0 || big == 0 {
-			return
-		}
-		if small > big {
-			small, big = big, small
-		}
-		h := fuzzHist(seed, spread, n, coldN)
-		mrSmall := StatCacheMissRatio(h, small)
-		mrBig := StatCacheMissRatio(h, big)
-		for _, mr := range []float64{mrSmall, mrBig} {
-			if mr < 0 || mr > 1+1e-9 || math.IsNaN(mr) {
-				t.Fatalf("StatCache miss ratio out of [0,1]: %f / %f", mrSmall, mrBig)
-			}
-		}
-		if h.Weight() > 0 {
-			if cold := h.ColdFraction(); mrSmall < cold-1e-6 || mrBig < cold-1e-6 {
-				t.Fatalf("miss ratio below cold fraction %f: %f / %f", cold, mrSmall, mrBig)
-			}
-		}
-		if mrBig > mrSmall+1e-6 {
-			t.Fatalf("StatCache miss ratio increased with size: %f @%d -> %f @%d",
-				mrSmall, small, mrBig, big)
-		}
-	})
-}
-
-// TestStatCacheConvergence: the fixed point must be insensitive to the
-// iteration budget once converged — rerunning from the returned value's
-// residual must reproduce it (the solver stops on a 1e-9 delta).
-func TestStatCacheConvergence(t *testing.T) {
-	for _, seed := range []uint64{1, 17, 251} {
-		h := fuzzHist(seed, 1<<18, 5000, 20)
-		for _, lines := range []uint64{512, 4096, 65536} {
-			a := StatCacheMissRatio(h, lines)
-			b := StatCacheMissRatio(h, lines)
-			if a != b {
-				t.Errorf("seed %d lines %d: StatCache not deterministic: %v vs %v", seed, lines, a, b)
-			}
-			// Residual check: a converged m satisfies m = E[1-(1-1/L)^(d·m)] + cold.
-			L := float64(lines)
-			var acc float64
-			h.Buckets(func(lo, hi uint64, bw float64) {
-				mid := (float64(lo) + float64(hi-1)) / 2
-				if mid < 1 {
-					mid = 1
-				}
-				acc += bw / h.Weight() * (1 - math.Pow(1-1/L, mid*a))
-			})
-			resid := math.Abs(acc + h.ColdFraction() - a)
-			if resid > 1e-6 {
-				t.Errorf("seed %d lines %d: fixed-point residual %g too large (m=%f)", seed, lines, resid, a)
-			}
-		}
-	}
-}

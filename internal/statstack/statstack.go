@@ -5,9 +5,6 @@
 //     — cheap to sample — into stack distances, which directly predict
 //     hit/miss in fully-associative LRU caches. This is the model both RSW
 //     (CoolSim) and DSW (DeLorean) feed with their sampled distributions.
-//   - StatCache (Berg & Hagersten, ISPASS 2004): the fixed-point model for
-//     random-replacement caches, included for the paper's §4.1 generality
-//     argument.
 //   - The limited-associativity model of CoolSim: dominant large strides
 //     concentrate accesses in a subset of the cache sets, effectively
 //     shrinking the cache; the classifier uses it to call conflict misses.
@@ -25,7 +22,6 @@
 package statstack
 
 import (
-	"math"
 	"slices"
 	"sort"
 
@@ -144,53 +140,4 @@ func (m *Model) MissRatio(h *stats.RDHist, cacheLines uint64) float64 {
 	}
 	thr := m.ThresholdRD(cacheLines)
 	return h.CCDF(thr)
-}
-
-// CurvePoint is one point of a miss-ratio curve.
-type CurvePoint struct {
-	CacheLines uint64
-	MissRatio  float64
-}
-
-// MissRatioCurve evaluates the model across the given cache sizes (the
-// working-set-curve use case, Fig. 13).
-func MissRatioCurve(h *stats.RDHist, sizes []uint64) []CurvePoint {
-	m := New(h)
-	out := make([]CurvePoint, 0, len(sizes))
-	for _, s := range sizes {
-		out = append(out, CurvePoint{CacheLines: s, MissRatio: m.MissRatio(h, s)})
-	}
-	return out
-}
-
-// StatCacheMissRatio solves the StatCache fixed point for a random-
-// replacement cache of cacheLines lines: the steady-state miss ratio M
-// satisfies M = E_d[1 - (1 - M/L)^d] + cold. Included for §4.1 generality.
-func StatCacheMissRatio(h *stats.RDHist, cacheLines uint64) float64 {
-	if h == nil || h.Weight() == 0 || cacheLines == 0 {
-		return 0
-	}
-	L := float64(cacheLines)
-	cold := h.ColdFraction()
-	w := h.Weight()
-	miss := 0.5
-	for iter := 0; iter < 100; iter++ {
-		var acc float64
-		h.Buckets(func(lo, hi uint64, bw float64) {
-			mid := (float64(lo) + float64(hi-1)) / 2
-			if mid < 1 {
-				mid = 1
-			}
-			// Probability the line was evicted before its reuse: each of the
-			// ~mid*miss misses in the window evicts it with probability 1/L.
-			p := 1 - math.Pow(1-1/L, mid*miss)
-			acc += bw / w * p
-		})
-		next := acc + cold
-		if math.Abs(next-miss) < 1e-9 {
-			return next
-		}
-		miss = next
-	}
-	return miss
 }

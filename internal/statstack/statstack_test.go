@@ -136,50 +136,6 @@ func TestUniformRandomModel(t *testing.T) {
 	}
 }
 
-func TestMissRatioCurve(t *testing.T) {
-	h := pointMass(512, 1000)
-	pts := MissRatioCurve(h, []uint64{64, 256, 1024, 4096})
-	if len(pts) != 4 {
-		t.Fatalf("got %d points", len(pts))
-	}
-	if pts[0].MissRatio < 0.9 || pts[3].MissRatio > 0.1 {
-		t.Errorf("curve endpoints wrong: %+v", pts)
-	}
-}
-
-// TestStatCache: random replacement must fall between "always miss" and
-// the LRU prediction, and be monotone in size.
-func TestStatCache(t *testing.T) {
-	h := pointMass(1024, 5000)
-	prev := 1.1
-	for _, c := range []uint64{128, 512, 2048, 8192} {
-		mr := StatCacheMissRatio(h, c)
-		if mr < 0 || mr > 1 {
-			t.Fatalf("StatCache miss ratio %f out of range", mr)
-		}
-		if mr > prev+1e-9 {
-			t.Fatalf("StatCache not monotone at %d", c)
-		}
-		prev = mr
-	}
-	// Random replacement misses more than LRU for caches just above the
-	// working set (classic result).
-	lru := New(h).MissRatio(h, 2048)
-	rnd := StatCacheMissRatio(h, 2048)
-	if rnd < lru {
-		t.Errorf("random (%f) should miss at least as much as LRU (%f) just above WS", rnd, lru)
-	}
-}
-
-func TestStatCacheEdgeCases(t *testing.T) {
-	if StatCacheMissRatio(nil, 100) != 0 {
-		t.Error("nil hist should give 0")
-	}
-	if StatCacheMissRatio(pointMass(10, 10), 0) != 0 {
-		t.Error("zero-size cache should give 0 (guard)")
-	}
-}
-
 // TestAssocModelDominantStride: a 8-line stride touches 1/8 of the sets;
 // the factor should be near 1/8.
 func TestAssocModelDominantStride(t *testing.T) {

@@ -3,8 +3,10 @@ package vm
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -12,6 +14,19 @@ import (
 	"repro/internal/mem"
 	"repro/internal/workload"
 )
+
+// watchedLines lists the lines w watches, in ascending order.
+func watchedLines(w *Watchpoints) []mem.Line {
+	var out []mem.Line
+	w.pages.Range(func(p mem.Page, bm uint64) bool {
+		for ; bm != 0; bm &= bm - 1 {
+			out = append(out, mem.LineOf(p.Base())+mem.Line(bits.TrailingZeros64(bm)))
+		}
+		return true
+	})
+	slices.Sort(out)
+	return out
+}
 
 // refRunVDP is the per-instruction RunVDP that builds every instruction
 // through Program.Next, kept as the reference oracle for the batched one:
@@ -241,7 +256,7 @@ func checkVDPCalls(t *testing.T, prof *workload.Profile, calls []vdpCall, keys b
 	if !reflect.DeepEqual(bat.Counters, ref.Counters) {
 		t.Fatalf("keys %v: ledger differs:\nbatched:\n%s\nreference:\n%s", keys, bat.Counters, ref.Counters)
 	}
-	if !reflect.DeepEqual(br.wps.State(), rr.wps.State()) {
+	if !slices.Equal(watchedLines(br.wps), watchedLines(rr.wps)) {
 		t.Fatalf("keys %v: watchpoint sets diverged", keys)
 	}
 	for i := 0; i < 1000; i++ {
@@ -316,8 +331,10 @@ func TestSplitVDPWalkPanics(t *testing.T) {
 			ref.sampleCount = eng.sampleCount
 			rr := &vdpRecorder{wps: NewWatchpoints(), pending: map[mem.Line]bool{}}
 			br := &vdpRecorder{wps: NewWatchpoints(), pending: map[mem.Line]bool{}}
-			rr.wps.SetState(rec.wps.State())
-			br.wps.SetState(rec.wps.State())
+			for _, l := range watchedLines(rec.wps) {
+				rr.wps.Watch(l)
+				br.wps.Watch(l)
+			}
 			for _, n := range []uint64{vdpSplitMin + 1_001, 2_001} {
 				ref.refRunVDP(n, rr.config(150, false))
 				eng.RunVDP(n, br.config(150, false))

@@ -15,8 +15,6 @@
 package warm
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 
@@ -105,22 +103,6 @@ func DefaultConfig() Config {
 		Cost:        vm.DefaultCostModel(),
 		Seed:        1,
 	}
-}
-
-// DecodeConfig parses a JSON-encoded Config strictly: unknown fields are
-// rejected (recursively, nested structs included), so a spec written
-// against a future Config revision fails loudly instead of silently
-// dropping the field it depended on. Absent fields keep their zero value —
-// callers that want paper defaults should overlay onto DefaultConfig()
-// before encoding, not after decoding.
-func DecodeConfig(b []byte) (Config, error) {
-	var cfg Config
-	dec := json.NewDecoder(bytes.NewReader(b))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&cfg); err != nil {
-		return Config{}, err
-	}
-	return cfg, nil
 }
 
 // MaxLLCBytes bounds the scaled LLC a spec may request. cache.New sizes
