@@ -114,19 +114,38 @@ func FuzzCheckEnvelope(f *testing.F) {
 	})
 }
 
-// FuzzStoreRaw fuzzes the lab service's read path: the bytes a blob holds
-// under a valid key, served through Store.Raw. Raw must never panic, and
-// either misses or returns exactly the payload and kind of an envelope
-// that names the key, hashes to its sha256 field and belongs to a
-// registered kind at that kind's codec version. A blob that fails those
+// FuzzStoreRaw fuzzes the store's read paths on the bytes a blob holds
+// under a valid key: Store.Raw (the lab service's artifact route),
+// Store.Verify (its job path) and Store.Load (every value-wanting
+// caller), each called on a fresh copy of the blob. None may panic.
+//
+// Raw either misses or returns exactly the payload and kind of an
+// envelope that names the key, hashes to its sha256 field and belongs to
+// a registered kind at that kind's codec version. A blob that fails those
 // checks is dropped and counted as corrupt; an intact envelope of an
-// unregistered kind is a plain miss and stays on disk. The seed corpus
-// (testdata/fuzz) holds a valid envelope, a wrong schema, a key mismatch,
-// a hash mismatch, an unregistered kind, a codec-version skew, truncated
-// JSON and an empty file.
+// unregistered kind is a plain miss and stays on disk.
+//
+// Verify(kind, key) holds exactly when Raw serves an artifact of that
+// kind, and whenever Load succeeds. Every Verify or Load that fails on a
+// local blob drops it and counts it corrupt once; each call counts one
+// load, and a miss one load miss. The one intended difference between
+// the two: a payload that passes every gate but that the codec cannot
+// decode verifies (Raw serves it too), while Load drops it and misses.
+// Save never writes one; only a hand-written blob can hold it.
+//
+// The seed corpus (testdata/fuzz) holds a valid envelope, a wrong schema,
+// a key mismatch, a hash mismatch, an unregistered kind, a codec-version
+// skew, truncated JSON and an empty file.
 func FuzzStoreRaw(f *testing.F) {
 	const key = "0123456789abcdef0123456789abcdef0123456789abcdef0123456789abcdef"
-	codecs := map[string]Codec{"test": {Version: 1}}
+	codecs := map[string]Codec{"test": {Version: 1, Decode: func(b []byte) (any, error) {
+		var v struct {
+			Name string
+			Vals []int
+		}
+		err := json.Unmarshal(b, &v)
+		return v, err
+	}}}
 	b, err := NewDiskBlob(f.TempDir())
 	if err != nil {
 		f.Fatal(err)
@@ -135,19 +154,31 @@ func FuzzStoreRaw(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	// read puts raw under key and runs one read path on it, reporting
+	// whether it served, whether the blob is still stored, and the
+	// change in the corrupt, load and load-miss counters.
+	read := func(t *testing.T, raw []byte, path func() bool) (ok, kept bool, corrupt, loads, misses uint64) {
+		if !b.Put(key, raw) {
+			t.Fatal("blob put failed")
+		}
+		before := st.Stats()
+		ok = path()
+		_, kept = b.Get(key)
+		after := st.Stats()
+		return ok, kept, after.Corrupt - before.Corrupt, after.Loads - before.Loads, after.LoadMisses - before.LoadMisses
+	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		var env envelope
 		parsed := json.Unmarshal(raw, &env) == nil
 		sum := sha256.Sum256(env.Payload)
 		intact := parsed && env.Schema == Schema && env.Key == key && hex.EncodeToString(sum[:]) == env.SHA256
 		codec, registered := codecs[env.Kind]
-		if !b.Put(key, raw) {
-			t.Fatal("blob put failed")
-		}
-		corrupt := st.Stats().Corrupt
-		payload, kind, ok := st.Raw(key)
-		_, kept := b.Get(key)
-		dropped := st.Stats().Corrupt - corrupt
+		var payload []byte
+		var kind string
+		ok, kept, dropped, _, _ := read(t, raw, func() (ok bool) {
+			payload, kind, ok = st.Raw(key)
+			return ok
+		})
 		switch {
 		case intact && registered && env.CodecVersion == codec.Version:
 			if !ok || !bytes.Equal(payload, env.Payload) || kind != env.Kind {
@@ -163,6 +194,33 @@ func FuzzStoreRaw(f *testing.F) {
 		default:
 			if ok || dropped != 1 || kept {
 				t.Fatalf("bad blob: served %v, counted corrupt %d times, still stored %v", ok, dropped, kept)
+			}
+		}
+
+		served := ok && kind == "test"
+		verified, vKept, vDropped, vLoads, vMisses := read(t, raw, func() bool { return st.Verify("test", key) })
+		if verified != served {
+			t.Fatalf("Verify = %v, but Raw served %v with kind %q", verified, ok, kind)
+		}
+		loaded, lKept, lDropped, lLoads, lMisses := read(t, raw, func() bool {
+			_, ok := st.Load("test", key)
+			return ok
+		})
+		_, decErr := codecs["test"].Decode(env.Payload)
+		if loaded != (verified && decErr == nil) {
+			t.Fatalf("Load = %v, Verify = %v, payload decodes: %v", loaded, verified, decErr == nil)
+		}
+		for _, c := range []struct {
+			name                   string
+			ok, kept               bool
+			dropped, loads, misses uint64
+		}{{"Verify", verified, vKept, vDropped, vLoads, vMisses}, {"Load", loaded, lKept, lDropped, lLoads, lMisses}} {
+			wantDropped, wantMisses := uint64(1), uint64(1)
+			if c.ok {
+				wantDropped, wantMisses = 0, 0
+			}
+			if c.kept != c.ok || c.dropped != wantDropped || c.loads != 1 || c.misses != wantMisses {
+				t.Fatalf("%s served %v: still stored %v, counted corrupt %d, loads %d, load misses %d", c.name, c.ok, c.kept, c.dropped, c.loads, c.misses)
 			}
 		}
 	})

@@ -74,6 +74,8 @@ type envelope struct {
 // (evictions), cache effectiveness (hits vs misses) and integrity
 // failures (corrupt) on a running service.
 type Stats struct {
+	// Loads counts Load and Verify calls, LoadMisses those that served
+	// nothing.
 	Loads      uint64 `json:"loads"`
 	LoadMisses uint64 `json:"load_misses"`
 	// Hits is derived (Loads - LoadMisses): loads served from a valid
@@ -247,6 +249,25 @@ func (s *Store) blobTouch(key string) {
 // one is attached. Blob reads and decoding run outside the store lock so
 // a warm run's concurrent loads don't serialize on it.
 func (s *Store) Load(kind, key string) (any, bool) {
+	return s.load(kind, key, true)
+}
+
+// Verify reports whether the store holds a valid artifact for (kind,
+// key): Load without the payload decode, for a caller that only needs to
+// know the result exists. It applies Load's gates (schema, key, kind,
+// codec version, payload SHA-256), drops and counts a corrupt blob, falls
+// through to the peer tier and persists a peer's copy locally, and counts
+// one load or miss exactly as Load does. The one difference: a payload
+// that passes every gate but that the codec cannot decode verifies, where
+// Load drops it and misses. Only a hand-written blob can be such a
+// payload (Save stores what the codec encoded), and Raw serves it too.
+func (s *Store) Verify(kind, key string) bool {
+	_, ok := s.load(kind, key, false)
+	return ok
+}
+
+// load is Load (decode) and Verify (!decode; the value is then nil).
+func (s *Store) load(kind, key string, decode bool) (any, bool) {
 	codec, hasCodec := s.codecs[kind] // codecs map is immutable after Open
 	if !hasCodec || !validKey(key) {
 		s.miss()
@@ -260,9 +281,9 @@ func (s *Store) Load(kind, key string) (any, bool) {
 		s.mu.Lock()
 		s.dropLocked(key)
 		s.mu.Unlock()
-		return s.loadFromPeers(kind, key, codec)
+		return s.loadFromPeers(kind, key, codec, decode)
 	}
-	val, err := decodeEnvelope(raw, kind, key, codec)
+	val, err := openArtifact(raw, kind, key, codec, decode)
 	size := int64(len(raw))
 	// The decoded value is independent of raw: the envelope's RawMessage
 	// payload is a copy, and every field of the decoded artifact is built
@@ -276,7 +297,7 @@ func (s *Store) Load(kind, key string) (any, bool) {
 		s.mu.Unlock()
 		// The local copy was corrupt and has been dropped; a peer may
 		// still hold a good one.
-		return s.loadFromPeers(kind, key, codec)
+		return s.loadFromPeers(kind, key, codec, decode)
 	}
 	s.loads++
 	s.touchLocked(key, size, kind)
@@ -285,19 +306,20 @@ func (s *Store) Load(kind, key string) (any, bool) {
 	return val, true
 }
 
-// loadFromPeers finishes a Load whose local blob missed: fetch an
+// loadFromPeers finishes a load whose local blob missed: fetch an
 // integrity-verified envelope from the fleet, persist it locally
-// (read-through), decode and serve it. Exactly one load (and at most one
-// miss) is counted per Load call, whichever branch finishes it; a local
-// integrity failure was already counted as corrupt when it was dropped.
-func (s *Store) loadFromPeers(kind, key string, codec Codec) (any, bool) {
+// (read-through), and serve it (decoded when asked). Exactly one load
+// (and at most one miss) is counted per call, whichever branch finishes
+// it; a local integrity failure was already counted as corrupt when it
+// was dropped.
+func (s *Store) loadFromPeers(kind, key string, codec Codec, decode bool) (any, bool) {
 	if s.peers != nil {
 		if raw, ok := s.peers.Get(key); ok {
 			// PeerBlob verified schema/key/payload-hash; the kind and
 			// codec-version gates are ours. A mismatch (version skew
 			// across the fleet) is a plain miss — the peer's copy may be
 			// valid for a newer deployment and is left alone.
-			if val, err := decodeEnvelope(raw, kind, key, codec); err == nil {
+			if val, err := openArtifact(raw, kind, key, codec, decode); err == nil {
 				persisted := s.blob.Put(key, raw)
 				s.mu.Lock()
 				s.loads++
@@ -514,9 +536,10 @@ func CheckEnvelope(key string, raw []byte) (kind string, codecVersion int, err e
 	return env.Kind, env.CodecVersion, err
 }
 
-// decodeEnvelope verifies raw as an artifact of kind written by codec's
-// version and decodes its payload.
-func decodeEnvelope(raw []byte, kind, key string, codec Codec) (any, error) {
+// openArtifact verifies raw as an artifact of kind written by codec's
+// version and, when decode is set, decodes its payload (otherwise the
+// value is nil).
+func openArtifact(raw []byte, kind, key string, codec Codec, decode bool) (any, error) {
 	env, err := openEnvelope(key, raw)
 	if err != nil {
 		return nil, err
@@ -526,6 +549,9 @@ func decodeEnvelope(raw []byte, kind, key string, codec Codec) (any, error) {
 	}
 	if err := checkVersion(env, codec); err != nil {
 		return nil, err
+	}
+	if !decode {
+		return nil, nil
 	}
 	return codec.Decode(env.Payload)
 }

@@ -259,7 +259,9 @@ func (l *ledger) start(j *job) error {
 // finish moves j to its terminal state and wakes its waiters. A result
 // the store indexes is not kept in memory: the artifact route serves it
 // from the store, and a long-running daemon's ledger must not hold every
-// result.
+// result. A store hit arrives as a nil val (verified, not decoded); if
+// its artifact has left the index by now the job holds no result, so the
+// artifact route answers 404 and a resubmit re-runs it.
 func (l *ledger) finish(j *job, val any, err error) {
 	key := j.spec.Key()
 	l.mu.Lock()

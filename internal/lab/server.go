@@ -307,7 +307,9 @@ func (s *Server) run(j *job) {
 		s.jobs.finish(j, nil, err)
 		return
 	}
-	val, err := s.eng.RunSpecCtx(j.ctx, j.spec)
+	// The artifact route serves a stored result from the store, so a
+	// store hit is verified, not decoded: val is then nil.
+	val, err := s.eng.EnsureSpecCtx(j.ctx, j.spec)
 	s.jobs.finish(j, val, err)
 }
 

@@ -5,11 +5,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -417,5 +419,67 @@ func TestJournalStoredJobPinsItsArtifact(t *testing.T) {
 	fill(4, 7)
 	if _, ok := r.store.StatKey(key); ok {
 		t.Error("the artifact outlived three newer saves after its job finished; want its pin released")
+	}
+}
+
+// TestStoreHitJobDecodesNothing: a job the store can answer is served by
+// verifying the artifact's envelope, not by decoding its payload. After a
+// restart over a filled store, resubmitting an executed spec runs no
+// codec Decode and no execution, and the artifact route still serves the
+// stored payload.
+func TestStoreHitJobDecodesNothing(t *testing.T) {
+	var decodes atomic.Int64
+	codecs := spec.Codecs()
+	for kind, c := range codecs {
+		dec := c.Decode
+		c.Decode = func(b []byte) (any, error) {
+			decodes.Add(1)
+			return dec(b)
+		}
+		codecs[kind] = c
+	}
+	dir := t.TempDir()
+	// start serves labd over the store in dir, as a restart does.
+	start := func() *storeFirstRig {
+		st, err := artifact.Open(dir, 0, codecs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := &storeFirstRig{store: st, eng: runner.New(1)}
+		r.eng.Store = st
+		r.srv = NewServerOpts(r.eng, st, Options{})
+		r.ts = httptest.NewServer(r.srv.Handler())
+		t.Cleanup(r.ts.Close)
+		return r
+	}
+	body, key := probeSpec(t, "decodes")
+
+	first := start()
+	first.submit(t, body)
+	if st := first.wait(t, key); st.State != StateDone || st.FromStore {
+		t.Fatalf("first run: %+v, want done by execution", st)
+	}
+	first.ts.Close()
+
+	decodes.Store(0)
+	r := start()
+	r.submit(t, body)
+	if st := r.wait(t, key); st.State != StateDone || !st.FromStore {
+		t.Fatalf("after restart: %+v, want done from the store", st)
+	}
+	if n := r.eng.Executions(); n != 0 {
+		t.Errorf("store-served job executed %d times, want 0", n)
+	}
+	if n := decodes.Load(); n != 0 {
+		t.Errorf("store-served job ran %d payload decodes, want 0", n)
+	}
+	resp, err := http.Get(r.ts.URL + "/v1/artifacts/" + key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK || string(payload) != `"ran"` {
+		t.Errorf("artifact route: status %d, payload %q (%v); want 200 and the stored payload", resp.StatusCode, payload, err)
 	}
 }

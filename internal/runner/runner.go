@@ -69,7 +69,7 @@ type Sub interface {
 // Store is the persistent tier behind the in-memory result cache. Load
 // misses on absent, corrupt or incompatible artifacts (never errors — the
 // runner recomputes); Save persists best-effort. internal/artifact
-// implements it.
+// implements it, and adds the Verify method EnsureSpecCtx prefers.
 type Store interface {
 	Load(kind, key string) (any, bool)
 	Save(kind, key string, val any)
@@ -129,6 +129,16 @@ type cacheEntry struct {
 	val       any
 	err       error
 	fromStore bool
+	// verified marks a store hit that checked the artifact without
+	// decoding it (EnsureSpecCtx): val is nil, and a joiner that needs the
+	// value loads its own copy.
+	verified bool
+}
+
+// verifier is the optional store method behind EnsureSpecCtx:
+// *artifact.Store has it; a store without it is asked to Load.
+type verifier interface {
+	Verify(kind, key string) bool
 }
 
 // New returns an engine with the given worker bound (<= 0: GOMAXPROCS).
@@ -182,7 +192,7 @@ func (e *Engine) RunMatrix(jobs []Job) []any {
 	out := make([]any, len(jobs))
 	done := 0
 	ForEach(len(jobs), e.Workers, func(i int) {
-		v, err := e.runJob(context.Background(), jobs[i].Spec, len(jobs), &done)
+		v, err := e.runJob(context.Background(), jobs[i].Spec, len(jobs), &done, true)
 		if err != nil {
 			bench, method, _ := jobs[i].Spec.Identity()
 			panic(fmt.Sprintf("runner: job %s/%s (%s): %v", bench, method, jobs[i].Spec.Kind(), err))
@@ -208,7 +218,19 @@ func (e *Engine) RunSpec(s Spec) (any, error) {
 // engine without restart.
 func (e *Engine) RunSpecCtx(ctx context.Context, s Spec) (any, error) {
 	done := 0
-	return e.runJob(ctx, s, 1, &done)
+	return e.runJob(ctx, s, 1, &done, true)
+}
+
+// EnsureSpecCtx is RunSpecCtx for a top-level caller that discards a
+// stored value (the lab service, which serves artifacts from the store):
+// when the store holds the result it is verified but not decoded, and
+// the call returns (nil, nil). Otherwise it returns what RunSpecCtx
+// would. Cancellation, single-flight, the store-hit count and the
+// progress event are RunSpecCtx's. A store without a Verify method is
+// asked to Load, as RunSpecCtx does.
+func (e *Engine) EnsureSpecCtx(ctx context.Context, s Spec) (any, error) {
+	done := 0
+	return e.runJob(ctx, s, 1, &done, false)
 }
 
 // Context implements Sub for the engine itself (top-level RunMatrix
@@ -234,7 +256,7 @@ type boundSub struct {
 
 func (b boundSub) RunSpec(s Spec) (any, error) {
 	done := 0
-	return b.e.runJob(b.ctx, s, 1, &done)
+	return b.e.runJob(b.ctx, s, 1, &done, true)
 }
 
 func (b boundSub) Context() context.Context { return b.ctx }
@@ -245,8 +267,10 @@ func (b boundSub) EngineStore() Store { return b.e.Store }
 // runJob executes one spec with single-flight caching: the first caller of
 // a key runs it (consulting the persistent store first), concurrent
 // duplicates block until the result lands. An executor panic fails the
-// job exactly as an executor error does (see execute).
-func (e *Engine) runJob(ctx context.Context, s Spec, total int, done *int) (any, error) {
+// job exactly as an executor error does (see execute). decode is false
+// only for EnsureSpecCtx, whose caller takes a verified store hit without
+// its value.
+func (e *Engine) runJob(ctx context.Context, s Spec, total int, done *int, decode bool) (any, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -268,6 +292,18 @@ func (e *Engine) runJob(ctx context.Context, s Spec, total int, done *int) (any,
 			// evicted (see below), so the caller may simply retry.
 			return nil, ent.err
 		}
+		if ent.verified && decode {
+			// The leader verified the artifact without decoding it, and
+			// this caller needs the value: it loads its own copy, or,
+			// should the artifact have left the store since, looks the
+			// key up afresh.
+			v, ok := e.Store.Load(s.Kind(), key)
+			if !ok {
+				return e.runJob(ctx, s, total, done, decode)
+			}
+			e.progress(s, key, total, done, true, true, time.Since(start))
+			return v, nil
+		}
 		e.progress(s, key, total, done, true, ent.fromStore, time.Since(start))
 		return ent.val, nil
 	}
@@ -276,8 +312,9 @@ func (e *Engine) runJob(ctx context.Context, s Spec, total int, done *int) (any,
 	e.mu.Unlock()
 
 	if e.Store != nil {
-		if v, ok := e.Store.Load(s.Kind(), key); ok {
-			ent.val, ent.fromStore = v, true
+		v, verified, ok := e.storeLookup(s.Kind(), key, decode)
+		if ok {
+			ent.val, ent.fromStore, ent.verified = v, true, verified
 			e.mu.Lock()
 			e.storeHits++
 			e.evictLocked(key, ent)
@@ -313,6 +350,17 @@ func (e *Engine) runJob(ctx context.Context, s Spec, total int, done *int) (any,
 	}
 	e.progress(s, key, total, done, false, false, time.Since(start))
 	return ent.val, ent.err
+}
+
+// storeLookup consults the store for key: Verify when the caller does
+// not decode and the store can verify (verified; the value is nil), Load
+// otherwise.
+func (e *Engine) storeLookup(kind, key string, decode bool) (val any, verified, ok bool) {
+	if v, can := e.Store.(verifier); can && !decode {
+		return nil, true, v.Verify(kind, key)
+	}
+	val, ok = e.Store.Load(kind, key)
+	return val, false, ok
 }
 
 // PanicError is the error of a job whose executor panicked: the panic

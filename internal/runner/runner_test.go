@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -489,5 +490,148 @@ func TestNestedContextPropagation(t *testing.T) {
 	cancel()
 	if err := <-errCh; !errors.Is(err, context.Canceled) {
 		t.Fatalf("nested cancellation: err = %v, want context.Canceled", err)
+	}
+}
+
+// verifyingStore is a memStore that can also verify a key without
+// loading it, as *artifact.Store does. It counts both calls, and when
+// hold is set, Verify signals entered and blocks until hold is closed.
+type verifyingStore struct {
+	memStore
+	loads, verifies atomic.Int64
+	entered, hold   chan struct{}
+}
+
+func (s *verifyingStore) Load(kind, key string) (any, bool) {
+	s.loads.Add(1)
+	return s.memStore.Load(kind, key)
+}
+
+func (s *verifyingStore) Verify(kind, key string) bool {
+	s.verifies.Add(1)
+	if s.hold != nil {
+		close(s.entered)
+		<-s.hold
+	}
+	_, ok := s.memStore.Load(kind, key)
+	return ok
+}
+
+// TestEnsureSpecCtx: a store hit is verified, not loaded, and returns
+// (nil, nil) with RunSpecCtx's store-hit count and progress event; a
+// store without Verify is loaded instead; a miss executes and returns
+// the value.
+func TestEnsureSpecCtx(t *testing.T) {
+	ran := fnSpec{key: "ran", exec: func(runner.Sub) (any, error) { return "fresh", nil }}
+	stored := fnSpec{key: "stored", exec: func(runner.Sub) (any, error) {
+		return nil, errors.New("the stored spec executed")
+	}}
+	st := &verifyingStore{memStore: memStore{m: map[string]any{"stored": "v"}}}
+	eng := runner.New(1)
+	eng.Store = st
+	var events []runner.Progress
+	eng.OnProgress = func(p runner.Progress) { events = append(events, p) }
+
+	v, err := eng.EnsureSpecCtx(context.Background(), stored)
+	if v != nil || err != nil {
+		t.Fatalf("verified hit = (%v, %v), want (nil, nil)", v, err)
+	}
+	if st.verifies.Load() != 1 || st.loads.Load() != 0 {
+		t.Errorf("verified hit: %d verifies, %d loads; want 1, 0", st.verifies.Load(), st.loads.Load())
+	}
+	if eng.StoreHits() != 1 || eng.Executions() != 0 {
+		t.Errorf("verified hit: %d store hits, %d executions; want 1, 0", eng.StoreHits(), eng.Executions())
+	}
+	if len(events) != 1 || !events[0].Cached || !events[0].FromStore || events[0].Key != "stored" {
+		t.Errorf("verified hit: progress %+v, want one cached event from the store", events)
+	}
+
+	if v, err := eng.EnsureSpecCtx(context.Background(), ran); v != "fresh" || err != nil {
+		t.Fatalf("miss = (%v, %v), want the executed value", v, err)
+	}
+	if eng.Executions() != 1 {
+		t.Errorf("miss: %d executions, want 1", eng.Executions())
+	}
+
+	plain := runner.New(1)
+	plain.Store = &memStore{m: map[string]any{"stored": "v"}}
+	if v, err := plain.EnsureSpecCtx(context.Background(), stored); v != "v" || err != nil {
+		t.Fatalf("store without Verify = (%v, %v), want the loaded value", v, err)
+	}
+}
+
+// TestEnsureSingleFlightWithNestedRunSpec: an EnsureSpecCtx call and a
+// nested RunSpec of one stored key share its single-flight entry. The
+// nested caller needs the value, so it never gets nil: when it joins a
+// verified entry it loads its own copy. Nothing executes but the
+// parent, and each of the key's two lookups counts once, as the store
+// hit of the caller that led or the cache hit of the one that joined.
+// The first round forces the nested caller to join a pending Verify;
+// the rest start both callers together and let them race.
+func TestEnsureSingleFlightWithNestedRunSpec(t *testing.T) {
+	child := fnSpec{key: "child", exec: func(runner.Sub) (any, error) {
+		return nil, errors.New("the stored child executed")
+	}}
+	parent := fnSpec{key: "parent", exec: func(sub runner.Sub) (any, error) {
+		return sub.RunSpec(child)
+	}}
+	round := func(forced bool) {
+		t.Helper()
+		st := &verifyingStore{memStore: memStore{m: map[string]any{"child": "stored"}}}
+		if forced {
+			st.entered, st.hold = make(chan struct{}), make(chan struct{})
+		}
+		eng := runner.New(2)
+		eng.Store = st
+		var (
+			wg               sync.WaitGroup
+			ensured, nested  any
+			ensErr, nestErr  error
+			start            = make(chan struct{})
+			ensureGo, nestGo = start, start
+		)
+		if forced {
+			nestGo = st.entered
+		}
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			<-ensureGo
+			ensured, ensErr = eng.EnsureSpecCtx(context.Background(), child)
+		}()
+		go func() {
+			defer wg.Done()
+			<-nestGo
+			nested, nestErr = eng.RunSpec(parent)
+		}()
+		close(start)
+		if forced {
+			// Release the Verify once the nested caller has joined it.
+			for hits, _ := eng.CacheStats(); hits == 0; hits, _ = eng.CacheStats() {
+				runtime.Gosched()
+			}
+			close(st.hold)
+		}
+		wg.Wait()
+		if nestErr != nil || nested != "stored" {
+			t.Fatalf("nested RunSpec = (%v, %v), want the stored value", nested, nestErr)
+		}
+		if ensErr != nil || (ensured != nil && ensured != "stored") {
+			t.Fatalf("EnsureSpecCtx = (%v, %v), want nil or the stored value", ensured, ensErr)
+		}
+		if n := eng.Executions(); n != 1 {
+			t.Fatalf("%d executions, want 1 (the parent)", n)
+		}
+		hits, misses := eng.CacheStats()
+		if sh := eng.StoreHits(); sh < 1 || sh+hits != 2 || misses != 1 {
+			t.Fatalf("%d store hits, %d cache hits, %d misses; want the child's two lookups counted once each, at least one from the store, and the parent's miss", sh, hits, misses)
+		}
+		if forced && st.loads.Load() != 2 {
+			t.Fatalf("joiner of a verified entry: %d loads, want 2 (the parent's miss and the joiner's own copy)", st.loads.Load())
+		}
+	}
+	round(true)
+	for i := 0; i < 500; i++ {
+		round(false)
 	}
 }

@@ -29,6 +29,7 @@ import (
 	"hash/fnv"
 	"reflect"
 	"sort"
+	"sync"
 
 	"repro/internal/artifact"
 	"repro/internal/runner"
@@ -261,17 +262,17 @@ func canonicalKey(p Params) (string, error) {
 	h.Write([]byte{'\n'})
 	h.Write(canon)
 	if br, ok := p.(benchReferencer); ok {
+		suite, err := suiteJSON()
+		if err != nil {
+			return "", err
+		}
 		for _, r := range br.benchRefs() {
 			if r.Profile != nil {
 				continue // inline content is already in canon
 			}
-			prof := workload.ByName(r.Name)
-			if prof == nil {
+			pj, ok := suite[r.Name]
+			if !ok {
 				return "", fmt.Errorf("unknown benchmark %q", r.Name)
-			}
-			pj, err := json.Marshal(prof)
-			if err != nil {
-				return "", err
 			}
 			fmt.Fprintf(h, "\nbench:%s=", r.Name)
 			h.Write(pj)
@@ -279,6 +280,21 @@ func canonicalKey(p Params) (string, error) {
 	}
 	return hex.EncodeToString(h.Sum(nil)), nil
 }
+
+// suiteJSON maps each suite benchmark's name to its profile's JSON
+// encoding, the bytes canonicalKey folds in for a by-name reference.
+// Suite profiles are code, so one encoding per process serves every key.
+var suiteJSON = sync.OnceValues(func() (map[string][]byte, error) {
+	out := make(map[string][]byte)
+	for _, p := range workload.Benchmarks() {
+		pj, err := json.Marshal(p)
+		if err != nil {
+			return nil, err
+		}
+		out[p.Name] = pj
+	}
+	return out, nil
+})
 
 // Canonicalize re-encodes a JSON document with sorted object keys and
 // numbers preserved verbatim (json.Number round-trips the original text,
