@@ -240,7 +240,7 @@ func BenchmarkRunner_Matrix(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				cmp := sampling.RunAll(profs, cfg, sampling.Options{Parallel: workers, SkipSMARTS: true})
+				cmp := sampling.RunAll(profs, cfg, sampling.Options{Eng: runner.New(workers), SkipSMARTS: true})
 				b.ReportMetric(sampling.Summarize(cmp).DeLoreanMIPS, "DeLorean-MIPS")
 			}
 		})

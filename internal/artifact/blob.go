@@ -1,18 +1,21 @@
 // Blob is the raw byte tier under Store: opaque envelope bytes addressed
 // by hex SHA-256 keys. Store owns everything semantic — envelope
 // verification, codecs, LRU accounting — so a backend only has to move
-// bytes, and any S3-style remote can plug in by implementing these five
-// methods. DiskBlob (the local-disk layout) is the backend that ships;
-// the tests' FaultBlob (faultblob_test.go) wraps any backend to inject
-// storage faults. The fleet's peer tier (peer.go) is not a Blob: it only
-// reads, after a local miss.
+// bytes, and another backend plugs in by implementing the five methods of
+// the Blob interface. DiskBlob (the local-disk layout) is the backend that
+// ships; the tests' FaultBlob (faultblob_test.go) wraps any backend to
+// inject storage faults into the same pooled read the store takes over
+// DiskBlob. The fleet's peer tier (peer.go) is not a Blob: it only reads,
+// after a local miss.
 package artifact
 
 import (
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/faultpoint"
@@ -25,36 +28,26 @@ type BlobInfo struct {
 	ModTime time.Time
 }
 
-// Blob stores opaque artifact envelopes by validated hex key. All methods
-// must be safe for concurrent use and must not retain the data slice
-// passed to Put past the call (Store hands it a pooled buffer).
+// Blob stores opaque artifact envelopes by validated hex key: exactly
+// the methods Store calls. All methods must be safe for concurrent use and
+// must not retain the data slice passed to Put past the call (Store hands
+// it a pooled buffer).
 type Blob interface {
-	// Get returns the blob's bytes, or false if absent/unreadable.
-	Get(key string) ([]byte, bool)
+	// GetPooled reads the whole blob into a buffer the backend may reuse.
+	// The caller must not retain raw (or anything aliasing it) past its
+	// call to release. An absent blob is an error that matches
+	// fs.ErrNotExist; any other error is transient and leaves the blob
+	// stored.
+	GetPooled(key string) (raw []byte, release func(), err error)
 	// Put stores data under key, replacing any previous blob atomically.
 	Put(key string, data []byte) bool
-	// Stat reports the blob's size (and modification time where the
-	// backend has one) without reading it.
-	Stat(key string) (BlobInfo, bool)
+	// Touch refreshes the blob's recency stamp so LRU order survives a
+	// restart; a backend without durable recency does nothing.
+	Touch(key string)
 	// Delete removes the blob; true if it existed.
 	Delete(key string) bool
 	// List enumerates stored blobs in unspecified order.
 	List() []BlobInfo
-}
-
-// PooledGetter is an optional Blob fast path: Get without a per-read
-// allocation. release returns the buffer to its pool; the caller must not
-// retain raw (or anything aliasing it) past that call. DiskBlob
-// implements it; Store uses it when present.
-type PooledGetter interface {
-	GetPooled(key string) (raw []byte, release func(), err error)
-}
-
-// Toucher is an optional Blob extension: refresh a blob's recency stamp
-// so LRU order survives a restart. Backends without durable recency
-// simply don't implement it.
-type Toucher interface {
-	Touch(key string)
 }
 
 // DiskBlob is the local-disk backend: one file per artifact at
@@ -83,7 +76,8 @@ func (b *DiskBlob) path(key string) string {
 	return b.dir + string(filepath.Separator) + key[:2] + string(filepath.Separator) + key + ".json"
 }
 
-// Get reads the whole blob. Callers on the hot path use GetPooled.
+// Get reads the whole blob into a fresh buffer. Store reads through
+// GetPooled.
 func (b *DiskBlob) Get(key string) ([]byte, bool) {
 	if !validKey(key) {
 		return nil, false
@@ -95,12 +89,58 @@ func (b *DiskBlob) Get(key string) ([]byte, bool) {
 	return raw, true
 }
 
-// GetPooled reads the blob into a pooled buffer (see PooledGetter).
+// GetPooled reads the blob into a pooled buffer (see Blob).
 func (b *DiskBlob) GetPooled(key string) ([]byte, func(), error) {
 	if !validKey(key) {
 		return nil, nil, fs.ErrNotExist
 	}
 	return readPooled(b.path(key))
+}
+
+// readBuf is one pooled read buffer with its release func, built once
+// per buffer so a read allocates no closure.
+type readBuf struct {
+	b       []byte
+	release func()
+}
+
+// readPool holds file-read buffers: a read runs once per artifact on the
+// warm runner/labd path, and without reuse each one allocates (and
+// garbage-collects) a blob-sized buffer.
+var readPool sync.Pool
+
+func init() {
+	readPool.New = func() any {
+		rb := new(readBuf)
+		rb.release = func() { readPool.Put(rb) }
+		return rb
+	}
+}
+
+// readPooled reads the whole file into a pooled buffer. release returns
+// the buffer to the pool; the caller must not retain raw (or anything
+// aliasing it) past that call.
+func readPooled(path string) (raw []byte, release func(), err error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer f.Close()
+	info, err := f.Stat()
+	if err != nil {
+		return nil, nil, err
+	}
+	rb := readPool.Get().(*readBuf)
+	if need := int(info.Size()); cap(rb.b) < need {
+		rb.b = make([]byte, need)
+	} else {
+		rb.b = rb.b[:need]
+	}
+	if _, err := io.ReadFull(f, rb.b); err != nil {
+		rb.release()
+		return nil, nil, err
+	}
+	return rb.b, rb.release, nil
 }
 
 // Put writes data under key via temp-file + fsync + rename + directory

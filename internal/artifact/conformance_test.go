@@ -2,7 +2,9 @@ package artifact_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -91,7 +93,23 @@ func corruptOnDisk(t *testing.T, dir, k string) {
 	}
 }
 
-// TestBlobConformance: the raw Blob contract — Put/Get/Stat/List/Delete
+// get reads k through the Blob's pooled read and returns a copy of its
+// bytes. An absent blob must be an fs.ErrNotExist error, which is what
+// tells the store to drop its index entry; any other error fails the test.
+func get(t *testing.T, b artifact.Blob, k string) ([]byte, bool) {
+	t.Helper()
+	raw, release, err := b.GetPooled(k)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, false
+	}
+	if err != nil {
+		t.Fatalf("GetPooled(%s): %v, want the blob or fs.ErrNotExist", k[:4], err)
+	}
+	defer release()
+	return bytes.Clone(raw), true
+}
+
+// TestBlobConformance: the raw Blob contract — Put/GetPooled/List/Delete
 // over opaque keys — holds identically for every backend.
 func TestBlobConformance(t *testing.T) {
 	for _, be := range confBackends() {
@@ -103,14 +121,11 @@ func TestBlobConformance(t *testing.T) {
 			if !b.Put(k, env) {
 				t.Fatal("Put rejected a valid envelope")
 			}
-			got, ok := b.Get(k)
+			got, ok := get(t, b, k)
 			if !ok || !bytes.Equal(got, env) {
-				t.Fatalf("Get after Put: ok=%v, bytes match=%v", ok, bytes.Equal(got, env))
+				t.Fatalf("GetPooled after Put: ok=%v, bytes match=%v", ok, bytes.Equal(got, env))
 			}
-			info, ok := b.Stat(k)
-			if !ok || info.Size != int64(len(env)) {
-				t.Errorf("Stat = %+v ok=%v, want size %d", info, ok, len(env))
-			}
+			b.Touch(k)
 			var listed bool
 			for _, li := range b.List() {
 				if li.Key == k {
@@ -124,17 +139,19 @@ func TestBlobConformance(t *testing.T) {
 				t.Error("List does not include the stored key")
 			}
 
-			if _, ok := b.Get(key("cd")); ok {
-				t.Error("Get of an absent key reported present")
+			if _, ok := get(t, b, key("cd")); ok {
+				t.Error("GetPooled of an absent key reported present")
 			}
 			if !b.Delete(k) {
 				t.Error("Delete of a present key reported absent")
 			}
-			if _, ok := b.Get(k); ok {
-				t.Error("Get served a deleted blob")
+			if _, ok := get(t, b, k); ok {
+				t.Error("GetPooled served a deleted blob")
 			}
-			if _, ok := b.Stat(k); ok {
-				t.Error("Stat found a deleted blob")
+			for _, li := range b.List() {
+				if li.Key == k {
+					t.Error("List includes a deleted blob")
+				}
 			}
 			if b.Delete(k) {
 				t.Error("second Delete reported present")
@@ -211,7 +228,7 @@ func TestStoreConformance(t *testing.T) {
 			if _, ok := st.Load("test", key("bb")); ok {
 				t.Error("LRU artifact bb survived eviction")
 			}
-			if _, ok := b.Stat(key("bb")); ok {
+			if _, ok := get(t, b, key("bb")); ok {
 				t.Errorf("%s backend still holds evicted blob", be.name)
 			}
 			for _, k := range []string{key("aa"), key("cc")} {

@@ -114,16 +114,21 @@ func FuzzCheckEnvelope(f *testing.F) {
 	})
 }
 
-// FuzzStoreRaw fuzzes the store's read paths on the bytes a blob holds
-// under a valid key: Store.Raw (the lab service's artifact route),
-// Store.Verify (its job path) and Store.Load (every value-wanting
-// caller), each called on a fresh copy of the blob. None may panic.
+// FuzzStoreRaw fuzzes the store's read entry points on the bytes a blob
+// holds under a valid key: Store.Raw (the lab service's artifact route),
+// Store.Envelope (its peer route), Store.Verify (its job path) and
+// Store.Load (every value-wanting caller), each called on a fresh copy of
+// the blob. None may panic.
 //
 // Raw either misses or returns exactly the payload and kind of an
 // envelope that names the key, hashes to its sha256 field and belongs to
 // a registered kind at that kind's codec version. A blob that fails those
 // checks is dropped and counted as corrupt; an intact envelope of an
 // unregistered kind is a plain miss and stays on disk.
+//
+// Envelope serves exactly the intact envelopes, whatever their kind and
+// codec version, so it serves whenever Raw does; it returns the stored
+// bytes, and drops and counts any other blob.
 //
 // Verify(kind, key) holds exactly when Raw serves an artifact of that
 // kind, and whenever Load succeeds. Every Verify or Load that fails on a
@@ -132,6 +137,10 @@ func FuzzCheckEnvelope(f *testing.F) {
 // the two: a payload that passes every gate but that the codec cannot
 // decode verifies (Raw serves it too), while Load drops it and misses.
 // Save never writes one; only a hand-written blob can hold it.
+//
+// Whichever entry point reads a blob first, the four in turn count a
+// blob that fails the integrity checks corrupt exactly once, and any
+// blob at most once.
 //
 // The seed corpus (testdata/fuzz) holds a valid envelope, a wrong schema,
 // a key mismatch, a hash mismatch, an unregistered kind, a codec-version
@@ -197,6 +206,22 @@ func FuzzStoreRaw(f *testing.F) {
 			}
 		}
 
+		var envRaw []byte
+		var envKind string
+		envOK, envKept, envDropped, _, _ := read(t, raw, func() (ok bool) {
+			envRaw, envKind, ok = st.Envelope(key)
+			return ok
+		})
+		if envOK != intact || (ok && !envOK) {
+			t.Fatalf("Envelope = %v for an envelope intact %v that Raw served %v", envOK, intact, ok)
+		}
+		if envOK && (!bytes.Equal(envRaw, raw) || envKind != env.Kind || envDropped != 0 || !envKept) {
+			t.Fatalf("Envelope served kind %q and %d bytes, counted corrupt %d times, still stored %v; want kind %q and the %d stored bytes", envKind, len(envRaw), envDropped, envKept, env.Kind, len(raw))
+		}
+		if !envOK && (envDropped != 1 || envKept) {
+			t.Fatalf("Envelope of a bad blob counted corrupt %d times, still stored %v", envDropped, envKept)
+		}
+
 		served := ok && kind == "test"
 		verified, vKept, vDropped, vLoads, vMisses := read(t, raw, func() bool { return st.Verify("test", key) })
 		if verified != served {
@@ -221,6 +246,28 @@ func FuzzStoreRaw(f *testing.F) {
 			}
 			if c.kept != c.ok || c.dropped != wantDropped || c.loads != 1 || c.misses != wantMisses {
 				t.Fatalf("%s served %v: still stored %v, counted corrupt %d, loads %d, load misses %d", c.name, c.ok, c.kept, c.dropped, c.loads, c.misses)
+			}
+		}
+
+		entries := []struct {
+			name string
+			read func()
+		}{
+			{"Raw", func() { st.Raw(key) }},
+			{"Envelope", func() { st.Envelope(key) }},
+			{"Verify", func() { st.Verify("test", key) }},
+			{"Load", func() { st.Load("test", key) }},
+		}
+		for first := range entries {
+			if !b.Put(key, raw) {
+				t.Fatal("blob put failed")
+			}
+			before := st.Stats().Corrupt
+			for i := range entries {
+				entries[(first+i)%len(entries)].read()
+			}
+			if n := st.Stats().Corrupt - before; n > 1 || (!intact && n != 1) {
+				t.Fatalf("%s first: a blob intact %v counted corrupt %d times", entries[first].name, intact, n)
 			}
 		}
 	})

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -81,6 +82,66 @@ func TestErrorAfterN(t *testing.T) {
 	}
 	if fb.Stats().FailedGets == 0 {
 		t.Error("no read failure was injected")
+	}
+}
+
+// flakyBlob is a DiskBlob whose next `fails` pooled reads fail with an
+// I/O error that is not fs.ErrNotExist: the EMFILE/EIO class a busy disk
+// returns while the blob is still there.
+type flakyBlob struct {
+	*artifact.DiskBlob
+	fails int
+}
+
+func (f *flakyBlob) GetPooled(key string) ([]byte, func(), error) {
+	if f.fails > 0 {
+		f.fails--
+		return nil, nil, syscall.EIO
+	}
+	return f.DiskBlob.GetPooled(key)
+}
+
+// TestTransientReadKeepsArtifact: a read that fails with anything but
+// fs.ErrNotExist is a miss that keeps both the blob and its index entry,
+// so the next Load serves the (valid) artifact. Only a missing blob
+// reconciles the index.
+func TestTransientReadKeepsArtifact(t *testing.T) {
+	dir := t.TempDir()
+	disk, err := artifact.NewDiskBlob(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fb := &flakyBlob{DiskBlob: disk}
+	st, err := artifact.OpenBlob(fb, 0, codecs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := key("af")
+	st.Save("test", k, payload{Name: "kept"})
+
+	fb.fails = 1
+	if _, ok := st.Load("test", k); ok {
+		t.Fatal("Load served through a failed read")
+	}
+	if _, ok := st.StatKey(k); !ok {
+		t.Error("a transient read error dropped the index entry")
+	}
+	if got, ok := st.Load("test", k); !ok || got.(payload).Name != "kept" {
+		t.Fatalf("Load after the transient error = %v, %v; want the stored artifact", got, ok)
+	}
+	if s := st.Stats(); s.Corrupt != 0 || s.Loads != 2 || s.LoadMisses != 1 {
+		t.Errorf("stats = %+v, want 2 loads, 1 miss, 0 corrupt", s)
+	}
+
+	// The blob really is gone: now the index reconciles.
+	if !disk.Delete(k) {
+		t.Fatal("blob missing before the external delete")
+	}
+	if _, ok := st.Load("test", k); ok {
+		t.Fatal("Load served a deleted blob")
+	}
+	if _, ok := st.StatKey(k); ok {
+		t.Error("a missing blob left its index entry")
 	}
 }
 

@@ -9,6 +9,7 @@
 package artifact_test
 
 import (
+	"errors"
 	"math/rand"
 	"net/http"
 	"sync"
@@ -23,18 +24,19 @@ type FaultConfig struct {
 	// Seed drives the corruption positions; the same seed and op sequence
 	// injects byte-identical faults on every run.
 	Seed int64
-	// FailGetsAfter / FailPutsAfter: when > 0, every Get/Put after the
-	// first N reports failure without touching the inner blob.
+	// FailGetsAfter / FailPutsAfter: when > 0, every read (GetPooled) or
+	// Put after the first N reports failure without touching the inner
+	// blob. A failed read is a transient error, not fs.ErrNotExist.
 	FailGetsAfter int64
 	FailPutsAfter int64
 	// TornWriteEvery: when > 0, every Nth Put stores only a prefix of the
 	// data and still reports success — the on-disk shape of a writer that
 	// died mid-write behind a lying disk cache.
 	TornWriteEvery int64
-	// CorruptEvery: when > 0, every Nth successful Get flips one byte of
-	// the returned data at a seeded offset.
+	// CorruptEvery: when > 0, every Nth read flips one byte of the
+	// returned data at a seeded offset.
 	CorruptEvery int64
-	// Latency is added to every Get and Put.
+	// Latency is added to every read and Put.
 	Latency time.Duration
 }
 
@@ -76,32 +78,37 @@ func (f *FaultBlob) delay() {
 	}
 }
 
-// Get reads through to the inner blob, injecting scheduled read faults.
-func (f *FaultBlob) Get(key string) ([]byte, bool) {
+// errInjectedRead is FaultBlob's read failure: a transient error, not
+// fs.ErrNotExist, so the store keeps the blob and its index entry.
+var errInjectedRead = errors.New("faultblob: injected read failure")
+
+// GetPooled reads through to the inner blob's pooled read (the one Store
+// takes), injecting scheduled read faults.
+func (f *FaultBlob) GetPooled(key string) ([]byte, func(), error) {
 	f.delay()
 	f.mu.Lock()
 	f.stats.Gets++
 	if f.cfg.FailGetsAfter > 0 && f.stats.Gets > f.cfg.FailGetsAfter {
 		f.stats.FailedGets++
 		f.mu.Unlock()
-		return nil, false
+		return nil, nil, errInjectedRead
 	}
 	corrupt := f.cfg.CorruptEvery > 0 && f.stats.Gets%f.cfg.CorruptEvery == 0
 	f.mu.Unlock()
 
-	data, ok := f.inner.Get(key)
-	if !ok {
-		return nil, false
+	data, release, err := f.inner.GetPooled(key)
+	if err != nil || !corrupt || len(data) == 0 {
+		return data, release, err
 	}
-	if corrupt && len(data) > 0 {
-		f.mu.Lock()
-		tampered := append([]byte(nil), data...)
-		tampered[f.rng.Intn(len(tampered))] ^= 0x01
-		f.stats.CorruptedReads++
-		f.mu.Unlock()
-		return tampered, true
-	}
-	return data, true
+	// Flip a byte in a private copy: the inner buffer is pooled and goes
+	// back untouched.
+	tampered := append([]byte(nil), data...)
+	release()
+	f.mu.Lock()
+	tampered[f.rng.Intn(len(tampered))] ^= 0x01
+	f.stats.CorruptedReads++
+	f.mu.Unlock()
+	return tampered, func() {}, nil
 }
 
 // Put writes through to the inner blob, injecting scheduled write faults.
@@ -128,21 +135,14 @@ func (f *FaultBlob) Put(key string, data []byte) bool {
 	return f.inner.Put(key, data)
 }
 
-// Stat passes through; metadata is not on the fault schedule.
-func (f *FaultBlob) Stat(key string) (artifact.BlobInfo, bool) { return f.inner.Stat(key) }
-
 // Delete passes through.
 func (f *FaultBlob) Delete(key string) bool { return f.inner.Delete(key) }
 
 // List passes through.
 func (f *FaultBlob) List() []artifact.BlobInfo { return f.inner.List() }
 
-// Touch forwards recency stamps when the inner blob keeps them.
-func (f *FaultBlob) Touch(key string) {
-	if t, ok := f.inner.(artifact.Toucher); ok {
-		t.Touch(key)
-	}
-}
+// Touch passes through; recency is not on the fault schedule.
+func (f *FaultBlob) Touch(key string) { f.inner.Touch(key) }
 
 // FaultTransport injects deterministic transport faults into the peer-HTTP
 // tier: plug it into artifact.PeerOptions.Client to make a PeerBlob's wire flaky.

@@ -13,7 +13,7 @@ import (
 // artifact envelopes from other labd nodes over
 // GET /v1/artifacts/{key}?envelope=1, the one route peers share. It is
 // not a Blob backend; Store consults it only after a local miss. Every
-// fetch is re-verified on receipt (CheckEnvelope: schema, key match,
+// fetch is re-verified on receipt (openEnvelope: schema, key match,
 // payload SHA-256) before the bytes are trusted, which turns corruption
 // on the wire or on the peer's disk into a miss. It does not detect a
 // forgery: a peer that re-hashes altered bytes passes the check, so the
@@ -122,8 +122,15 @@ func (p *PeerBlob) Stats() PeerStats {
 // 404, failed verification) counts toward Errors and is skipped; a clean
 // 404 just moves on. Exhausting the list counts one miss.
 func (p *PeerBlob) Get(key string) ([]byte, bool) {
+	raw, _, ok := p.get(key)
+	return raw, ok
+}
+
+// get is Get that also returns the envelope it parsed and verified, so
+// the store checks a peer's bytes once.
+func (p *PeerBlob) get(key string) ([]byte, envelope, bool) {
 	if !validKey(key) {
-		return nil, false
+		return nil, envelope{}, false
 	}
 	for _, peer := range p.peers {
 		raw, status, err := p.fetch(peer, key)
@@ -138,17 +145,18 @@ func (p *PeerBlob) Get(key string) ([]byte, bool) {
 			p.errors.Add(1)
 			continue
 		}
-		if _, _, err := CheckEnvelope(key, raw); err != nil {
+		env, err := openEnvelope(key, raw)
+		if err != nil {
 			// The peer served bytes that fail the integrity gate: never
 			// trust them, never persist them.
 			p.errors.Add(1)
 			continue
 		}
 		p.hits.Add(1)
-		return raw, true
+		return raw, env, true
 	}
 	p.misses.Add(1)
-	return nil, false
+	return nil, envelope{}, false
 }
 
 // fetch GETs one peer's envelope with the timeout/retry policy: a

@@ -8,7 +8,7 @@
 //
 // Store layers the semantics — envelope verification, codecs, LRU byte
 // accounting — over a pluggable Blob byte tier (blob.go): local disk
-// today, any S3-style backend by implementing Blob. A fleet node adds a
+// today, another backend by implementing Blob. A fleet node adds a
 // read-only peer fetch from other labd nodes (peer.go) as a read-through
 // fallback after a local miss.
 //
@@ -21,9 +21,10 @@
 //   - atomic writes: payloads land via temp-file + rename, so a crashed
 //     writer can leave stale temp files but never a half-written artifact
 //     under a valid name;
-//   - corruption tolerance: any unreadable, unparsable, wrong-kind,
-//     wrong-version or hash-mismatched artifact is treated as absent (and
-//     deleted best-effort) — the runner recomputes, nothing crashes;
+//   - corruption tolerance: any unparsable, wrong-kind, wrong-version or
+//     hash-mismatched artifact is treated as absent (and deleted
+//     best-effort) — the runner recomputes, nothing crashes; a read that
+//     fails for any reason but a missing blob is a miss that keeps it;
 //   - versioned codecs: each experiment kind registers a codec with a
 //     version; bumping the version orphans old artifacts instead of
 //     decoding them wrongly;
@@ -39,8 +40,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"os"
+	"io/fs"
 	"sort"
 	"strconv"
 	"sync"
@@ -83,9 +83,10 @@ type Stats struct {
 	Hits      uint64 `json:"hits"`
 	Saves     uint64 `json:"saves"`
 	Evictions uint64 `json:"evictions"`
-	// Corrupt counts integrity failures: unreadable, unparsable,
-	// wrong-kind, wrong-version or hash-mismatched artifacts (each also a
-	// LoadMiss, each deleted best-effort and recomputed).
+	// Corrupt counts integrity failures on every read path: unparsable,
+	// wrong-kind, wrong-version or hash-mismatched artifacts (each deleted
+	// best-effort and recomputed; on Load and Verify also a LoadMiss
+	// unless a peer serves the key).
 	Corrupt uint64 `json:"corrupt"`
 	// PeerHits counts loads that missed the local blob and were served by
 	// fetching a verified envelope from a fleet peer (each also a Hit).
@@ -210,37 +211,10 @@ func validKey(key string) bool {
 	return true
 }
 
-// encodePool holds envelope-assembly buffers (Save) and readPool holds
-// file-read buffers (Load): both paths run once per artifact on the warm
-// runner/labd path, and without reuse each operation allocates (and
-// garbage-collects) a payload-sized buffer.
+// encodePool holds envelope-assembly buffers (Save): it runs once per
+// artifact on the cold runner/labd path, and without reuse each save
+// allocates (and garbage-collects) a payload-sized buffer.
 var encodePool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-var readPool = sync.Pool{New: func() any { return new([]byte) }}
-
-var errNotFound = errors.New("artifact: blob not found")
-
-// blobGet reads key from the backend, preferring the pooled fast path.
-// The returned release is always non-nil on success.
-func (s *Store) blobGet(key string) (raw []byte, release func(), err error) {
-	if pg, ok := s.blob.(PooledGetter); ok {
-		return pg.GetPooled(key)
-	}
-	raw, found := s.blob.Get(key)
-	if !found {
-		return nil, nil, errNotFound
-	}
-	return raw, func() {}, nil
-}
-
-// blobTouch refreshes a loaded artifact's recency stamp on backends that
-// persist one (outside the store lock — it is only an LRU hint for the
-// next Open).
-func (s *Store) blobTouch(key string) {
-	if t, ok := s.blob.(Toucher); ok {
-		t.Touch(key)
-	}
-}
 
 // Load returns the decoded artifact for (kind, key), or a miss. It never
 // errors: absent, corrupt and incompatible artifacts all read as misses
@@ -249,7 +223,7 @@ func (s *Store) blobTouch(key string) {
 // one is attached. Blob reads and decoding run outside the store lock so
 // a warm run's concurrent loads don't serialize on it.
 func (s *Store) Load(kind, key string) (any, bool) {
-	return s.load(kind, key, true)
+	return s.load(key, readGate{kind: kind, decode: true})
 }
 
 // Verify reports whether the store holds a valid artifact for (kind,
@@ -262,115 +236,58 @@ func (s *Store) Load(kind, key string) (any, bool) {
 // Load drops it and misses. Only a hand-written blob can be such a
 // payload (Save stores what the codec encoded), and Raw serves it too.
 func (s *Store) Verify(kind, key string) bool {
-	_, ok := s.load(kind, key, false)
+	_, ok := s.load(key, readGate{kind: kind})
 	return ok
 }
 
-// load is Load (decode) and Verify (!decode; the value is then nil).
-func (s *Store) load(kind, key string, decode bool) (any, bool) {
-	codec, hasCodec := s.codecs[kind] // codecs map is immutable after Open
-	if !hasCodec || !validKey(key) {
-		s.miss()
-		return nil, false
-	}
-	raw, release, err := s.blobGet(key)
-	if err != nil {
-		// The blob is gone (evicted by a racing Save, or deleted
-		// externally): reconcile the index so its bytes stop counting
-		// toward the budget, then try the fleet.
-		s.mu.Lock()
-		s.dropLocked(key)
-		s.mu.Unlock()
-		return s.loadFromPeers(kind, key, codec, decode)
-	}
-	val, err := openArtifact(raw, kind, key, codec, decode)
-	size := int64(len(raw))
-	// The decoded value is independent of raw: the envelope's RawMessage
-	// payload is a copy, and every field of the decoded artifact is built
-	// by the codec's json.Unmarshal. Safe to recycle the read buffer.
-	release()
-
-	s.mu.Lock()
-	if err != nil {
-		s.corrupt++
-		s.dropLocked(key)
-		s.mu.Unlock()
-		// The local copy was corrupt and has been dropped; a peer may
-		// still hold a good one.
-		return s.loadFromPeers(kind, key, codec, decode)
-	}
-	s.loads++
-	s.touchLocked(key, size, kind)
-	s.mu.Unlock()
-	s.blobTouch(key)
-	return val, true
-}
-
-// loadFromPeers finishes a load whose local blob missed: fetch an
-// integrity-verified envelope from the fleet, persist it locally
-// (read-through), and serve it (decoded when asked). Exactly one load
-// (and at most one miss) is counted per call, whichever branch finishes
-// it; a local integrity failure was already counted as corrupt when it
-// was dropped.
-func (s *Store) loadFromPeers(kind, key string, codec Codec, decode bool) (any, bool) {
-	if s.peers != nil {
-		if raw, ok := s.peers.Get(key); ok {
-			// PeerBlob verified schema/key/payload-hash; the kind and
-			// codec-version gates are ours. A mismatch (version skew
-			// across the fleet) is a plain miss — the peer's copy may be
-			// valid for a newer deployment and is left alone.
-			if val, err := openArtifact(raw, kind, key, codec, decode); err == nil {
-				persisted := s.blob.Put(key, raw)
-				s.mu.Lock()
-				s.loads++
-				s.peerHits++
-				if persisted {
-					s.touchLocked(key, int64(len(raw)), kind)
-					s.evictLocked(key)
-				}
-				s.mu.Unlock()
-				return val, true
-			}
+// load is Load and Verify: the local read, then the peer tier. Exactly
+// one load (and at most one miss) is counted per call, whichever tier
+// finishes it; a local integrity failure is counted corrupt when read
+// drops it.
+func (s *Store) load(key string, g readGate) (any, bool) {
+	if _, ok := s.codecs[g.kind]; ok && validKey(key) { // codecs map is immutable after Open
+		if _, val, _, ok := s.read(key, g); ok {
+			return val, true
+		}
+		if val, ok := s.loadFromPeers(key, g); ok {
+			return val, true
 		}
 	}
-	s.miss()
-	return nil, false
-}
-
-// readPooled reads the whole file into a pooled buffer. release returns
-// the buffer to the pool; the caller must not retain raw (or anything
-// aliasing it) past that call.
-func readPooled(path string) (raw []byte, release func(), err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer f.Close()
-	info, err := f.Stat()
-	if err != nil {
-		return nil, nil, err
-	}
-	bp := readPool.Get().(*[]byte)
-	b := *bp
-	if need := int(info.Size()); cap(b) < need {
-		b = make([]byte, need)
-	} else {
-		b = b[:need]
-	}
-	if _, err := io.ReadFull(f, b); err != nil {
-		*bp = b
-		readPool.Put(bp)
-		return nil, nil, err
-	}
-	return b, func() { *bp = b; readPool.Put(bp) }, nil
-}
-
-// miss records a load that served nothing.
-func (s *Store) miss() {
 	s.mu.Lock()
 	s.loads++
 	s.loadMisses++
 	s.mu.Unlock()
+	return nil, false
+}
+
+// loadFromPeers fetches an envelope for a load whose local read missed.
+// PeerBlob has verified its schema, key and payload hash; only the
+// load's kind, codec-version and decode gate is left, and a failure there
+// (version skew across the fleet) is a plain miss: the peer's copy may be
+// valid for a newer deployment and is left alone. A hit is persisted
+// locally (read-through) so the next load is served from disk.
+func (s *Store) loadFromPeers(key string, g readGate) (any, bool) {
+	if s.peers == nil {
+		return nil, false
+	}
+	raw, env, ok := s.peers.get(key)
+	if !ok {
+		return nil, false
+	}
+	val, err := s.admit(env, g)
+	if err != nil {
+		return nil, false
+	}
+	persisted := s.blob.Put(key, raw)
+	s.mu.Lock()
+	s.loads++
+	s.peerHits++
+	if persisted {
+		s.touchLocked(key, int64(len(raw)), env.Kind)
+		s.evictLocked(key)
+	}
+	s.mu.Unlock()
+	return val, true
 }
 
 // Raw returns the stored payload bytes for key without decoding (integrity
@@ -388,30 +305,8 @@ func (s *Store) Raw(key string) (payload []byte, kind string, ok bool) {
 	if !validKey(key) {
 		return nil, "", false
 	}
-	raw, found := s.blob.Get(key)
-	if !found {
-		return nil, "", false
-	}
-	env, err := openEnvelope(key, raw)
-	if err == nil {
-		codec, hasCodec := s.codecs[env.Kind]
-		if !hasCodec {
-			return nil, "", false
-		}
-		err = checkVersion(env, codec)
-	}
-
-	s.mu.Lock()
-	if err != nil {
-		s.corrupt++
-		s.dropLocked(key)
-		s.mu.Unlock()
-		return nil, "", false
-	}
-	s.touchLocked(key, int64(len(raw)), env.Kind)
-	s.mu.Unlock()
-	s.blobTouch(key)
-	return env.Payload, env.Kind, true
+	env, _, _, ok := s.read(key, readGate{})
+	return env.Payload, env.Kind, ok
 }
 
 // Envelope returns the verified raw envelope bytes for key plus the
@@ -426,22 +321,98 @@ func (s *Store) Envelope(key string) (raw []byte, kind string, ok bool) {
 	if !validKey(key) {
 		return nil, "", false
 	}
-	raw, found := s.blob.Get(key)
-	if !found {
-		return nil, "", false
+	env, _, raw, ok := s.read(key, readGate{envelope: true})
+	return raw, env.Kind, ok
+}
+
+// readGate is one read's policy on top of openEnvelope's integrity
+// checks (schema, key, payload SHA-256). A read that fails it is corrupt:
+// counted, and the blob dropped. The exception is Raw's unregistered kind,
+// a plain miss.
+type readGate struct {
+	// kind is the kind Load or Verify asks for; a read that names one
+	// counts in loads. Empty (Raw, Envelope) accepts any kind.
+	kind string
+	// decode: decode the payload with the kind's codec (Load).
+	decode bool
+	// envelope: integrity only, any kind at any codec version, and return
+	// a copy of the envelope bytes (Envelope). Otherwise the envelope's
+	// kind must be registered and at its codec's version.
+	envelope bool
+}
+
+// errUnregistered marks an intact envelope of a kind this store has no
+// codec for: a plain miss, not corruption.
+var errUnregistered = errors.New("artifact: unregistered kind")
+
+// read is the store's one read of a local blob: one pooled blob read, one
+// openEnvelope, g's gate, then one locked section that either counts and
+// drops a corrupt blob or touches the index, followed by one recency
+// Touch. It returns the verified envelope (its payload is a copy, not the
+// pooled buffer), the decoded value when g.decode, and a copy of the
+// envelope bytes when g.envelope. A blob that is gone (evicted by a
+// racing Save, or deleted externally) drops its index entry so its bytes
+// stop counting toward the budget; any other read error is a transient
+// miss that keeps the index entry and the blob.
+func (s *Store) read(key string, g readGate) (env envelope, val any, raw []byte, ok bool) {
+	buf, release, err := s.blob.GetPooled(key)
+	if err != nil {
+		if errors.Is(err, fs.ErrNotExist) {
+			s.mu.Lock()
+			s.dropLocked(key)
+			s.mu.Unlock()
+		}
+		return envelope{}, nil, nil, false
 	}
-	kind, _, err := CheckEnvelope(key, raw)
+	size := int64(len(buf))
+	env, err = openEnvelope(key, buf)
+	if err == nil {
+		val, err = s.admit(env, g)
+	}
+	if err == nil && g.envelope {
+		raw = bytes.Clone(buf)
+	}
+	release()
+	if errors.Is(err, errUnregistered) {
+		return envelope{}, nil, nil, false
+	}
+
 	s.mu.Lock()
 	if err != nil {
 		s.corrupt++
 		s.dropLocked(key)
 		s.mu.Unlock()
-		return nil, "", false
+		return envelope{}, nil, nil, false
 	}
-	s.touchLocked(key, int64(len(raw)), kind)
+	if g.kind != "" {
+		s.loads++
+	}
+	s.touchLocked(key, size, env.Kind)
 	s.mu.Unlock()
-	s.blobTouch(key)
-	return raw, kind, true
+	s.blob.Touch(key)
+	return env, val, raw, true
+}
+
+// admit applies g's kind, codec-version and decode policy to an envelope
+// that passed openEnvelope, returning the decoded value when g.decode.
+func (s *Store) admit(env envelope, g readGate) (any, error) {
+	if g.envelope {
+		return nil, nil
+	}
+	if g.kind != "" && env.Kind != g.kind {
+		return nil, fmt.Errorf("kind %q, want %q", env.Kind, g.kind)
+	}
+	codec, ok := s.codecs[env.Kind]
+	if !ok {
+		return nil, errUnregistered
+	}
+	if env.CodecVersion != codec.Version {
+		return nil, fmt.Errorf("codec version %d, want %d", env.CodecVersion, codec.Version)
+	}
+	if !g.decode {
+		return nil, nil
+	}
+	return codec.Decode(env.Payload)
 }
 
 // DeleteKey removes the artifact for key; true if it was indexed.
@@ -500,8 +471,9 @@ func (s *Store) Unpin(key string) {
 
 // openEnvelope parses raw and verifies it is a well-formed artifact
 // envelope for key: schema, key match, payload SHA-256. It is the one
-// integrity gate every read path applies; each caller adds its own kind
-// and codec-version policy.
+// integrity gate: Store.read applies it to every local blob and PeerBlob
+// to every fetched envelope; readGate adds the kind and codec-version
+// policy.
 func openEnvelope(key string, raw []byte) (envelope, error) {
 	var env envelope
 	if err := json.Unmarshal(raw, &env); err != nil {
@@ -516,44 +488,6 @@ func openEnvelope(key string, raw []byte) (envelope, error) {
 		return envelope{}, fmt.Errorf("payload hash mismatch")
 	}
 	return env, nil
-}
-
-// checkVersion rejects an envelope written by another version of its
-// kind's codec.
-func checkVersion(env envelope, codec Codec) error {
-	if env.CodecVersion != codec.Version {
-		return fmt.Errorf("codec version %d, want %d", env.CodecVersion, codec.Version)
-	}
-	return nil
-}
-
-// CheckEnvelope verifies that raw is a well-formed artifact envelope for
-// key (openEnvelope) and returns its kind and codec version. It is the
-// integrity gate applied to envelopes received from peers before they are
-// trusted or persisted; the caller owns the kind/version policy.
-func CheckEnvelope(key string, raw []byte) (kind string, codecVersion int, err error) {
-	env, err := openEnvelope(key, raw)
-	return env.Kind, env.CodecVersion, err
-}
-
-// openArtifact verifies raw as an artifact of kind written by codec's
-// version and, when decode is set, decodes its payload (otherwise the
-// value is nil).
-func openArtifact(raw []byte, kind, key string, codec Codec, decode bool) (any, error) {
-	env, err := openEnvelope(key, raw)
-	if err != nil {
-		return nil, err
-	}
-	if env.Kind != kind {
-		return nil, fmt.Errorf("kind %q, want %q", env.Kind, kind)
-	}
-	if err := checkVersion(env, codec); err != nil {
-		return nil, err
-	}
-	if !decode {
-		return nil, nil
-	}
-	return codec.Decode(env.Payload)
 }
 
 // Save persists the artifact for (kind, key). Failures are swallowed: the

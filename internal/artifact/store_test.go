@@ -1,6 +1,7 @@
 package artifact_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -196,6 +197,29 @@ func TestRawUnknownKindIsMiss(t *testing.T) {
 	st3, _ := artifact.Open(dir, 0, codecs())
 	if _, _, ok := st3.Raw(key("aa")); !ok {
 		t.Error("unknown-kind miss deleted the artifact")
+	}
+}
+
+// TestReadsDoNotAliasThePool: every read goes through a pooled buffer,
+// so Raw's payload and Envelope's bytes must be copies: reading another
+// artifact of the same size into the pool leaves them unchanged.
+func TestReadsDoNotAliasThePool(t *testing.T) {
+	st, _ := artifact.Open(t.TempDir(), 0, codecs())
+	st.Save("test", key("aa"), payload{Name: "a"})
+	st.Save("test", key("bb"), payload{Name: "b"})
+	p, _, ok := st.Raw(key("aa"))
+	env, _, eok := st.Envelope(key("aa"))
+	if !ok || !eok {
+		t.Fatalf("Raw ok %v, Envelope ok %v; want both served", ok, eok)
+	}
+	wantP, wantEnv := bytes.Clone(p), bytes.Clone(env)
+	for i := 0; i < 4; i++ {
+		st.Raw(key("bb"))
+		st.Envelope(key("bb"))
+		st.Verify("test", key("bb"))
+	}
+	if !bytes.Equal(p, wantP) || !bytes.Equal(env, wantEnv) {
+		t.Errorf("a later read rewrote served bytes: payload %q, envelope %q", p, env)
 	}
 }
 

@@ -340,8 +340,21 @@ func TestNoRouteWritesTheStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := artifact.CheckEnvelope(key, forged); err != nil {
-		t.Fatalf("the forgery fails the integrity check (%v); it must pass it to test the routes", err)
+	// The forgery passes the integrity gate (schema, key, payload hash):
+	// a scratch store serves it as an envelope.
+	scratch, err := artifact.NewDiskBlob(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	check, err := artifact.OpenBlob(scratch, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !scratch.Put(key, forged) {
+		t.Fatal("scratch put failed")
+	}
+	if _, _, ok := check.Envelope(key); !ok {
+		t.Fatal("the forgery fails the integrity check; it must pass it to test the routes")
 	}
 
 	for _, req := range []struct {

@@ -33,13 +33,11 @@ type Options struct {
 	SkipSMARTS   bool
 	SkipCoolSim  bool
 	SkipDeLorean bool
-	// Parallel bounds worker goroutines (0 = GOMAXPROCS). Ignored when Eng
-	// is set — the engine's own worker bound applies.
-	Parallel int
 	// Eng, when set, executes the matrix on a shared runner engine so the
 	// result cache and progress stream span multiple RunAll calls (the
-	// figures CLI shares one engine across every figure). When nil a
-	// private engine is used.
+	// figures CLI shares one engine across every figure), with that
+	// engine's worker bound. When nil a private GOMAXPROCS-wide engine is
+	// used.
 	Eng *runner.Engine
 }
 
@@ -52,7 +50,7 @@ func RunAll(profs []*workload.Profile, cfg warm.Config, opt Options) *Comparison
 	cmp := &Comparison{Cfg: cfg, Benches: make([]BenchResult, len(profs))}
 	eng := opt.Eng
 	if eng == nil {
-		eng = runner.New(opt.Parallel)
+		eng = runner.New(0)
 	}
 	var jobs []runner.Job
 	var assign []func(any)

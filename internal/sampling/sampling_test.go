@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/runner"
 	"repro/internal/warm"
 	"repro/internal/workload"
 )
@@ -101,8 +102,8 @@ func TestRunAllSkips(t *testing.T) {
 // machines.
 func TestRunAllDeterministicAcrossParallelism(t *testing.T) {
 	cfg := testCfg()
-	a := RunAll(testProfs(), cfg, Options{Parallel: 1})
-	b := RunAll(testProfs(), cfg, Options{Parallel: 8})
+	a := RunAll(testProfs(), cfg, Options{Eng: runner.New(1)})
+	b := RunAll(testProfs(), cfg, Options{Eng: runner.New(8)})
 	if !reflect.DeepEqual(a, b) {
 		t.Error("Workers=1 and Workers=8 produced different results")
 	}

@@ -22,22 +22,39 @@ package workload
 // MiB at paper scale.
 const mib = 1 << 20
 
-// Benchmarks returns the full benchmark suite, in the paper's plot order.
-func Benchmarks() []*Profile {
-	return []*Profile{
-		Perlbench(), Bzip2(), Bwaves(), Gamess(), Mcf(), Zeusmp(),
-		Gromacs(), CactusADM(), Leslie3d(), Namd(), Gobmk(), Soplex(),
-		Povray(), Calculix(), Hmmer(), Sjeng(), GemsFDTD(), Libquantum(),
-		H264ref(), Tonto(), Lbm(), Omnetpp(), Astar(), Xalancbmk(),
-	}
+// suite holds the benchmark profiles' constructors, in the paper's plot
+// order.
+var suite = [...]func() *Profile{
+	Perlbench, Bzip2, Bwaves, Gamess, Mcf, Zeusmp,
+	Gromacs, CactusADM, Leslie3d, Namd, Gobmk, Soplex,
+	Povray, Calculix, Hmmer, Sjeng, GemsFDTD, Libquantum,
+	H264ref, Tonto, Lbm, Omnetpp, Astar, Xalancbmk,
 }
 
-// ByName returns the profile with the given name, or nil.
+// suiteIndex maps each profile name to its constructor in suite, so
+// ByName builds only the profile it returns.
+var suiteIndex = func() map[string]func() *Profile {
+	m := make(map[string]func() *Profile, len(suite))
+	for _, mk := range suite {
+		m[mk().Name] = mk
+	}
+	return m
+}()
+
+// Benchmarks returns the full benchmark suite, in the paper's plot order.
+func Benchmarks() []*Profile {
+	all := make([]*Profile, len(suite))
+	for i, mk := range suite {
+		all[i] = mk()
+	}
+	return all
+}
+
+// ByName returns a fresh copy of the profile with the given name (callers
+// may mutate it), or nil.
 func ByName(name string) *Profile {
-	for _, p := range Benchmarks() {
-		if p.Name == name {
-			return p
-		}
+	if mk, ok := suiteIndex[name]; ok {
+		return mk()
 	}
 	return nil
 }

@@ -279,6 +279,26 @@ func TestBenchmarksWellFormed(t *testing.T) {
 	}
 }
 
+// TestByNameMatchesBenchmarks: ByName builds the same profile Benchmarks
+// lists under that name, as a fresh copy per call (callers may mutate
+// it), and nil for a name outside the suite.
+func TestByNameMatchesBenchmarks(t *testing.T) {
+	for _, want := range Benchmarks() {
+		a, b := ByName(want.Name), ByName(want.Name)
+		if !reflect.DeepEqual(a, want) {
+			t.Errorf("ByName(%q) = %+v, want %+v", want.Name, a, want)
+		}
+		if a == b || (len(a.Streams) > 0 && &a.Streams[0] == &b.Streams[0]) {
+			t.Errorf("ByName(%q) returned shared state across calls", want.Name)
+		}
+	}
+	for _, name := range []string{"", "nonexistent", "MCF"} {
+		if p := ByName(name); p != nil {
+			t.Errorf("ByName(%q) = %q, want nil", name, p.Name)
+		}
+	}
+}
+
 // TestBranchPattern: loop branches must be not-taken once per LoopDuty.
 func TestBranchPattern(t *testing.T) {
 	p := &Profile{
